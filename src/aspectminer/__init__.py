@@ -6,167 +6,14 @@ patterns, grouping of co-referring aspects, and sentence scoring that
 feeds the final pros/cons summary.  An evaluation harness scores
 extraction output against gold annotations and compares systems with
 paired t-tests.
+
+The package root exports only :func:`load_resources`; every other name
+is imported from its own module (``aspectminer.pipeline``,
+``aspectminer.summary``, ...).
 """
 
-from .corpus import (
-    Corpus,
-    GoldAnnotation,
-    ReviewSentence,
-    load_corpus,
-    parse_corpus_file,
-    tokenize,
-)
-from .errors import AspectMinerError, ParseError
-from .evaluation import (
-    ComparisonResult,
-    EvalReport,
-    ExtractionBreakdown,
-    ExtractionScores,
-    TTestResult,
-    check_f_consistency,
-    compare_to_baseline,
-    evaluate_extraction,
-    evaluate_extraction_detailed,
-    f_measure,
-    load_report,
-    make_report,
-    paired_t_test,
-    render_report,
-    score_product,
-)
-from .grouping import AspectGroup, group_aspects, head_key
-from .lexicons import (
-    NEGATIVE,
-    NONE,
-    POSITIVE,
-    AspectDictionary,
-    OpinionLexicon,
-    TagWeightTable,
-    VerbCategoryLexicon,
-    load_aspect_dictionary,
-    load_opinion_lexicon,
-    load_verb_categories,
-    polarity,
-)
-from .patterns import (
-    AspectOpinionPair,
-    MinedPattern,
-    PatternSet,
-    TagPattern,
-    conjunction_expand,
-    extract_pairs,
-    extract_with_options,
-    load_pattern_set,
-    match_pattern,
-    mine_frequent_tag_sets,
-    nearest_aspect_search,
-)
-from .pipeline import (
-    Resources,
-    data_dir,
-    evaluate_corpus,
-    extract_corpus,
-    load_pretagged_file,
-    load_resources,
-    summarize_corpus,
-    tag_corpus,
-)
-from .scoring import (
-    SentenceScore,
-    score_sentences,
-    select_top_sentences,
-    weight_sentence,
-)
-from .summary import Summary, SummaryEntry, SummaryGroup, generate_summary, render
-from .tagger import (
-    NOUN_TAGS,
-    PENN_TAGS,
-    VERB_TAGS,
-    BaselineTagger,
-    TaggedSentence,
-    Token,
-    load_tag_lexicon,
-    parse_pretagged,
-    render_pretagged,
-    tag_sentence,
-)
+from .pipeline import load_resources
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AspectDictionary",
-    "AspectGroup",
-    "AspectMinerError",
-    "AspectOpinionPair",
-    "BaselineTagger",
-    "ComparisonResult",
-    "Corpus",
-    "EvalReport",
-    "ExtractionBreakdown",
-    "ExtractionScores",
-    "GoldAnnotation",
-    "MinedPattern",
-    "NEGATIVE",
-    "NONE",
-    "NOUN_TAGS",
-    "OpinionLexicon",
-    "POSITIVE",
-    "PENN_TAGS",
-    "ParseError",
-    "PatternSet",
-    "Resources",
-    "ReviewSentence",
-    "SentenceScore",
-    "Summary",
-    "SummaryEntry",
-    "SummaryGroup",
-    "TTestResult",
-    "TagPattern",
-    "TagWeightTable",
-    "TaggedSentence",
-    "Token",
-    "VERB_TAGS",
-    "VerbCategoryLexicon",
-    "check_f_consistency",
-    "compare_to_baseline",
-    "conjunction_expand",
-    "data_dir",
-    "evaluate_corpus",
-    "evaluate_extraction",
-    "evaluate_extraction_detailed",
-    "extract_corpus",
-    "extract_pairs",
-    "extract_with_options",
-    "f_measure",
-    "generate_summary",
-    "group_aspects",
-    "head_key",
-    "load_aspect_dictionary",
-    "load_corpus",
-    "load_opinion_lexicon",
-    "load_pattern_set",
-    "load_pretagged_file",
-    "load_report",
-    "load_resources",
-    "load_tag_lexicon",
-    "load_verb_categories",
-    "make_report",
-    "match_pattern",
-    "mine_frequent_tag_sets",
-    "nearest_aspect_search",
-    "paired_t_test",
-    "parse_corpus_file",
-    "parse_pretagged",
-    "polarity",
-    "render",
-    "render_pretagged",
-    "render_report",
-    "score_product",
-    "score_sentences",
-    "select_top_sentences",
-    "summarize_corpus",
-    "tag_corpus",
-    "tag_sentence",
-    "tokenize",
-    "weight_sentence",
-]
+__all__ = ["load_resources"]

@@ -76,7 +76,6 @@ class RunConfig:
     max_len: int = 6
     format: str = "text"
     out: str = "stdout"
-    use_pretagged: bool = False
     enable_fallback_search: bool = True
     enable_conjunction_expand: bool = True
 
@@ -126,10 +125,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         flag_value = getattr(args, f.name, None)
         if flag_value is not None:
             values[f.name] = flag_value
-    config = RunConfig(**values)
-    if config.pretagged:
-        config.use_pretagged = True
-    return config
+    return RunConfig(**values)
 
 
 def _resources(config: RunConfig) -> Resources:
@@ -149,25 +145,19 @@ def _load_corpora(config: RunConfig) -> list[Corpus]:
 
 
 def _tagged_sentences(config: RunConfig, res: Resources) -> list[TaggedSentence]:
-    """Tagged input for non-evaluate commands, from raw or pretagged files."""
-    if config.use_pretagged:
-        tagged: list[TaggedSentence] = []
+    """Tagged input for non-evaluate commands, from raw or pretagged files.
+
+    Pretagged files win when both kinds are given.  Sentence positions
+    run on across files.
+    """
+    tagged: list[TaggedSentence] = []
+    if config.pretagged:
         for path in config.pretagged:
-            batch = load_pretagged_file(path)
-            offset = len(tagged)
-            tagged.extend(
-                TaggedSentence(tokens=s.tokens, source=s.source, position=offset + i)
-                for i, s in enumerate(batch)
-            )
-        return tagged
-    tagged = []
-    tagger = res.tagger()
-    for corpus in _load_corpora(config):
-        offset = len(tagged)
-        for s in tag_corpus(corpus, tagger):
-            tagged.append(
-                TaggedSentence(tokens=s.tokens, source=s.source, position=offset + s.position)
-            )
+            tagged += load_pretagged_file(path, start=len(tagged))
+    else:
+        tagger = res.tagger()
+        for corpus in _load_corpora(config):
+            tagged += tag_corpus(corpus, tagger, start=len(tagged))
     return tagged
 
 

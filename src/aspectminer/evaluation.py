@@ -43,6 +43,21 @@ class ExtractionScores:
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be within [0, 1], got {value}")
 
+    @classmethod
+    def from_rates(
+        cls, product: str, aspect_p: float, aspect_r: float, opinion_p: float, opinion_r: float
+    ) -> "ExtractionScores":
+        """Row whose f columns are computed from its precision and recall."""
+        return cls(
+            product=product,
+            aspect_p=aspect_p,
+            aspect_r=aspect_r,
+            aspect_f=f_measure(aspect_p, aspect_r),
+            opinion_p=opinion_p,
+            opinion_r=opinion_r,
+            opinion_f=f_measure(opinion_p, opinion_r),
+        )
+
 
 @dataclass(frozen=True)
 class EvalReport:
@@ -184,22 +199,6 @@ def evaluate_extraction(
     return b.aspect_p, b.aspect_r, b.opinion_p, b.opinion_r
 
 
-def score_product(
-    product: str, predicted: list[AspectOpinionPair], gold: Corpus
-) -> ExtractionScores:
-    """Evaluate one product and fill in f from the computed p and r."""
-    ap, ar, op, orc = evaluate_extraction(predicted, gold)
-    return ExtractionScores(
-        product=product,
-        aspect_p=ap,
-        aspect_r=ar,
-        aspect_f=f_measure(ap, ar),
-        opinion_p=op,
-        opinion_r=orc,
-        opinion_f=f_measure(op, orc),
-    )
-
-
 def make_report(rows: list[ExtractionScores]) -> EvalReport:
     """Aggregate per-product rows.
 
@@ -214,16 +213,8 @@ def make_report(rows: list[ExtractionScores]) -> EvalReport:
     def mean(attr: str) -> float:
         return fsum(getattr(r, attr) for r in rows) / n
 
-    aspect_p, aspect_r = mean("aspect_p"), mean("aspect_r")
-    opinion_p, opinion_r = mean("opinion_p"), mean("opinion_r")
-    averages = ExtractionScores(
-        product="average",
-        aspect_p=aspect_p,
-        aspect_r=aspect_r,
-        aspect_f=f_measure(aspect_p, aspect_r),
-        opinion_p=opinion_p,
-        opinion_r=opinion_r,
-        opinion_f=f_measure(opinion_p, opinion_r),
+    averages = ExtractionScores.from_rates(
+        "average", mean("aspect_p"), mean("aspect_r"), mean("opinion_p"), mean("opinion_r")
     )
     return EvalReport(per_product=tuple(rows), averages=averages)
 

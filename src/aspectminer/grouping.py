@@ -9,20 +9,17 @@ charger" pull "batteries" into the same group via the shared head.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
 
 from .lexicons import AspectDictionary
 from .patterns import AspectOpinionPair
 
-HeadPosition = Literal["first", "last"]
 
-
-def head_key(term: str, head: HeadPosition = "first") -> str:
-    """Grouping key: head word of the term, lowercased, plural-stripped."""
+def head_key(term: str) -> str:
+    """Grouping key: first word of the term, lowercased, plural-stripped."""
     words = term.lower().split()
     if not words:
         return ""
-    word = words[0] if head == "first" else words[-1]
+    word = words[0]
     if len(word) > 3 and word.endswith("s") and not word.endswith("ss"):
         word = word[:-1]
     return word
@@ -67,7 +64,6 @@ class _UnionFind:
 def group_aspects(
     pairs: list[AspectOpinionPair],
     dictionary: AspectDictionary,
-    head: HeadPosition = "first",
 ) -> list[AspectGroup]:
     """Partition pairs into groups by canonical identity and head words.
 
@@ -87,10 +83,10 @@ def group_aspects(
     key_owner: dict[str, str] = {}
     for surface in surfaces:
         uf.find(surface)
-        keys = {head_key(surface, head)}
+        keys = {head_key(surface)}
         canonical = dictionary.lookup(surface)
         if canonical is not None:
-            keys.add(head_key(canonical, head))
+            keys.add(head_key(canonical))
         keys.discard("")
         for k in keys:
             owner = key_owner.setdefault(k, surface)

@@ -23,9 +23,6 @@ NONE = "none"
 
 DEFAULT_TAG_WEIGHTS = {"JJ": 1, "JJR": 2, "JJS": 3, "RB": 1, "RBR": 2, "RBS": 3}
 
-PROVENANCE_SPECIFICATION = "specification"
-PROVENANCE_SYNONYM = "synonym"
-
 
 def _read_words(path: str | Path) -> list[str]:
     path = Path(path)
@@ -69,10 +66,6 @@ def load_opinion_lexicon(positive_file: str | Path, negative_file: str | Path) -
     return OpinionLexicon(positive=pos, negative=neg)
 
 
-def polarity(word: str, lex: OpinionLexicon) -> str:
-    return lex.polarity(word)
-
-
 def _normalize_term(term: str) -> str:
     return " ".join(term.lower().split())
 
@@ -87,7 +80,6 @@ class AspectDictionary:
     """
 
     entries: dict[str, str] = field(default_factory=dict)
-    provenance: dict[str, str] = field(default_factory=dict)
 
     @property
     def max_words(self) -> int:
@@ -95,9 +87,6 @@ class AspectDictionary:
 
     def lookup(self, term: str) -> str | None:
         return self.entries.get(_normalize_term(term))
-
-    def __contains__(self, term: str) -> bool:
-        return _normalize_term(term) in self.entries
 
     def match_at(self, words_lower: list[str], start: int) -> tuple[int, str] | None:
         """Longest entry equal to ``words_lower[start:start+n]``; returns (n, canonical)."""
@@ -116,11 +105,9 @@ def load_aspect_dictionary(
 ) -> AspectDictionary:
     """Build the dictionary from canonical terms plus optional synonyms."""
     entries: dict[str, str] = {}
-    provenance: dict[str, str] = {}
     for term in _read_words(spec_file):
         key = _normalize_term(term)
         entries[key] = key
-        provenance[key] = PROVENANCE_SPECIFICATION
     if synonym_file is not None:
         path = Path(synonym_file)
         if not path.is_file():
@@ -151,8 +138,7 @@ def load_aspect_dictionary(
                         line=lineno,
                     )
                 entries[syn] = canonical
-                provenance.setdefault(syn, PROVENANCE_SYNONYM)
-    return AspectDictionary(entries=entries, provenance=provenance)
+    return AspectDictionary(entries=entries)
 
 
 @dataclass(frozen=True)
@@ -174,9 +160,6 @@ class VerbCategoryLexicon:
             if w in cat.verbs:
                 return 1 if cat.orientation == POSITIVE else -1
         return 0
-
-    def __contains__(self, base_form: str) -> bool:
-        return self.orientation_of(base_form) != 0
 
 
 def load_verb_categories(path: str | Path) -> VerbCategoryLexicon:
@@ -220,10 +203,3 @@ class TagWeightTable:
 
     def weight(self, tag: str) -> int:
         return self.weights.get(tag, 0)
-
-    @classmethod
-    def with_overrides(cls, overrides: dict[str, int] | None = None) -> "TagWeightTable":
-        weights = dict(DEFAULT_TAG_WEIGHTS)
-        if overrides:
-            weights.update(overrides)
-        return cls(weights=weights)

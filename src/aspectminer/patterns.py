@@ -16,7 +16,6 @@ lines is precedence order: when two patterns produce a pair for the same
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, NamedTuple
@@ -24,8 +23,6 @@ from typing import Iterator, NamedTuple
 from .errors import ParseError
 from .lexicons import NONE, AspectDictionary, OpinionLexicon
 from .tagger import NOUN_TAGS, PENN_TAGS, TaggedSentence
-
-log = logging.getLogger(__name__)
 
 # Tags a pattern may mark as the opinion role.
 OPINION_ROLE_TAGS = frozenset(
@@ -301,7 +298,7 @@ def extract_pairs(
 def conjunction_expand(
     pair: AspectOpinionPair,
     sentence: TaggedSentence,
-    dictionary: AspectDictionary | None = None,
+    dictionary: AspectDictionary,
 ) -> list[AspectOpinionPair]:
     """Copy the pair onto a second noun coordinated with the aspect.
 
@@ -314,13 +311,7 @@ def conjunction_expand(
         return [pair]
     if tokens[after].tag != "CC" or tokens[after + 1].tag not in NOUN_TAGS:
         return [pair]
-    second = after + 1
-    if dictionary is not None:
-        span = resolve_aspect(sentence, second, dictionary)
-    else:
-        start, end = _noun_run(sentence, second)
-        surface = " ".join(t.surface.lower() for t in tokens[start:end])
-        span = AspectSpan(start=start, end=end, surface=surface)
+    span = resolve_aspect(sentence, after + 1, dictionary)
     extra = AspectOpinionPair(
         aspect_surface=span.surface,
         opinion_surface=pair.opinion_surface,

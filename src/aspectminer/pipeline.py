@@ -14,12 +14,7 @@ from pathlib import Path
 
 from .corpus import Corpus, tokenize
 from .errors import ParseError
-from .evaluation import (
-    ExtractionBreakdown,
-    ExtractionScores,
-    evaluate_extraction_detailed,
-    f_measure,
-)
+from .evaluation import ExtractionBreakdown, ExtractionScores, evaluate_extraction_detailed
 from .grouping import AspectGroup, group_aspects
 from .lexicons import (
     AspectDictionary,
@@ -99,10 +94,16 @@ def load_resources(
     )
 
 
-def tag_corpus(corpus: Corpus, tagger: BaselineTagger) -> list[TaggedSentence]:
-    """Tokenize and tag every corpus sentence, keeping corpus order."""
+def tag_corpus(
+    corpus: Corpus, tagger: BaselineTagger, *, start: int = 0
+) -> list[TaggedSentence]:
+    """Tokenize and tag every corpus sentence, keeping corpus order.
+
+    Positions count up from ``start``, so that several corpora tagged in
+    turn number their sentences as one sequence.
+    """
     tagged = []
-    for position, sentence in enumerate(corpus.sentences):
+    for position, sentence in enumerate(corpus.sentences, start):
         words = tokenize(sentence.raw_text)
         if words:
             ts = tagger.tag(words, source=sentence, position=position)
@@ -112,11 +113,14 @@ def tag_corpus(corpus: Corpus, tagger: BaselineTagger) -> list[TaggedSentence]:
     return tagged
 
 
-def load_pretagged_file(path: str | Path, corpus: Corpus | None = None) -> list[TaggedSentence]:
+def load_pretagged_file(
+    path: str | Path, corpus: Corpus | None = None, *, start: int = 0
+) -> list[TaggedSentence]:
     """Read pretagged lines; with a corpus, align them one-to-one.
 
     Blank lines are skipped.  Alignment is positional: line i annotates
-    corpus sentence i, and the counts must agree exactly.
+    corpus sentence i, and the counts must agree exactly.  Positions
+    count up from ``start``, as in :func:`tag_corpus`.
     """
     path = Path(path)
     if not path.is_file():
@@ -131,7 +135,7 @@ def load_pretagged_file(path: str | Path, corpus: Corpus | None = None) -> list[
     for i, line in enumerate(lines):
         source = corpus.sentences[i] if corpus is not None else None
         try:
-            tagged.append(parse_pretagged(line, source=source, position=i))
+            tagged.append(parse_pretagged(line, source=source, position=start + i))
         except ParseError as exc:
             raise ParseError(exc.message, path=path, line=i + 1) from exc
     return tagged
@@ -187,14 +191,8 @@ def evaluate_corpus(
 ) -> tuple[ExtractionScores, ExtractionBreakdown]:
     """Extract from the tagged sentences and score against the corpus gold."""
     pairs = extract_corpus(tagged, res, fallback=fallback, conjunction=conjunction)
-    breakdown = evaluate_extraction_detailed(pairs, corpus)
-    scores = ExtractionScores(
-        product=corpus.product_name,
-        aspect_p=breakdown.aspect_p,
-        aspect_r=breakdown.aspect_r,
-        aspect_f=f_measure(breakdown.aspect_p, breakdown.aspect_r),
-        opinion_p=breakdown.opinion_p,
-        opinion_r=breakdown.opinion_r,
-        opinion_f=f_measure(breakdown.opinion_p, breakdown.opinion_r),
+    b = evaluate_extraction_detailed(pairs, corpus)
+    scores = ExtractionScores.from_rates(
+        corpus.product_name, b.aspect_p, b.aspect_r, b.opinion_p, b.opinion_r
     )
-    return scores, breakdown
+    return scores, b

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .grouping import AspectGroup
 from .lexicons import TagWeightTable, VerbCategoryLexicon
 from .tagger import VERB_TAGS, TaggedSentence
 
@@ -107,12 +106,3 @@ def rank_sentences(
         set(sentences), key=lambda s: (-scores[s].total, s.position)
     )
     return ordered[:k]
-
-
-def select_top_sentences(
-    group: AspectGroup,
-    scores: Mapping[TaggedSentence, SentenceScore],
-    k: int,
-) -> list[TaggedSentence]:
-    """Top k sentences carrying any pair of the group."""
-    return rank_sentences({p.sentence for p in group.pairs}, scores, k)

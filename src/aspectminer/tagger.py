@@ -92,7 +92,7 @@ def parse_pretagged(
 
 
 def render_pretagged(sentence: TaggedSentence) -> str:
-    """Inverse of :func:`parse_pretagged` (provenance fields excepted)."""
+    """Inverse of :func:`parse_pretagged` (``source`` and ``position`` excepted)."""
     return " ".join(f"{t.surface}/{t.tag}" for t in sentence.tokens)
 
 
@@ -190,8 +190,3 @@ class BaselineTagger:
 
 def _doubled(stem: str) -> bool:
     return len(stem) >= 2 and stem[-1] == stem[-2] and stem[-1] not in "aeiou"
-
-
-def tag_sentence(words: list[str], lexicon: dict[str, str] | None = None) -> TaggedSentence:
-    """Tag a tokenized sentence with the baseline tagger."""
-    return BaselineTagger(lexicon).tag(words)

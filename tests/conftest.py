@@ -1,6 +1,7 @@
 import pytest
 
-from aspectminer import Resources, data_dir, load_corpus, load_pretagged_file, load_resources
+from aspectminer.corpus import load_corpus
+from aspectminer.pipeline import Resources, data_dir, load_pretagged_file, load_resources
 
 
 @pytest.fixture(scope="session")

@@ -159,6 +159,20 @@ class TestExtractCommand:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) > 10  # baseline tagger finds most of the pairs
 
+    @pytest.mark.parametrize("kind", ["pretagged", "corpus"])
+    def test_second_file_continues_sentence_ids(self, sample_paths, capsys, kind):
+        flag, path = f"--{kind}", sample_paths[kind]
+        main(["extract", flag, path, "--format", "machine"])
+        once = capsys.readouterr().out.splitlines()[1:]
+        code = main(["extract", flag, path, flag, path, "--format", "machine"])
+        assert code == EXIT_OK
+        twice = capsys.readouterr().out.splitlines()[1:]
+        shifted = []
+        for row in once:
+            sentence_id, rest = row.split("\t", 1)
+            shifted.append(f"{int(sentence_id) + 30}\t{rest}")
+        assert twice == once + shifted
+
 
 class TestSummarizeCommand:
     def test_machine_header(self, sample_paths, capsys):
@@ -356,6 +370,15 @@ class TestConfigFile:
         code = main(["summarize", "--config", str(config)])
         assert code == EXIT_PARSE_ERROR
         assert "frobnicate" in capsys.readouterr().err
+
+    def test_use_pretagged_is_not_a_key(self, sample_paths, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"use_pretagged": True}), encoding="utf-8")
+        code = main(
+            ["summarize", "--config", str(config), "--corpus", sample_paths["corpus"]]
+        )
+        assert code == EXIT_PARSE_ERROR
+        assert "unknown config key(s): use_pretagged" in capsys.readouterr().err
 
     def test_non_object_config(self, tmp_path, capsys):
         config = tmp_path / "run.json"

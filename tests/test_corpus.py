@@ -2,8 +2,7 @@
 
 import pytest
 
-from aspectminer import ParseError, load_corpus, parse_corpus_file, tokenize
-from aspectminer.corpus import _parse_annotation
+from aspectminer.corpus import _parse_annotation, load_corpus, parse_corpus_file, tokenize
 
 
 class TestAnnotationParsing:

@@ -26,12 +26,11 @@ from aspectminer.evaluation import (
     paired_t_test,
     regularized_incomplete_beta,
     render_report,
-    score_product,
     student_t_sf,
 )
 from aspectminer.patterns import AspectOpinionPair
 from aspectminer.pipeline import evaluate_corpus, extract_corpus
-from aspectminer.tagger import Token, TaggedSentence
+from aspectminer.tagger import Token, TaggedSentence, parse_pretagged
 
 TOL = 1e-9  # implementation promises much better than 1e-6
 
@@ -313,10 +312,11 @@ class TestExtractionScoresValue:
         with pytest.raises(ValueError):
             ExtractionScores("p", 0.5, -0.1, 0.5, 0.5, 0.5, 0.5)
 
-    def test_score_product_fills_f(self):
+    def test_evaluate_corpus_fills_f(self, resources):
         gold = gold_corpus("sound[+2]##the sound is great .")
         s = gold.sentences[0]
-        scores = score_product("widget", [prediction(s, "sound")], gold)
+        tagged = [parse_pretagged("the/DT sound/NN is/VBZ great/JJ ./.", source=s)]
+        scores, _ = evaluate_corpus(gold, tagged, resources)
         assert scores.product == "widget"
         assert scores.aspect_f == pytest.approx(1.0, abs=TOL)
 

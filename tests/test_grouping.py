@@ -23,9 +23,6 @@ class TestHeadKey:
         assert head_key("battery life") == "battery"
         assert head_key("Battery") == "battery"
 
-    def test_last_word(self):
-        assert head_key("battery life", head="last") == "life"
-
     def test_plural_strip(self):
         assert head_key("batteries") == "batterie"  # naive strip, by design
         assert head_key("pictures") == "picture"
@@ -126,14 +123,6 @@ class TestGroupAspects:
         assert len(groups) == 1
         assert groups[0].members == {"screen"}
         assert len(groups[0].pairs) == 2
-
-    def test_last_head_position(self):
-        pairs = [pair("sound quality"), pair("picture quality")]
-        d = AspectDictionary()
-        by_first = group_aspects(pairs, d, head="first")
-        by_last = group_aspects(pairs, d, head="last")
-        assert len(by_first) == 2
-        assert len(by_last) == 1
 
     def test_idempotent_on_labels(self):
         # regrouping the produced labels must not split or merge anything

@@ -396,9 +396,9 @@ class TestConjunctionExpand:
             ),
         )
         base = only(base_pairs)
-        assert conjunction_expand(base, s) == [base]
+        assert conjunction_expand(base, s, AspectDictionary()) == [base]
 
-    def test_without_dictionary_uses_raw_run(self):
+    def test_empty_dictionary_uses_raw_run(self):
         s = sent("nice/JJ sound/NN and/CC battery/NN life/NN ./.")
         lex = OpinionLexicon(positive=frozenset({"nice"}), negative=frozenset())
         ps = PatternSet(
@@ -407,7 +407,7 @@ class TestConjunctionExpand:
             )
         )
         base = only(extract_pairs(s, AspectDictionary(), lex, ps))
-        out = conjunction_expand(base, s)
+        out = conjunction_expand(base, s, AspectDictionary())
         assert out[1].aspect_surface == "battery life"
         assert (out[1].aspect_index, out[1].aspect_end) == (3, 5)
 

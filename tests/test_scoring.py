@@ -4,6 +4,7 @@ import pytest
 
 from aspectminer.grouping import AspectGroup
 from aspectminer.lexicons import (
+    DEFAULT_TAG_WEIGHTS,
     NEGATIVE,
     POSITIVE,
     TagWeightTable,
@@ -16,7 +17,6 @@ from aspectminer.scoring import (
     base_form_candidates,
     rank_sentences,
     score_sentences,
-    select_top_sentences,
     weight_sentence,
 )
 from aspectminer.tagger import parse_pretagged
@@ -163,7 +163,7 @@ class TestWeightSentence:
         assert score.verb_points == 2
 
     def test_custom_weights(self):
-        table = TagWeightTable.with_overrides({"JJ": 5})
+        table = TagWeightTable(weights={**DEFAULT_TAG_WEIGHTS, "JJ": 5})
         score = weight_sentence(
             sent("nice/JJ player/NN ./."), table, NO_VERBS
         )
@@ -219,7 +219,7 @@ class TestRanking:
         scores = score_sentences([a], WEIGHTS, NO_VERBS)
         assert rank_sentences([a, a, a], scores, k=3) == [a]
 
-    def test_select_top_sentences_for_group(self):
+    def test_rank_sentences_of_group(self):
         strong = sent("the/DT best/JJS sound/NN ./.", position=0)
         weak = sent("nice/JJ sound/NN ./.", position=1)
         scores = score_sentences([strong, weak], WEIGHTS, NO_VERBS)
@@ -240,9 +240,10 @@ class TestRanking:
             members=frozenset({"sound"}),
             pairs=(mk(strong), mk(weak), mk(weak)),
         )
-        top = select_top_sentences(group, scores, k=1)
+        group_sentences = {p.sentence for p in group.pairs}
+        top = rank_sentences(group_sentences, scores, k=1)
         assert top == [strong]
-        both = select_top_sentences(group, scores, k=5)
+        both = rank_sentences(group_sentences, scores, k=5)
         assert both == [strong, weak]
 
 

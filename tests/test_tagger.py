@@ -2,16 +2,15 @@
 
 import pytest
 
-from aspectminer import (
+from aspectminer.errors import ParseError
+from aspectminer.tagger import (
     NOUN_TAGS,
     PENN_TAGS,
     VERB_TAGS,
     BaselineTagger,
-    ParseError,
     load_tag_lexicon,
     parse_pretagged,
     render_pretagged,
-    tag_sentence,
 )
 
 
@@ -161,6 +160,6 @@ class TestBundledLexiconTagging:
         ts = tagger.tag("the sound is wonderful .".split())
         assert ts.tags() == ["DT", "NN", "VBZ", "JJ", "."]
 
-    def test_tag_sentence_helper(self):
-        ts = tag_sentence(["good", "camera"], {"good": "JJ", "camera": "NN"})
+    def test_tagger_with_explicit_lexicon(self):
+        ts = BaselineTagger({"good": "JJ", "camera": "NN"}).tag(["good", "camera"])
         assert ts.tags() == ["JJ", "NN"]
