@@ -6,8 +6,10 @@ pairs, ``summarize`` renders the pros/cons report, and ``evaluate``
 scores extraction against gold annotations.
 
 Exit codes: 0 success, 2 missing input or resource file (path named),
-3 malformed content, 1 any other error.  A JSON config file can seed
-any flag; explicit command-line flags win.
+3 malformed content (bad bytes, lines or config values, path named),
+1 any other error, such as an input file without sentences or an output
+path that cannot be written.  A JSON config file can seed any flag;
+explicit command-line flags win.
 """
 
 from __future__ import annotations
@@ -15,11 +17,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import types
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 from .corpus import Corpus, load_corpus
-from .errors import AspectMinerError, ParseError
+from .errors import AspectMinerError, ParseError, read_text
 from .evaluation import (
     compare_to_baseline,
     load_report,
@@ -93,11 +97,22 @@ class RunConfig:
                 raise FileNotFoundError(value)
 
 
+def _is_instance(value, hint) -> bool:
+    """isinstance against a field annotation; a bool is no int here."""
+    if isinstance(hint, types.UnionType):
+        return any(_is_instance(value, h) for h in get_args(hint))
+    if get_origin(hint) is list:
+        (item,) = get_args(hint)
+        return isinstance(value, list) and all(_is_instance(v, item) for v in value)
+    if hint is type(None):
+        return value is None
+    if hint is int and isinstance(value, bool):
+        return False
+    return isinstance(value, hint)
+
+
 def _load_config_file(path: str) -> dict:
-    try:
-        raw = Path(path).read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise FileNotFoundError(path) from None
+    raw = read_text(path)
     try:
         data = json.loads(raw)
     except json.JSONDecodeError as exc:
@@ -113,6 +128,15 @@ def _load_config_file(path: str) -> dict:
     for key in ("corpus", "pretagged"):
         if key in data and isinstance(data[key], str):
             data[key] = [data[key]]
+    hints = get_type_hints(RunConfig)
+    for key, value in data.items():
+        hint = hints[key]
+        if not _is_instance(value, hint):
+            expected = hint.__name__ if isinstance(hint, type) else str(hint)
+            raise ParseError(
+                f"config key {key!r} must be {expected}, got {json.dumps(value)}",
+                path=path,
+            )
     return data
 
 
@@ -140,25 +164,57 @@ def _resources(config: RunConfig) -> Resources:
     )
 
 
+def _require_sentences(sentences, path: str) -> None:
+    if not sentences:
+        raise ValueError(f"empty input: no sentences in {path}")
+
+
 def _load_corpora(config: RunConfig) -> list[Corpus]:
-    return [load_corpus(path) for path in config.corpus]
+    corpora = []
+    for path in config.corpus:
+        corpus = load_corpus(path)
+        _require_sentences(corpus.sentences, path)
+        corpora.append(corpus)
+    return corpora
+
+
+def _tagged_inputs(
+    config: RunConfig, res: Resources
+) -> list[tuple[Corpus | None, list[TaggedSentence]]]:
+    """Each input file's corpus (None for a pretagged file given alone)
+    and tagged sentences.
+
+    Pretagged files are used when given, each aligned line by line with
+    its corpus file when both kinds are given; otherwise the baseline
+    tagger tags each corpus.  Sentence positions run on across files.
+    """
+    corpora: list[Corpus | None] = _load_corpora(config)
+    inputs = []
+    start = 0
+    if config.pretagged:
+        if not corpora:
+            corpora = [None] * len(config.pretagged)
+        elif len(corpora) != len(config.pretagged):
+            raise ValueError(
+                f"{len(config.pretagged)} pretagged file(s) for "
+                f"{len(corpora)} corpus file(s)"
+            )
+        for path, corpus in zip(config.pretagged, corpora):
+            tagged = load_pretagged_file(path, corpus, start=start)
+            _require_sentences(tagged, path)
+            inputs.append((corpus, tagged))
+            start += len(tagged)
+    else:
+        tagger = res.tagger()
+        for corpus in corpora:
+            inputs.append((corpus, tag_corpus(corpus, tagger, start=start)))
+            start += len(corpus.sentences)
+    return inputs
 
 
 def _tagged_sentences(config: RunConfig, res: Resources) -> list[TaggedSentence]:
-    """Tagged input for non-evaluate commands, from raw or pretagged files.
-
-    Pretagged files win when both kinds are given.  Sentence positions
-    run on across files.
-    """
-    tagged: list[TaggedSentence] = []
-    if config.pretagged:
-        for path in config.pretagged:
-            tagged += load_pretagged_file(path, start=len(tagged))
-    else:
-        tagger = res.tagger()
-        for corpus in _load_corpora(config):
-            tagged += tag_corpus(corpus, tagger, start=len(tagged))
-    return tagged
+    """Tagged input of every file as one sequence, for non-evaluate commands."""
+    return [sentence for _, tagged in _tagged_inputs(config, res) for sentence in tagged]
 
 
 def _require_input(config: RunConfig) -> None:
@@ -180,8 +236,11 @@ def _write_output(text: str, out: str) -> None:
     if out == "stdout":
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise AspectMinerError(f"cannot write {out}: {exc.strerror}") from exc
 
 
 def _cmd_tag(config: RunConfig) -> str:
@@ -260,20 +319,10 @@ def _cmd_summarize(config: RunConfig) -> str:
 def _cmd_evaluate(config: RunConfig) -> str:
     if not config.corpus:
         raise ValueError("evaluate needs --corpus with gold annotations")
-    if config.pretagged and len(config.pretagged) != len(config.corpus):
-        raise ValueError(
-            f"{len(config.pretagged)} pretagged file(s) for "
-            f"{len(config.corpus)} corpus file(s)"
-        )
     res = _resources(config)
     rows = []
     breakdowns = []
-    for i, path in enumerate(config.corpus):
-        corpus = load_corpus(path)
-        if config.pretagged:
-            tagged = load_pretagged_file(config.pretagged[i], corpus)
-        else:
-            tagged = tag_corpus(corpus, res.tagger())
+    for corpus, tagged in _tagged_inputs(config, res):
         scores, breakdown = evaluate_corpus(
             corpus,
             tagged,

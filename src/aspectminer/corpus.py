@@ -22,6 +22,8 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
+from .errors import read_text
+
 log = logging.getLogger(__name__)
 
 # term, signed strength, then any number of [flag] groups
@@ -84,12 +86,16 @@ def _parse_gold(prefix: str) -> tuple[GoldAnnotation, ...]:
     return tuple(_parse_annotation(part) for part in prefix.split(",") if part.strip())
 
 
-def parse_corpus_file(content: str, product_name: str) -> Corpus:
+def parse_corpus_file(
+    content: str, product_name: str, *, path: str | Path | None = None
+) -> Corpus:
     """Parse annotated review text into a :class:`Corpus`.
 
     Deterministic: the same bytes always yield the same corpus.  Empty
-    input yields an empty corpus.
+    input yields an empty corpus.  ``path``, when given, prefixes every
+    logged warning.
     """
+    where = f"{path}: " if path is not None else ""
     sentences: list[ReviewSentence] = []
     review = 1
     index = 0
@@ -113,7 +119,7 @@ def parse_corpus_file(content: str, product_name: str) -> Corpus:
             index += 1
             continue
         if "##" not in line:
-            log.warning("line %d: no sentence marker, skipped: %r", lineno, line[:60])
+            log.warning("%sline %d: no sentence marker, skipped: %r", where, lineno, line[:60])
             continue
         prefix, _, text = line.partition("##")
         gold: tuple[GoldAnnotation, ...] = ()
@@ -121,7 +127,9 @@ def parse_corpus_file(content: str, product_name: str) -> Corpus:
             try:
                 gold = _parse_gold(prefix)
             except ValueError as exc:
-                log.warning("line %d: %s; keeping sentence without gold", lineno, exc)
+                log.warning(
+                    "%sline %d: %s; keeping sentence without gold", where, lineno, exc
+                )
                 gold = ()
         sentences.append(
             ReviewSentence(
@@ -137,11 +145,9 @@ def parse_corpus_file(content: str, product_name: str) -> Corpus:
 
 def load_corpus(path: str | Path, product_name: str | None = None) -> Corpus:
     """Read a review file; the product defaults to the file stem."""
-    path = Path(path)
-    if not path.is_file():
-        raise FileNotFoundError(str(path))
-    name = product_name if product_name is not None else path.stem
-    return parse_corpus_file(path.read_text(encoding="utf-8"), name)
+    text = read_text(path)
+    name = product_name if product_name is not None else Path(path).stem
+    return parse_corpus_file(text, name, path=path)
 
 
 def tokenize(raw_text: str) -> list[str]:

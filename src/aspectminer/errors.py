@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the file reader that
+raises them."""
+
+from __future__ import annotations
+
+from pathlib import Path
 
 
 class AspectMinerError(Exception):
@@ -22,3 +27,23 @@ class ParseError(AspectMinerError):
         self.message = message
         self.path = path
         self.line = line
+
+
+def read_text(path: str | Path) -> str:
+    """Contents of a UTF-8 text file.
+
+    Raises FileNotFoundError naming the path when it is not a regular
+    file, and ParseError naming the path and line of the first byte that
+    is not UTF-8.
+    """
+    path = Path(path)
+    if not path.is_file():
+        raise FileNotFoundError(str(path))
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(
+            f"not UTF-8 text (byte 0x{data[exc.start]:02x})", path=path, line=line
+        ) from None

@@ -13,12 +13,13 @@ well under 1e-6.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import exp, fsum, inf, lgamma, log, sqrt
 from pathlib import Path
 
 from .corpus import Corpus
-from .errors import ParseError
+from .errors import ParseError, read_text
 from .lexicons import POSITIVE
 from .patterns import AspectOpinionPair
 
@@ -116,14 +117,55 @@ def _ratio(matched: int, total: int) -> float:
     return matched / total if total else 0.0
 
 
+# One side's items grouped by sentence: per sentence, its distinct aspect
+# terms, or its distinct (aspect term, orientation) pairs.
+_Buckets = dict[_SENTENCE_KEY, list]
+
+
+def _add(buckets: _Buckets, key: _SENTENCE_KEY, item) -> None:
+    bucket = buckets.setdefault(key, [])
+    if item not in bucket:
+        bucket.append(item)
+
+
+def _size(buckets: _Buckets) -> int:
+    return sum(len(bucket) for bucket in buckets.values())
+
+
+def _opinion_hit(match):
+    """Opinion items match when their terms match and orientations agree."""
+    return lambda p, g: match(p[0], g[0]) and p[1] == g[1]
+
+
+def _count_matched(predicted: _Buckets, gold: _Buckets, hit) -> tuple[int, int]:
+    """Matched (predictions, golds): an item counts once it hits any item
+    of the other side in the same sentence."""
+    matched_pred = sum(
+        any(hit(p, g) for g in gold.get(key, ()))
+        for key, bucket in predicted.items()
+        for p in bucket
+    )
+    matched_gold = sum(
+        any(hit(p, g) for p in predicted.get(key, ()))
+        for key, bucket in gold.items()
+        for g in bucket
+    )
+    return matched_pred, matched_gold
+
+
 def evaluate_extraction_detailed(
     predicted: list[AspectOpinionPair], gold: Corpus
 ) -> ExtractionBreakdown:
-    """Full metric breakdown; see evaluate_extraction for the headline."""
+    """Full metric breakdown; see evaluate_extraction for the headline.
+
+    Items are kept per sentence, so each is compared only with the other
+    side's items of its own sentence and the cost is linear in the
+    number of sentences.
+    """
     known = {(s.review_id, s.sentence_index) for s in gold.sentences}
 
-    pred_aspects: set[tuple[_SENTENCE_KEY, str]] = set()
-    pred_opinions: set[tuple[_SENTENCE_KEY, str, str]] = set()
+    pred_aspects: _Buckets = {}
+    pred_opinions: _Buckets = {}
     for pair in predicted:
         source = pair.sentence.source
         if source is None or (source.review_id, source.sentence_index) not in known:
@@ -133,57 +175,39 @@ def evaluate_extraction_detailed(
             )
         key = (source.review_id, source.sentence_index)
         aspect = pair.aspect_surface.lower()
-        pred_aspects.add((key, aspect))
-        pred_opinions.add((key, aspect, pair.orientation))
+        _add(pred_aspects, key, aspect)
+        _add(pred_opinions, key, (aspect, pair.orientation))
 
-    gold_aspects: set[tuple[_SENTENCE_KEY, str]] = set()
-    gold_opinions: set[tuple[_SENTENCE_KEY, str, str]] = set()
+    gold_aspects: _Buckets = {}
+    gold_opinions: _Buckets = {}
     for sentence in gold.sentences:
         key = (sentence.review_id, sentence.sentence_index)
         for ann in sentence.gold:
             term = ann.aspect_term.lower()
             sign = POSITIVE if ann.strength > 0 else "negative"
-            gold_aspects.add((key, term))
-            gold_opinions.add((key, term, sign))
+            _add(gold_aspects, key, term)
+            _add(gold_opinions, key, (term, sign))
 
-    def count(predictions, golds, aspect_only, exact):
-        match = (lambda a, b: a == b) if exact else _terms_match
-        matched_pred = 0
-        for p in predictions:
-            for g in golds:
-                if p[0] != g[0] or not match(p[1], g[1]):
-                    continue
-                if aspect_only or p[2] == g[2]:
-                    matched_pred += 1
-                    break
-        matched_gold = 0
-        for g in golds:
-            for p in predictions:
-                if p[0] != g[0] or not match(p[1], g[1]):
-                    continue
-                if aspect_only or p[2] == g[2]:
-                    matched_gold += 1
-                    break
-        return matched_pred, matched_gold
-
-    ap, ag = count(pred_aspects, gold_aspects, True, False)
-    op, og = count(pred_opinions, gold_opinions, False, False)
-    ap_x, ag_x = count(pred_aspects, gold_aspects, True, True)
-    op_x, og_x = count(pred_opinions, gold_opinions, False, True)
+    n_pred_aspects, n_gold_aspects = _size(pred_aspects), _size(gold_aspects)
+    n_pred_opinions, n_gold_opinions = _size(pred_opinions), _size(gold_opinions)
+    ap, ag = _count_matched(pred_aspects, gold_aspects, _terms_match)
+    op, og = _count_matched(pred_opinions, gold_opinions, _opinion_hit(_terms_match))
+    ap_x, ag_x = _count_matched(pred_aspects, gold_aspects, operator.eq)
+    op_x, og_x = _count_matched(pred_opinions, gold_opinions, _opinion_hit(operator.eq))
 
     return ExtractionBreakdown(
-        aspect_p=_ratio(ap, len(pred_aspects)),
-        aspect_r=_ratio(ag, len(gold_aspects)),
-        opinion_p=_ratio(op, len(pred_opinions)),
-        opinion_r=_ratio(og, len(gold_opinions)),
-        aspect_p_exact=_ratio(ap_x, len(pred_aspects)),
-        aspect_r_exact=_ratio(ag_x, len(gold_aspects)),
-        opinion_p_exact=_ratio(op_x, len(pred_opinions)),
-        opinion_r_exact=_ratio(og_x, len(gold_opinions)),
-        n_predicted_aspects=len(pred_aspects),
-        n_gold_aspects=len(gold_aspects),
-        n_predicted_opinions=len(pred_opinions),
-        n_gold_opinions=len(gold_opinions),
+        aspect_p=_ratio(ap, n_pred_aspects),
+        aspect_r=_ratio(ag, n_gold_aspects),
+        opinion_p=_ratio(op, n_pred_opinions),
+        opinion_r=_ratio(og, n_gold_opinions),
+        aspect_p_exact=_ratio(ap_x, n_pred_aspects),
+        aspect_r_exact=_ratio(ag_x, n_gold_aspects),
+        opinion_p_exact=_ratio(op_x, n_pred_opinions),
+        opinion_r_exact=_ratio(og_x, n_gold_opinions),
+        n_predicted_aspects=n_pred_aspects,
+        n_gold_aspects=n_gold_aspects,
+        n_predicted_opinions=n_pred_opinions,
+        n_gold_opinions=n_gold_opinions,
     )
 
 
@@ -437,11 +461,9 @@ def render_report(report: EvalReport, format: str = "text") -> str:
 def load_report(path: str | Path) -> EvalReport:
     """Read a machine-format report file back into an EvalReport."""
     path = Path(path)
-    if not path.is_file():
-        raise FileNotFoundError(str(path))
     rows: list[ExtractionScores] = []
     averages: ExtractionScores | None = None
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_text(path).splitlines(), 1):
         if not line.strip() or line.startswith("#"):
             continue
         parts = line.split("\t")

@@ -71,20 +71,18 @@ def group_aspects(
     knows it, the head word of its canonical form, making the grouping
     stable when re-applied to already-canonicalized labels.
     """
-    surfaces: list[str] = []
-    seen: set[str] = set()
+    # distinct surfaces in first-seen order, each with its canonical
+    canonical_of: dict[str, str | None] = {}
     for p in pairs:
         s = p.aspect_surface.lower()
-        if s not in seen:
-            seen.add(s)
-            surfaces.append(s)
+        if s not in canonical_of:
+            canonical_of[s] = dictionary.lookup(s)
 
     uf = _UnionFind()
     key_owner: dict[str, str] = {}
-    for surface in surfaces:
+    for surface, canonical in canonical_of.items():
         uf.find(surface)
         keys = {head_key(surface)}
-        canonical = dictionary.lookup(surface)
         if canonical is not None:
             keys.add(head_key(canonical))
         keys.discard("")
@@ -93,24 +91,29 @@ def group_aspects(
             if owner != surface:
                 uf.union(owner, surface)
 
+    root_of = {surface: uf.find(surface) for surface in canonical_of}
     clusters: dict[str, list[str]] = {}
-    for surface in surfaces:
-        clusters.setdefault(uf.find(surface), []).append(surface)
+    for surface, root in root_of.items():
+        clusters.setdefault(root, []).append(surface)
+    cluster_pairs: dict[str, list[AspectOpinionPair]] = {root: [] for root in clusters}
+    for p in pairs:
+        cluster_pairs[root_of[p.aspect_surface.lower()]].append(p)
 
     groups = []
-    for members in clusters.values():
+    for root, members in clusters.items():
         member_set = frozenset(members)
         canonicals = sorted(
-            {c for m in members if (c := dictionary.lookup(m)) is not None},
+            {c for m in members if (c := canonical_of[m]) is not None},
             key=lambda c: (len(c), c),
         )
         if canonicals:
             label = canonicals[0]
         else:
             label = min(members, key=lambda m: (len(m), m))
-        group_pairs = tuple(p for p in pairs if p.aspect_surface.lower() in member_set)
         groups.append(
-            AspectGroup(canonical_label=label, members=member_set, pairs=group_pairs)
+            AspectGroup(
+                canonical_label=label, members=member_set, pairs=tuple(cluster_pairs[root])
+            )
         )
     groups.sort(key=lambda g: (g.canonical_label, sorted(g.members)))
     return groups

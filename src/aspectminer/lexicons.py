@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ParseError
+from .errors import ParseError, read_text
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -25,11 +25,8 @@ DEFAULT_TAG_WEIGHTS = {"JJ": 1, "JJR": 2, "JJS": 3, "RB": 1, "RBR": 2, "RBS": 3}
 
 
 def _read_words(path: str | Path) -> list[str]:
-    path = Path(path)
-    if not path.is_file():
-        raise FileNotFoundError(str(path))
     words = []
-    for line in path.read_text(encoding="utf-8").splitlines():
+    for line in read_text(path).splitlines():
         line = line.strip()
         if not line or line.startswith((";", "#")):
             continue
@@ -80,10 +77,12 @@ class AspectDictionary:
     """
 
     entries: dict[str, str] = field(default_factory=dict)
+    max_words: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def max_words(self) -> int:
-        return max((term.count(" ") + 1 for term in self.entries), default=0)
+    def __post_init__(self):
+        # word count of the longest entry, the widest window match_at tries
+        longest = max((term.count(" ") + 1 for term in self.entries), default=0)
+        object.__setattr__(self, "max_words", longest)
 
     def lookup(self, term: str) -> str | None:
         return self.entries.get(_normalize_term(term))
@@ -110,9 +109,7 @@ def load_aspect_dictionary(
         entries[key] = key
     if synonym_file is not None:
         path = Path(synonym_file)
-        if not path.is_file():
-            raise FileNotFoundError(str(path))
-        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+        for lineno, line in enumerate(read_text(path).splitlines(), 1):
             line = line.strip()
             if not line or line.startswith((";", "#")):
                 continue
@@ -164,11 +161,9 @@ class VerbCategoryLexicon:
 
 def load_verb_categories(path: str | Path) -> VerbCategoryLexicon:
     path = Path(path)
-    if not path.is_file():
-        raise FileNotFoundError(str(path))
     categories: list[VerbCategory] = []
     seen: dict[str, str] = {}  # verb -> orientation
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_text(path).splitlines(), 1):
         line = line.rstrip()
         if not line.strip() or line.startswith((";", "#")):
             continue

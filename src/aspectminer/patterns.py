@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
-from .errors import ParseError
+from .errors import ParseError, read_text
 from .lexicons import NONE, AspectDictionary, OpinionLexicon
 from .tagger import NOUN_TAGS, PENN_TAGS, TaggedSentence
 
@@ -141,10 +141,8 @@ def parse_pattern_line(line: str) -> TagPattern | None:
 
 def load_pattern_set(path: str | Path) -> PatternSet:
     path = Path(path)
-    if not path.is_file():
-        raise FileNotFoundError(str(path))
     patterns = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_text(path).splitlines(), 1):
         try:
             pattern = parse_pattern_line(line)
         except ValueError as exc:

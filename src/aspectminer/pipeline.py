@@ -13,7 +13,7 @@ from importlib import resources as importlib_resources
 from pathlib import Path
 
 from .corpus import Corpus, tokenize
-from .errors import ParseError
+from .errors import ParseError, read_text
 from .evaluation import ExtractionBreakdown, ExtractionScores, evaluate_extraction_detailed
 from .grouping import AspectGroup, group_aspects
 from .lexicons import (
@@ -123,9 +123,7 @@ def load_pretagged_file(
     count up from ``start``, as in :func:`tag_corpus`.
     """
     path = Path(path)
-    if not path.is_file():
-        raise FileNotFoundError(str(path))
-    lines = [l for l in path.read_text(encoding="utf-8").splitlines() if l.strip()]
+    lines = [l for l in read_text(path).splitlines() if l.strip()]
     if corpus is not None and len(lines) != len(corpus.sentences):
         raise ParseError(
             f"{len(lines)} pretagged lines for {len(corpus.sentences)} corpus sentences",

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .corpus import ReviewSentence
-from .errors import ParseError
+from .errors import ParseError, read_text
 
 # Penn Treebank word-level tags plus the punctuation tags.
 PENN_TAGS = frozenset(
@@ -99,10 +99,8 @@ def render_pretagged(sentence: TaggedSentence) -> str:
 def load_tag_lexicon(path: str | Path) -> dict[str, str]:
     """Load a ``word<TAB>TAG`` lexicon; first entry wins for duplicates."""
     path = Path(path)
-    if not path.is_file():
-        raise FileNotFoundError(str(path))
     lexicon: dict[str, str] = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_text(path).splitlines(), 1):
         line = line.rstrip()
         if not line or line.startswith("#"):
             continue

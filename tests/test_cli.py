@@ -390,6 +390,35 @@ class TestConfigFile:
         code = main(["summarize", "--config", "/nonexistent/run.json"])
         assert code == EXIT_MISSING_FILE
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [("top_k", "3"), ("top_k", True), ("product", 7), ("corpus", [1]),
+         ("enable_fallback_search", 1)],
+    )
+    def test_value_of_wrong_type(self, sample_paths, tmp_path, capsys, key, value):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({key: value}), encoding="utf-8")
+        code = main(
+            ["summarize", "--config", str(config), "--pretagged", sample_paths["pretagged"]]
+        )
+        assert code == EXIT_PARSE_ERROR
+        err = capsys.readouterr().err
+        assert str(config) in err
+        assert repr(key) in err
+        assert "Traceback" not in err
+
+    def test_values_of_field_types_accepted(self, sample_paths, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(
+            json.dumps(
+                {"pretagged": [sample_paths["pretagged"]], "product": None,
+                 "top_k": 2, "enable_conjunction_expand": False}
+            ),
+            encoding="utf-8",
+        )
+        code = main(["summarize", "--config", str(config)])
+        assert code == EXIT_OK
+
 
 class TestDataEnvOverride:
     def test_missing_override_dir_fails_cleanly(
@@ -426,3 +455,87 @@ class TestModuleEntryPoint:
         import aspectminer.__main__ as entry
 
         assert entry.main is cli.main
+
+
+class TestCorpusWithPretagged:
+    """summarize, extract and mine align pretagged lines with --corpus."""
+
+    @pytest.mark.parametrize("command", ["summarize", "extract", "mine"])
+    def test_line_count_mismatch_names_pretagged_file(self, sample_paths, capsys, command):
+        code = main(
+            [command, "--corpus", sample_paths["corpus"],
+             "--pretagged", sample_paths["eval_pretagged"]]
+        )
+        assert code == EXIT_PARSE_ERROR
+        err = capsys.readouterr().err
+        assert sample_paths["eval_pretagged"] in err
+        assert "25 pretagged lines for 30 corpus sentences" in err
+
+    def test_file_count_mismatch(self, sample_paths, capsys):
+        code = main(
+            ["summarize", "--corpus", sample_paths["corpus"],
+             "--pretagged", sample_paths["pretagged"],
+             "--pretagged", sample_paths["pretagged"]]
+        )
+        assert code == EXIT_ERROR
+        assert "2 pretagged file(s) for 1 corpus file(s)" in capsys.readouterr().err
+
+    def test_aligned_input_summarizes_under_corpus_name(self, sample_paths, capsys):
+        main(["summarize", "--pretagged", sample_paths["pretagged"], "--format", "machine"])
+        alone = capsys.readouterr().out.splitlines()
+        code = main(
+            ["summarize", "--corpus", sample_paths["corpus"],
+             "--pretagged", sample_paths["pretagged"], "--format", "machine"]
+        )
+        assert code == EXIT_OK
+        aligned = capsys.readouterr().out.splitlines()
+        assert aligned[0].split("\t")[1] == "reviews"
+        assert aligned[1:] == alone[1:]
+
+
+class TestInputOutputErrors:
+    """Bad paths and bad bytes end in a documented code naming the path."""
+
+    def run(self, argv, capsys):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return code, err
+
+    def test_out_into_missing_directory(self, sample_paths, tmp_path, capsys):
+        target = tmp_path / "absent" / "summary.txt"
+        code, err = self.run(
+            ["summarize", "--pretagged", sample_paths["pretagged"], "--out", str(target)],
+            capsys,
+        )
+        assert code == EXIT_ERROR
+        assert f"cannot write {target}" in err
+
+    def test_out_is_a_directory(self, sample_paths, tmp_path, capsys):
+        code, err = self.run(
+            ["summarize", "--pretagged", sample_paths["pretagged"], "--out", str(tmp_path)],
+            capsys,
+        )
+        assert code == EXIT_ERROR
+        assert f"cannot write {tmp_path}" in err
+
+    def test_corpus_not_utf8(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes("##fine .\nsound[+2]##the sound is tr\xe8s bien .\n".encode("latin-1"))
+        code, err = self.run(["summarize", "--corpus", str(bad)], capsys)
+        assert code == EXIT_PARSE_ERROR
+        assert f"{bad}: line 2: not UTF-8" in err
+
+    def test_pretagged_of_blank_lines(self, tmp_path, capsys):
+        blank = tmp_path / "blank.txt"
+        blank.write_text("\n   \n\n", encoding="utf-8")
+        code, err = self.run(["summarize", "--pretagged", str(blank)], capsys)
+        assert code == EXIT_ERROR
+        assert f"empty input: no sentences in {blank}" in err
+
+    def test_corpus_without_sentences(self, tmp_path, capsys):
+        empty = tmp_path / "empty.txt"
+        empty.write_text("", encoding="utf-8")
+        code, err = self.run(["evaluate", "--corpus", str(empty)], capsys)
+        assert code == EXIT_ERROR
+        assert f"empty input: no sentences in {empty}" in err

@@ -3,6 +3,7 @@
 import pytest
 
 from aspectminer.corpus import _parse_annotation, load_corpus, parse_corpus_file, tokenize
+from aspectminer.errors import ParseError
 
 
 class TestAnnotationParsing:
@@ -95,6 +96,23 @@ class TestLoadCorpus:
         path = tmp_path / "x.txt"
         path.write_text("##fine .\n", encoding="utf-8")
         assert load_corpus(path, "camera").product_name == "camera"
+
+    def test_warnings_name_the_file(self, tmp_path, caplog):
+        path = tmp_path / "reviews.txt"
+        path.write_text("##fine .\nbroken[]##text .\nstray text\n", encoding="utf-8")
+        with caplog.at_level("WARNING"):
+            load_corpus(path)
+        messages = [r.message for r in caplog.records]
+        assert len(messages) == 2
+        assert messages[0].startswith(f"{path}: line 2: ")
+        assert messages[1].startswith(f"{path}: line 3: no sentence marker")
+
+    def test_bytes_not_utf8_name_file_and_line(self, tmp_path):
+        path = tmp_path / "reviews.txt"
+        path.write_bytes(b"##fine .\n##caf\xe9 .\n")
+        with pytest.raises(ParseError) as exc:
+            load_corpus(path)
+        assert str(exc.value) == f"{path}: line 2: not UTF-8 text (byte 0xe9)"
 
 
 class TestSampleCorpus:

@@ -9,12 +9,15 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from aspectminer.corpus import parse_corpus_file
+from aspectminer.corpus import Corpus, GoldAnnotation, ReviewSentence, parse_corpus_file
 from aspectminer.errors import ParseError
 from aspectminer.evaluation import (
     ComparisonResult,
     EvalReport,
+    ExtractionBreakdown,
     ExtractionScores,
     check_f_consistency,
     compare_to_baseline,
@@ -646,3 +649,135 @@ class TestCompareToBaseline:
         result = compare_to_baseline(mine, base)
         assert str(result) == result.table
         assert isinstance(result, ComparisonResult)
+
+
+def quadratic_breakdown(predicted, gold):
+    """Reference matcher: every predicted item against every gold item.
+
+    This is the all-pairs scoring that ``evaluate_extraction_detailed``
+    used before it bucketed items by sentence; it is kept here only to
+    check that the bucketed matcher gives the same breakdown.
+    """
+    pred_aspects = set()
+    pred_opinions = set()
+    for pair in predicted:
+        source = pair.sentence.source
+        key = (source.review_id, source.sentence_index)
+        aspect = pair.aspect_surface.lower()
+        pred_aspects.add((key, aspect))
+        pred_opinions.add((key, aspect, pair.orientation))
+
+    gold_aspects = set()
+    gold_opinions = set()
+    for sentence in gold.sentences:
+        key = (sentence.review_id, sentence.sentence_index)
+        for ann in sentence.gold:
+            term = ann.aspect_term.lower()
+            sign = "positive" if ann.strength > 0 else "negative"
+            gold_aspects.add((key, term))
+            gold_opinions.add((key, term, sign))
+
+    def subset(a, b):
+        if a == b:
+            return True
+        ta, tb = set(a.split()), set(b.split())
+        return ta <= tb or tb <= ta
+
+    def count(predictions, golds, aspect_only, exact):
+        match = (lambda a, b: a == b) if exact else subset
+        matched_pred = 0
+        for p in predictions:
+            for g in golds:
+                if p[0] != g[0] or not match(p[1], g[1]):
+                    continue
+                if aspect_only or p[2] == g[2]:
+                    matched_pred += 1
+                    break
+        matched_gold = 0
+        for g in golds:
+            for p in predictions:
+                if p[0] != g[0] or not match(p[1], g[1]):
+                    continue
+                if aspect_only or p[2] == g[2]:
+                    matched_gold += 1
+                    break
+        return matched_pred, matched_gold
+
+    def ratio(matched, total):
+        return matched / total if total else 0.0
+
+    ap, ag = count(pred_aspects, gold_aspects, True, False)
+    op, og = count(pred_opinions, gold_opinions, False, False)
+    ap_x, ag_x = count(pred_aspects, gold_aspects, True, True)
+    op_x, og_x = count(pred_opinions, gold_opinions, False, True)
+    return ExtractionBreakdown(
+        aspect_p=ratio(ap, len(pred_aspects)),
+        aspect_r=ratio(ag, len(gold_aspects)),
+        opinion_p=ratio(op, len(pred_opinions)),
+        opinion_r=ratio(og, len(gold_opinions)),
+        aspect_p_exact=ratio(ap_x, len(pred_aspects)),
+        aspect_r_exact=ratio(ag_x, len(gold_aspects)),
+        opinion_p_exact=ratio(op_x, len(pred_opinions)),
+        opinion_r_exact=ratio(og_x, len(gold_opinions)),
+        n_predicted_aspects=len(pred_aspects),
+        n_gold_aspects=len(gold_aspects),
+        n_predicted_opinions=len(pred_opinions),
+        n_gold_opinions=len(gold_opinions),
+    )
+
+
+# Terms that contain one another's words ("battery" in "battery life"),
+# share a word without containment ("battery life" / "battery charger"),
+# or differ only in case, so both predicates have work to do.
+DIFF_TERMS = [
+    "battery", "battery life", "Battery Life", "battery charger", "life",
+    "sound", "sound quality", "quality", "Sound", "screen", "screen size",
+]
+
+gold_sentence = st.lists(
+    st.tuples(st.sampled_from(DIFF_TERMS), st.sampled_from([-3, -2, -1, 1, 2, 3])),
+    max_size=3,
+)
+
+
+@st.composite
+def predicted_and_gold(draw):
+    reviews = draw(st.lists(st.lists(gold_sentence, max_size=4), min_size=1, max_size=4))
+    sentences = tuple(
+        ReviewSentence(
+            review_id=f"r{r}",
+            sentence_index=i,
+            raw_text="text",
+            gold=tuple(GoldAnnotation(term, strength) for term, strength in annotations),
+        )
+        for r, review in enumerate(reviews, 1)
+        for i, annotations in enumerate(review)
+    )
+    gold = Corpus(product_name="widget", sentences=sentences)
+    if not sentences:
+        return [], gold
+    predicted = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(sentences),
+                st.sampled_from(DIFF_TERMS),
+                st.sampled_from(["positive", "negative"]),
+            ),
+            max_size=12,
+        )
+    )
+    return [prediction(s, term, orientation) for s, term, orientation in predicted], gold
+
+
+class TestBucketedMatchingAgainstQuadraticOracle:
+    @given(predicted_and_gold())
+    @settings(max_examples=400, deadline=None)
+    def test_breakdown_equals_oracle(self, case):
+        predicted, gold = case
+        assert evaluate_extraction_detailed(predicted, gold) == quadratic_breakdown(
+            predicted, gold
+        )
+
+    def test_oracle_agrees_on_bundled_fixture(self, breakdown, minieval_corpus):
+        b, predicted = breakdown
+        assert b == quadratic_breakdown(predicted, minieval_corpus)

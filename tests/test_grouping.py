@@ -1,5 +1,8 @@
 """Tests for aspect grouping by canonical identity and head words."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from aspectminer.grouping import AspectGroup, group_aspects, head_key
 from aspectminer.lexicons import AspectDictionary
 from aspectminer.patterns import AspectOpinionPair
@@ -139,3 +142,104 @@ class TestGroupAspects:
         )
         assert g.positive_count == 0
         assert g.negative_count == 0
+
+
+def per_cluster_scan_groups(pairs, dictionary):
+    """Reference grouping that rebuilds each group by scanning all pairs.
+
+    This is the per-cluster pair filter ``group_aspects`` used before it
+    assigned pairs to clusters in one pass; it is kept here only to check
+    that the one-pass grouping gives the same groups.
+    """
+    surfaces = []
+    seen = set()
+    for p in pairs:
+        s = p.aspect_surface.lower()
+        if s not in seen:
+            seen.add(s)
+            surfaces.append(s)
+
+    parent = {}
+
+    def find(item):
+        parent.setdefault(item, item)
+        while parent[item] != item:
+            item = parent[item]
+        return item
+
+    key_owner = {}
+    for surface in surfaces:
+        find(surface)
+        keys = {head_key(surface)}
+        canonical = dictionary.lookup(surface)
+        if canonical is not None:
+            keys.add(head_key(canonical))
+        keys.discard("")
+        for k in keys:
+            owner = key_owner.setdefault(k, surface)
+            root_owner, root_surface = find(owner), find(surface)
+            if root_owner != root_surface:
+                parent[root_surface] = root_owner
+
+    clusters = {}
+    for surface in surfaces:
+        clusters.setdefault(find(surface), []).append(surface)
+
+    groups = []
+    for members in clusters.values():
+        member_set = frozenset(members)
+        canonicals = sorted(
+            {c for m in members if (c := dictionary.lookup(m)) is not None},
+            key=lambda c: (len(c), c),
+        )
+        if canonicals:
+            label = canonicals[0]
+        else:
+            label = min(members, key=lambda m: (len(m), m))
+        group_pairs = tuple(p for p in pairs if p.aspect_surface.lower() in member_set)
+        groups.append(
+            AspectGroup(canonical_label=label, members=member_set, pairs=group_pairs)
+        )
+    groups.sort(key=lambda g: (g.canonical_label, sorted(g.members)))
+    return groups
+
+
+# Surfaces that merge by plural strip, by shared head word, by case and
+# through dictionary canonicals; the entries map synonyms to canonicals.
+DIFF_SURFACES = [
+    "battery", "batteries", "Battery", "battery life", "life", "sound",
+    "sound quality", "audio", "screen", "screens", "display", "price",
+    "cost", "glass", "glasses", "size", "zoom",
+]
+DIFF_ENTRIES = [
+    ("battery life", "battery life"), ("life", "battery life"), ("sound", "sound"),
+    ("audio", "sound"), ("screen", "screen"), ("display", "screen"),
+    ("price", "price"), ("cost", "price"),
+]
+
+
+def group_shape(groups):
+    """Labels, members and the identity and order of each group's pairs."""
+    return [(g.canonical_label, g.members, [id(p) for p in g.pairs]) for g in groups]
+
+
+class TestOnePassGroupingAgainstScanOracle:
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(DIFF_SURFACES), st.sampled_from(["positive", "negative"])
+            ),
+            max_size=25,
+        ),
+        st.sets(st.sampled_from(DIFF_ENTRIES)),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_groups_equal_oracle(self, drawn, entries):
+        pairs = [
+            pair(surface, orientation=orientation, position=i)
+            for i, (surface, orientation) in enumerate(drawn)
+        ]
+        d = AspectDictionary(entries=dict(entries))
+        assert group_shape(group_aspects(pairs, d)) == group_shape(
+            per_cluster_scan_groups(pairs, d)
+        )
