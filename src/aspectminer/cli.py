@@ -111,7 +111,9 @@ def _is_instance(value, hint) -> bool:
     return isinstance(value, hint)
 
 
-def _load_config_file(path: str) -> dict:
+def _load_config_file(path: str, formats: tuple[str, ...]) -> dict:
+    """Config values checked against the ``RunConfig`` annotations and
+    ``format`` against the ``formats`` the command renders."""
     raw = read_text(path)
     try:
         data = json.loads(raw)
@@ -137,6 +139,12 @@ def _load_config_file(path: str) -> dict:
                 f"config key {key!r} must be {expected}, got {json.dumps(value)}",
                 path=path,
             )
+    if data.get("format", formats[0]) not in formats:
+        raise ParseError(
+            f"config key 'format' must be one of {', '.join(formats)}, "
+            f"got {json.dumps(data['format'])}",
+            path=path,
+        )
     return data
 
 
@@ -144,7 +152,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     """Merge config-file values with explicit flags (flags win)."""
     values: dict = {}
     if args.config:
-        values.update(_load_config_file(args.config))
+        values.update(_load_config_file(args.config, _FORMATS[args.command]))
     for f in fields(RunConfig):
         flag_value = getattr(args, f.name, None)
         if flag_value is not None:
@@ -357,8 +365,17 @@ _COMMANDS = {
     "evaluate": _cmd_evaluate,
 }
 
+# The output formats each command renders; the first is the default.
+_FORMATS = {
+    "tag": ("text",),
+    "mine": ("text", "machine"),
+    "extract": ("text", "machine"),
+    "summarize": ("text", "machine", "histogram"),
+    "evaluate": ("text", "machine"),
+}
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
+
+def _add_common_flags(parser: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
     parser.add_argument("--config", help="JSON config file seeding any flag")
     parser.add_argument(
         "--corpus", action="append", metavar="PATH", help="review corpus file (repeatable)"
@@ -383,7 +400,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
         "--max-len", dest="max_len", type=int, help="longest mined tag sequence"
     )
     parser.add_argument(
-        "--format", choices=("text", "machine", "histogram"), help="output format"
+        "--format", choices=formats, help="output format"
     )
     parser.add_argument("--out", help="output path, or 'stdout'")
     parser.add_argument("--baseline", help="machine-format report to compare against")
@@ -417,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
         "evaluate": "score extraction against gold annotations",
     }
     for name in _COMMANDS:
-        _add_common_flags(sub.add_parser(name, help=help_text[name]))
+        _add_common_flags(sub.add_parser(name, help=help_text[name]), _FORMATS[name])
     return parser
 
 

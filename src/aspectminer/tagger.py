@@ -58,9 +58,6 @@ class TaggedSentence:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    def surfaces(self) -> list[str]:
-        return [t.surface for t in self.tokens]
-
     def tags(self) -> list[str]:
         return [t.tag for t in self.tokens]
 

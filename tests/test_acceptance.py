@@ -26,7 +26,7 @@ from aspectminer.evaluation import (
     paired_t_test,
 )
 from aspectminer.lexicons import TagWeightTable
-from aspectminer.patterns import extract_pairs, mine_frequent_tag_sets
+from aspectminer.patterns import extract_with_options, mine_frequent_tag_sets
 from aspectminer.pipeline import extract_corpus
 from aspectminer.scoring import weight_sentence
 from aspectminer.tagger import TaggedSentence, Token, parse_pretagged
@@ -63,9 +63,10 @@ def test_criterion_01_pattern_fixture_suite(resources):
     passed = 0
     for pretagged, aspect, opinion, orientation in PATTERN_FIXTURES:
         sentence = parse_pretagged(pretagged)
-        pairs = extract_pairs(
+        pairs = extract_with_options(
             sentence, resources.aspect_dictionary,
             resources.opinion_lexicon, resources.pattern_set,
+            fallback=False, conjunction=False,
         )
         assert len(pairs) == 1, f"{pretagged!r} yielded {len(pairs)} pairs"
         pair = pairs[0]

@@ -324,6 +324,48 @@ class TestExitCodes:
         assert code == EXIT_ERROR
 
 
+class TestFormatsPerCommand:
+    """Each command offers only the formats it renders, by flag or config."""
+
+    @pytest.mark.parametrize(
+        "command,fmt",
+        [("tag", "machine"), ("tag", "histogram"), ("mine", "histogram"),
+         ("extract", "histogram"), ("evaluate", "histogram")],
+    )
+    def test_flag_rejected_by_parser(self, command, fmt, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--format", fmt])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--format" in err and "invalid choice" in err
+
+    @pytest.mark.parametrize(
+        "command,fmt",
+        [("summarize", "xml"), ("tag", "machine"), ("mine", "histogram"),
+         ("extract", "histogram"), ("evaluate", "histogram")],
+    )
+    def test_config_format_the_command_cannot_render(
+        self, command, fmt, sample_paths, tmp_path, capsys
+    ):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"format": fmt}), encoding="utf-8")
+        code = main([command, "--config", str(config),
+                     "--corpus", sample_paths["eval_corpus"]])
+        assert code == EXIT_PARSE_ERROR
+        err = capsys.readouterr().err
+        assert str(config) in err
+        assert "config key 'format'" in err
+        assert "Traceback" not in err
+
+    def test_config_histogram_for_summarize(self, sample_paths, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"format": "histogram"}), encoding="utf-8")
+        code = main(["summarize", "--config", str(config),
+                     "--pretagged", sample_paths["pretagged"]])
+        assert code == EXIT_OK
+        assert capsys.readouterr().out.startswith("overall")
+
+
 class TestConfigFile:
     def test_config_seeds_flags(self, sample_paths, tmp_path, capsys):
         config = tmp_path / "run.json"

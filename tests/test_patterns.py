@@ -1,29 +1,31 @@
 """Tests for tag patterns, pair extraction, and frequent tag-set mining."""
 
 import random
+from dataclasses import fields
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from aspectminer.errors import ParseError
-from aspectminer.lexicons import AspectDictionary, OpinionLexicon
+from aspectminer.lexicons import NONE, AspectDictionary, OpinionLexicon
 from aspectminer.patterns import (
     FALLBACK_PATTERN_NAME,
     MAX_PATTERN_LEN,
     OPINION_ROLE_TAGS,
+    AspectOpinionPair,
     AspectSpan,
     PatternSet,
     TagPattern,
-    conjunction_expand,
-    extract_pairs,
     extract_with_options,
     load_pattern_set,
-    match_pattern,
     mine_frequent_tag_sets,
     nearest_aspect_search,
     parse_pattern_line,
     resolve_aspect,
 )
-from aspectminer.tagger import TaggedSentence, Token, parse_pretagged
+from aspectminer.pipeline import data_dir
+from aspectminer.tagger import NOUN_TAGS, TaggedSentence, Token, parse_pretagged
 
 
 def sent(pretagged: str, position: int = 0) -> TaggedSentence:
@@ -163,21 +165,34 @@ class TestPatternSet:
             load_pattern_set(tmp_path / "absent.txt")
 
 
-class TestMatchPattern:
+def window_starts(tags, pattern):
+    """Start of every window the core matches, seen as pattern-only pairs.
+
+    Every word is polar and the pattern's aspect is a lone noun, so each
+    window yields one pair at its own positions.
+    """
+    s = sent_from_tags(tags)
+    lex = OpinionLexicon(positive=frozenset(t.surface for t in s.tokens),
+                         negative=frozenset())
+    pairs = extract_with_options(
+        s, AspectDictionary(), lex, PatternSet(patterns=(pattern,)),
+        fallback=False, conjunction=False,
+    )
+    return [p.opinion_index - pattern.opinion_offset for p in pairs]
+
+
+class TestPatternWindows:
     def test_finds_all_windows(self):
-        s = sent_from_tags(["DT", "NN", "VBZ", "JJ", "CC", "NN", "VBZ", "JJ"])
         p = TagPattern(tags=("NN", "VBZ", "JJ"), opinion_offset=2, aspect_offset=0)
-        assert match_pattern(s, p) == [1, 5]
+        assert window_starts(["DT", "NN", "VBZ", "JJ", "CC", "NN", "VBZ", "JJ"], p) == [1, 5]
 
     def test_no_match(self):
-        s = sent_from_tags(["DT", "NN"])
         p = TagPattern(tags=("NN", "VBZ", "JJ"), opinion_offset=2, aspect_offset=0)
-        assert match_pattern(s, p) == []
+        assert window_starts(["DT", "NN"], p) == []
 
     def test_pattern_longer_than_sentence(self):
-        s = sent_from_tags(["NN", "VBZ"])
         p = TagPattern(tags=("NN", "VBZ", "JJ"), opinion_offset=2, aspect_offset=0)
-        assert match_pattern(s, p) == []
+        assert window_starts(["NN", "VBZ"], p) == []
 
 
 class TestResolveAspect:
@@ -241,13 +256,20 @@ def only(pairs):
     return pairs[0]
 
 
-class TestExtractPairs:
+def pattern_pairs(sentence, resources):
+    """The pairs of the bundled patterns alone, both extensions off."""
+    return extract_with_options(
+        sentence, resources.aspect_dictionary, resources.opinion_lexicon,
+        resources.pattern_set, fallback=False, conjunction=False,
+    )
+
+
+class TestPatternPairs:
     """One fixture phrase per bundled pattern, plus the shared rules."""
 
     def test_adv_adj_infinitive(self, resources):
         s = sent("very/RB confusing/JJ to/TO start/VB the/DT program/NN ./.")
-        p = only(extract_pairs(s, resources.aspect_dictionary,
-                               resources.opinion_lexicon, resources.pattern_set))
+        p = only(pattern_pairs(s, resources))
         assert p.aspect_surface == "program"
         assert p.opinion_surface == "confusing"
         assert p.orientation == "negative"
@@ -256,60 +278,52 @@ class TestExtractPairs:
 
     def test_noun_is_adv_adj(self, resources):
         s = sent("the/DT software/NN is/VBZ absolutely/RB terrible/JJ ./.")
-        p = only(extract_pairs(s, resources.aspect_dictionary,
-                               resources.opinion_lexicon, resources.pattern_set))
+        p = only(pattern_pairs(s, resources))
         assert (p.aspect_surface, p.opinion_surface) == ("software", "terrible")
         assert p.orientation == "negative"
         assert p.pattern_name == "noun-is-adv-adj"
 
     def test_adj_noun_of_noun(self, resources):
         s = sent("superior/JJ piece/NN of/IN equipment/NN ./.")
-        p = only(extract_pairs(s, resources.aspect_dictionary,
-                               resources.opinion_lexicon, resources.pattern_set))
+        p = only(pattern_pairs(s, resources))
         assert (p.aspect_surface, p.opinion_surface) == ("equipment", "superior")
         assert p.pattern_name == "adj-noun-of-noun"
         assert p.aspect_index == 3
 
     def test_adj_noun_pair(self, resources):
         s = sent("it/PRP has/VBZ a/DT decent/JJ size/NN and/CC weight/NN ./.")
-        p = only(extract_pairs(s, resources.aspect_dictionary,
-                               resources.opinion_lexicon, resources.pattern_set))
+        p = only(pattern_pairs(s, resources))
         assert (p.aspect_surface, p.opinion_surface) == ("size", "decent")
         assert p.pattern_name == "adj-noun-pair"
 
     def test_plural_are_adj(self, resources):
         s = sent("pictures/NNS are/VBP razor-sharp/JJ ./.")
-        p = only(extract_pairs(s, resources.aspect_dictionary,
-                               resources.opinion_lexicon, resources.pattern_set))
+        p = only(pattern_pairs(s, resources))
         assert (p.aspect_surface, p.opinion_surface) == ("pictures", "razor-sharp")
         assert p.orientation == "positive"
         assert p.pattern_name == "plural-are-adj"
 
     def test_noun_is_adj(self, resources):
         s = sent("the/DT sound/NN is/VBZ wonderful/JJ ./.")
-        p = only(extract_pairs(s, resources.aspect_dictionary,
-                               resources.opinion_lexicon, resources.pattern_set))
+        p = only(pattern_pairs(s, resources))
         assert (p.aspect_surface, p.opinion_surface) == ("sound", "wonderful")
         assert p.pattern_name == "noun-is-adj"
 
     def test_plural_are_adv(self, resources):
         s = sent("transfers/NNS are/VBP fast/RB ./.")
-        p = only(extract_pairs(s, resources.aspect_dictionary,
-                               resources.opinion_lexicon, resources.pattern_set))
+        p = only(pattern_pairs(s, resources))
         assert (p.aspect_surface, p.opinion_surface) == ("transfers", "fast")
         assert p.pattern_name == "plural-are-adv"
 
     def test_participle_noun(self, resources):
         s = sent("improved/VBD interface/NN ./.")
-        p = only(extract_pairs(s, resources.aspect_dictionary,
-                               resources.opinion_lexicon, resources.pattern_set))
+        p = only(pattern_pairs(s, resources))
         assert (p.aspect_surface, p.opinion_surface) == ("interface", "improved")
         assert p.pattern_name == "participle-noun"
 
     def test_participle_noun_passive(self, resources):
         s = sent("broken/VBN screen/NN ./.")
-        p = only(extract_pairs(s, resources.aspect_dictionary,
-                               resources.opinion_lexicon, resources.pattern_set))
+        p = only(pattern_pairs(s, resources))
         assert (p.aspect_surface, p.opinion_surface) == ("screen", "broken")
         assert p.orientation == "negative"
         assert p.pattern_name == "participle-noun-passive"
@@ -317,35 +331,30 @@ class TestExtractPairs:
     def test_verb_adj_uses_nearest_search(self, resources):
         # the adverb breaks the noun-is-adj window, leaving only VBZ JJ
         s = sent("the/DT player/NN really/RB looks/VBZ nice/JJ ./.")
-        p = only(extract_pairs(s, resources.aspect_dictionary,
-                               resources.opinion_lexicon, resources.pattern_set))
+        p = only(pattern_pairs(s, resources))
         assert (p.aspect_surface, p.opinion_surface) == ("player", "nice")
         assert p.pattern_name == "verb-adj"
 
     def test_adj_gerund_searches_forward(self, resources):
         s = sent("great/JJ looking/VBG camera/NN ./.")
-        p = only(extract_pairs(s, resources.aspect_dictionary,
-                               resources.opinion_lexicon, resources.pattern_set))
+        p = only(pattern_pairs(s, resources))
         assert (p.aspect_surface, p.opinion_surface) == ("camera", "great")
         assert p.pattern_name == "adj-gerund"
 
     def test_earlier_pattern_wins_on_shared_positions(self, resources):
         # noun-is-adj and verb-adj both cover (sound, wonderful) here
         s = sent("the/DT sound/NN is/VBZ wonderful/JJ ./.")
-        p = only(extract_pairs(s, resources.aspect_dictionary,
-                               resources.opinion_lexicon, resources.pattern_set))
+        p = only(pattern_pairs(s, resources))
         assert p.pattern_name == "noun-is-adj"
 
     def test_polarity_gate_drops_neutral_opinions(self, resources):
         s = sent("i/PRP think/VBP the/DT price/NN is/VBZ too/RB high/JJ ./.")
-        pairs = extract_pairs(s, resources.aspect_dictionary,
-                              resources.opinion_lexicon, resources.pattern_set)
+        pairs = pattern_pairs(s, resources)
         assert pairs == []
 
     def test_multiword_noun_run_canonicalized(self, resources):
         s = sent("battery/NN life/NN is/VBZ excellent/JJ ./.")
-        p = only(extract_pairs(s, resources.aspect_dictionary,
-                               resources.opinion_lexicon, resources.pattern_set))
+        p = only(pattern_pairs(s, resources))
         assert p.aspect_surface == "battery life"
         assert (p.aspect_index, p.aspect_end) == (0, 2)
 
@@ -354,22 +363,22 @@ class TestExtractPairs:
             "the/DT sound/NN is/VBZ wonderful/JJ but/CC "
             "the/DT screen/NN is/VBZ awful/JJ ./."
         )
-        pairs = extract_pairs(s, resources.aspect_dictionary,
-                              resources.opinion_lexicon, resources.pattern_set)
+        pairs = pattern_pairs(s, resources)
         assert [(p.aspect_surface, p.opinion_surface) for p in pairs] == [
             ("sound", "wonderful"),
             ("screen", "awful"),
         ]
 
 
-class TestConjunctionExpand:
+class TestConjunctionPass:
     def test_expands_onto_second_noun(self, resources):
         s = sent("it/PRP has/VBZ a/DT decent/JJ size/NN and/CC weight/NN ./.")
-        base = only(extract_pairs(s, resources.aspect_dictionary,
-                                  resources.opinion_lexicon, resources.pattern_set))
-        out = conjunction_expand(base, s, resources.aspect_dictionary)
+        base = only(pattern_pairs(s, resources))
+        out = extract_with_options(s, resources.aspect_dictionary,
+                                   resources.opinion_lexicon, resources.pattern_set,
+                                   fallback=False)
         assert len(out) == 2
-        assert out[0] is base
+        assert out[0] == base
         extra = out[1]
         assert extra.aspect_surface == "weight"
         assert extra.opinion_surface == "decent"
@@ -379,13 +388,15 @@ class TestConjunctionExpand:
 
     def test_no_conjunction_after_aspect(self, resources):
         s = sent("the/DT sound/NN is/VBZ wonderful/JJ ./.")
-        base = only(extract_pairs(s, resources.aspect_dictionary,
-                                  resources.opinion_lexicon, resources.pattern_set))
-        assert conjunction_expand(base, s, resources.aspect_dictionary) == [base]
+        base = only(pattern_pairs(s, resources))
+        out = extract_with_options(s, resources.aspect_dictionary,
+                                   resources.opinion_lexicon, resources.pattern_set,
+                                   fallback=False)
+        assert out == [base]
 
     def test_conjunction_at_sentence_edge(self):
         s = sent("nice/JJ sound/NN and/CC")
-        base_pairs = extract_pairs(
+        args = (
             s,
             AspectDictionary(),
             OpinionLexicon(positive=frozenset({"nice"}), negative=frozenset()),
@@ -395,8 +406,8 @@ class TestConjunctionExpand:
                 )
             ),
         )
-        base = only(base_pairs)
-        assert conjunction_expand(base, s, AspectDictionary()) == [base]
+        base = only(extract_with_options(*args, fallback=False, conjunction=False))
+        assert extract_with_options(*args, fallback=False) == [base]
 
     def test_empty_dictionary_uses_raw_run(self):
         s = sent("nice/JJ sound/NN and/CC battery/NN life/NN ./.")
@@ -406,8 +417,10 @@ class TestConjunctionExpand:
                 TagPattern(tags=("JJ", "NN"), opinion_offset=0, aspect_offset=1),
             )
         )
-        base = only(extract_pairs(s, AspectDictionary(), lex, ps))
-        out = conjunction_expand(base, s, AspectDictionary())
+        base = only(extract_with_options(s, AspectDictionary(), lex, ps,
+                                         fallback=False, conjunction=False))
+        out = extract_with_options(s, AspectDictionary(), lex, ps, fallback=False)
+        assert out[0] == base
         assert out[1].aspect_surface == "battery life"
         assert (out[1].aspect_index, out[1].aspect_end) == (3, 5)
 
@@ -490,6 +503,227 @@ class TestExtractWithOptions:
         )
         positions = [(p.aspect_index, p.opinion_index) for p in pairs]
         assert positions == sorted(positions)
+
+
+# The staged extraction the single core replaced: one matcher call per
+# pattern, pattern pairs first, then the fallback and the conjunction
+# loops, each with its own set of claimed positions.  Kept verbatim as the
+# oracle of the differential test below.
+
+
+def staged_match_pattern(sentence, pattern):
+    tags = sentence.tags()
+    width = len(pattern.tags)
+    want = pattern.tags
+    return [
+        start
+        for start in range(len(tags) - width + 1)
+        if tuple(tags[start : start + width]) == want
+    ]
+
+
+def staged_extract_pairs(sentence, dictionary, lexicon, pattern_set):
+    tokens = sentence.tokens
+    found = {}
+    for pattern in pattern_set:
+        for start in staged_match_pattern(sentence, pattern):
+            oi = start + pattern.opinion_offset
+            orientation = lexicon.polarity(tokens[oi].surface)
+            if orientation == NONE:
+                continue
+            if pattern.aspect_offset is not None:
+                span = resolve_aspect(sentence, start + pattern.aspect_offset, dictionary)
+            else:
+                span = nearest_aspect_search(sentence, oi, dictionary)
+                if span is None:
+                    continue
+            key = (span.start, oi)
+            if key not in found:
+                found[key] = AspectOpinionPair(
+                    aspect_surface=span.surface,
+                    opinion_surface=tokens[oi].surface.lower(),
+                    orientation=orientation,
+                    sentence=sentence,
+                    aspect_index=span.start,
+                    opinion_index=oi,
+                    pattern_name=pattern.name,
+                    aspect_end=span.end,
+                )
+    return sorted(found.values(), key=lambda p: (p.aspect_index, p.opinion_index))
+
+
+def staged_conjunction_expand(pair, sentence, dictionary):
+    tokens = sentence.tokens
+    after = pair.aspect_end
+    if after + 1 >= len(tokens):
+        return [pair]
+    if tokens[after].tag != "CC" or tokens[after + 1].tag not in NOUN_TAGS:
+        return [pair]
+    span = resolve_aspect(sentence, after + 1, dictionary)
+    extra = AspectOpinionPair(
+        aspect_surface=span.surface,
+        opinion_surface=pair.opinion_surface,
+        orientation=pair.orientation,
+        sentence=sentence,
+        aspect_index=span.start,
+        opinion_index=pair.opinion_index,
+        pattern_name=pair.pattern_name,
+        aspect_end=span.end,
+    )
+    return [pair, extra]
+
+
+def staged_extract(
+    sentence, dictionary, lexicon, pattern_set, *, fallback=True, conjunction=True
+):
+    pairs = staged_extract_pairs(sentence, dictionary, lexicon, pattern_set)
+    keys = {(p.aspect_index, p.opinion_index) for p in pairs}
+    if fallback:
+        claimed = {p.opinion_index for p in pairs}
+        for i, token in enumerate(sentence.tokens):
+            if i in claimed or token.tag not in OPINION_ROLE_TAGS:
+                continue
+            orientation = lexicon.polarity(token.surface)
+            if orientation == NONE:
+                continue
+            span = nearest_aspect_search(sentence, i, dictionary)
+            if span is None or (span.start, i) in keys:
+                continue
+            keys.add((span.start, i))
+            pairs.append(
+                AspectOpinionPair(
+                    aspect_surface=span.surface,
+                    opinion_surface=token.surface.lower(),
+                    orientation=orientation,
+                    sentence=sentence,
+                    aspect_index=span.start,
+                    opinion_index=i,
+                    pattern_name=FALLBACK_PATTERN_NAME,
+                    aspect_end=span.end,
+                )
+            )
+    if conjunction:
+        expanded = []
+        for pair in pairs:
+            for out in staged_conjunction_expand(pair, sentence, dictionary):
+                key = (out.aspect_index, out.opinion_index)
+                if out is pair or key not in keys:
+                    keys.add(key)
+                    expanded.append(out)
+        pairs = expanded
+    return sorted(pairs, key=lambda p: (p.aspect_index, p.opinion_index))
+
+
+# Words that are polar, dictionary terms, both ("quality") or neither; tags
+# weighted towards nouns and CC so noun runs and coordinations are common.
+DIFF_WORDS = [
+    "battery", "life", "sound", "quality", "audio", "zoom", "lens", "strap",
+    "good", "Nice", "fast", "awful", "broken", "bad", "is", "and", "the", "very",
+]
+DIFF_TAGS = [
+    "NN", "NN", "NNS", "CC", "CC", "JJ", "JJ", "RB", "VBD", "VBG", "VBN",
+    "VBZ", "VBP", "DT", "IN", "VB",
+]
+DIFF_LEXICON = OpinionLexicon(
+    positive=frozenset({"good", "nice", "fast", "quality"}),
+    negative=frozenset({"awful", "broken", "bad"}),
+)
+# Multi-word terms (up to three words), synonyms, and terms that the random
+# tags often mark as non-nouns, which only the dictionary search finds.
+DIFF_ENTRIES = [
+    ("battery", "battery"), ("battery life", "battery life"), ("life", "battery life"),
+    ("the battery life", "battery life"), ("sound", "sound"), ("audio", "sound"),
+    ("sound quality", "sound"), ("zoom", "zoom"), ("zoom lens", "zoom"),
+    ("very good", "very good"),
+]
+BUNDLED_PATTERNS = load_pattern_set(data_dir() / "patterns.txt")
+
+
+@st.composite
+def tag_patterns(draw):
+    """A valid pattern of 2..4 tags, with or without an aspect position."""
+    tags = draw(st.lists(st.sampled_from(DIFF_TAGS), min_size=2, max_size=4))
+    opinion = draw(st.integers(0, len(tags) - 1))
+    tags[opinion] = draw(st.sampled_from(["JJ", "RB", "VBD", "VBG", "VBN"]))
+    aspect = draw(st.one_of(st.none(), st.integers(0, len(tags) - 2)))
+    if aspect is not None:
+        aspect += aspect >= opinion
+        tags[aspect] = draw(st.sampled_from(["NN", "NNS"]))
+    return TagPattern(tags=tuple(tags), opinion_offset=opinion, aspect_offset=aspect)
+
+
+pattern_sets = st.one_of(
+    st.just(BUNDLED_PATTERNS),
+    st.lists(
+        tag_patterns(),
+        max_size=6,
+        unique_by=lambda p: (p.tags, p.aspect_offset, p.opinion_offset),
+    ).map(lambda patterns: PatternSet(patterns=tuple(patterns))),
+)
+
+# Nouns, polar or neutral opinion-role tokens and conjunctions, plus any
+# word under any tag, so noun runs, coordinations and unclaimed opinion
+# words are common.
+diff_tokens = st.one_of(
+    st.tuples(
+        st.sampled_from(["battery", "life", "sound", "quality", "lens", "strap"]),
+        st.sampled_from(["NN", "NNS"]),
+    ),
+    st.tuples(
+        st.sampled_from(["good", "Nice", "fast", "awful", "broken", "very"]),
+        st.sampled_from(sorted(OPINION_ROLE_TAGS)),
+    ),
+    st.just(("and", "CC")),
+    st.tuples(st.sampled_from(DIFF_WORDS), st.sampled_from(DIFF_TAGS)),
+)
+sentences = st.lists(diff_tokens, max_size=14).map(
+    lambda drawn: TaggedSentence(
+        tokens=tuple(Token(surface=w, tag=t, index=i) for i, (w, t) in enumerate(drawn))
+    )
+)
+
+
+def pair_rows(pairs):
+    """Every field of every pair, in output order."""
+    return [tuple(getattr(p, f.name) for f in fields(p)) for p in pairs]
+
+
+class TestSingleCoreAgainstStagedOracle:
+    @given(sentences, st.sets(st.sampled_from(DIFF_ENTRIES)), pattern_sets)
+    @settings(max_examples=500, deadline=None)
+    # A fallback pair whose aspect is coordinated: conjunction follows it.
+    @example(sent("fast/RB battery/NN and/CC sound/NN"), set(), BUNDLED_PATTERNS)
+    # Two patterns claim one opinion with aspects ending at the same token:
+    # the copy takes the pattern name of the pair first in position order.
+    @example(
+        sent("good/JJ zoom/VBG lens/NN and/CC strap/NN"),
+        {("zoom lens", "zoom")},
+        PatternSet(
+            patterns=(
+                TagPattern(tags=("JJ", "VBG", "NN"), opinion_offset=0, aspect_offset=2),
+                TagPattern(tags=("JJ", "VBG"), opinion_offset=0),
+            )
+        ),
+    )
+    def test_pairs_equal_oracle(self, sentence, entries, pattern_set):
+        d = AspectDictionary(entries=dict(entries))
+        for fallback in (True, False):
+            for conjunction in (True, False):
+                options = {"fallback": fallback, "conjunction": conjunction}
+                got = extract_with_options(sentence, d, DIFF_LEXICON, pattern_set, **options)
+                want = staged_extract(sentence, d, DIFF_LEXICON, pattern_set, **options)
+                assert pair_rows(got) == pair_rows(want), options
+
+    def test_oracle_agrees_on_sample(self, resources, sample_tagged, minieval_tagged):
+        for sentence in sample_tagged + minieval_tagged:
+            for fallback in (True, False):
+                for conjunction in (True, False):
+                    args = (sentence, resources.aspect_dictionary,
+                            resources.opinion_lexicon, resources.pattern_set)
+                    options = {"fallback": fallback, "conjunction": conjunction}
+                    assert pair_rows(extract_with_options(*args, **options)) == (
+                        pair_rows(staged_extract(*args, **options))
+                    )
 
 
 def brute_force_supports(sentence_tags, min_support, max_len):

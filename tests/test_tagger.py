@@ -30,14 +30,14 @@ class TestTagSet:
 class TestParsePretagged:
     def test_simple_line(self):
         ts = parse_pretagged("the/DT sound/NN is/VBZ wonderful/JJ ./.")
-        assert ts.surfaces() == ["the", "sound", "is", "wonderful", "."]
+        assert [t.surface for t in ts.tokens] == ["the", "sound", "is", "wonderful", "."]
         assert ts.tags() == ["DT", "NN", "VBZ", "JJ", "."]
         assert [t.index for t in ts.tokens] == [0, 1, 2, 3, 4]
 
     def test_last_slash_delimits(self):
         # words may contain slashes; the tag follows the final one
         ts = parse_pretagged("dvd/cd/NN player/NN")
-        assert ts.surfaces() == ["dvd/cd", "player"]
+        assert [t.surface for t in ts.tokens] == ["dvd/cd", "player"]
         assert ts.tags() == ["NN", "NN"]
 
     def test_round_trip(self):
