@@ -7,8 +7,9 @@ scores extraction against gold annotations.
 
 Exit codes: 0 success, 2 missing input or resource file (path named),
 3 malformed content (bad bytes, lines or config values, path named),
-1 any other error, such as an input file without sentences or an output
-path that cannot be written.  A JSON config file can seed any flag;
+1 any other error, such as a usage error (unknown flag or bad flag
+value), an input file without sentences or an output path that cannot
+be written.  A JSON config file can seed any flag;
 explicit command-line flags win.
 """
 
@@ -117,7 +118,9 @@ def _load_config_file(path: str, formats: tuple[str, ...]) -> dict:
     raw = read_text(path)
     try:
         data = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError is a ValueError, and so is an integer longer than
+        # int()'s digit limit; nesting past the recursion limit is neither
         raise ParseError(f"invalid JSON: {exc}", path=path) from exc
     if not isinstance(data, dict):
         raise ParseError("config must be a JSON object", path=path)
@@ -420,8 +423,16 @@ def _add_common_flags(parser: argparse.ArgumentParser, formats: tuple[str, ...])
     )
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Exits 1 on a usage error; argparse's own 2 means a missing file here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="aspectminer",
         description="Aspect-based pros/cons mining of customer reviews",
     )

@@ -323,6 +323,24 @@ class TestExitCodes:
         )
         assert code == EXIT_ERROR
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["summarize", "--no-such-flag"], ["summarize", "--top-k", "three"],
+         ["frobnicate"], []],
+    )
+    def test_usage_error_is_not_a_missing_file(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_ERROR
+        assert "usage: aspectminer" in capsys.readouterr().err
+        assert main(["summarize", "--pretagged", "nope.txt"]) == EXIT_MISSING_FILE
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["summarize", "--help"])
+        assert exc.value.code == EXIT_OK
+        assert "--pretagged" in capsys.readouterr().out
+
 
 class TestFormatsPerCommand:
     """Each command offers only the formats it renders, by flag or config."""
@@ -335,7 +353,7 @@ class TestFormatsPerCommand:
     def test_flag_rejected_by_parser(self, command, fmt, capsys):
         with pytest.raises(SystemExit) as exc:
             main([command, "--format", fmt])
-        assert exc.value.code == 2
+        assert exc.value.code == EXIT_ERROR
         err = capsys.readouterr().err
         assert "--format" in err and "invalid choice" in err
 

@@ -12,6 +12,7 @@ from aspectminer.lexicons import NONE, AspectDictionary, OpinionLexicon
 from aspectminer.patterns import (
     FALLBACK_PATTERN_NAME,
     MAX_PATTERN_LEN,
+    MIN_PATTERN_LEN,
     OPINION_ROLE_TAGS,
     AspectOpinionPair,
     AspectSpan,
@@ -144,6 +145,23 @@ class TestPatternSet:
         )
         with pytest.raises(ValueError):
             PatternSet(patterns=(a, b))
+
+    def test_index_groups_patterns_by_first_tag_in_line_order(self, resources):
+        ps = resources.pattern_set
+        assert sorted(
+            entry for entries in ps.by_first_tag.values() for entry in entries
+        ) == list(enumerate(ps))
+        for tag, entries in ps.by_first_tag.items():
+            assert all(p.tags[0] == tag for _, p in entries)
+            assert [rank for rank, _ in entries] == sorted(rank for rank, _ in entries)
+
+    def test_equality_and_hash_ignore_the_index(self, resources):
+        a = PatternSet(patterns=resources.pattern_set.patterns)
+        b = PatternSet(patterns=resources.pattern_set.patterns)
+        object.__setattr__(b, "by_first_tag", {})
+        assert a == b == resources.pattern_set
+        assert hash(a) == hash(b) == hash(resources.pattern_set)
+        assert "by_first_tag" not in repr(a)
 
     def test_load_bundled_file(self, resources):
         ps = resources.pattern_set
@@ -683,9 +701,77 @@ sentences = st.lists(diff_tokens, max_size=14).map(
 )
 
 
+# Words to fill a drawn tag: polar or neutral opinion words, dictionary
+# nouns, a conjunction, or anything.
+WORDS_FOR_TAG = {
+    **{tag: ["good", "Nice", "awful", "broken", "very", "is"] for tag in OPINION_ROLE_TAGS},
+    **{tag: ["battery", "life", "sound", "zoom", "lens"] for tag in ("NN", "NNS")},
+    "CC": ["and"],
+}
+
+
+@st.composite
+def shared_first_tag_cases(draw):
+    """A pattern set and a sentence that stress the first-tag index.
+
+    Most patterns are prefixes of one drawn tag run with their roles at
+    any fitting positions, so several share a first tag, two (same tags,
+    other roles, or a prefix and its extension) match at one start, and
+    the longer ones overrun sentences holding a short prefix.  A few
+    free patterns are mixed in.  The sentence strings prefixes of the
+    run together with random tags.
+    """
+    run = draw(st.lists(st.sampled_from(DIFF_TAGS), min_size=MAX_PATTERN_LEN,
+                        max_size=MAX_PATTERN_LEN))
+    run[draw(st.integers(0, 2))] = draw(st.sampled_from(["JJ", "RB", "VBD", "VBG", "VBN"]))
+    for _ in range(draw(st.integers(0, 2))):
+        noun = draw(st.integers(0, MAX_PATTERN_LEN - 1))
+        run[noun] = draw(st.sampled_from(["NN", "NNS"]))
+    patterns = {}
+    for width in draw(st.lists(st.integers(MIN_PATTERN_LEN, MAX_PATTERN_LEN), max_size=8)):
+        tags = tuple(run[:width])
+        opinions = [i for i, t in enumerate(tags) if t in OPINION_ROLE_TAGS]
+        if not opinions:
+            continue
+        opinion = draw(st.sampled_from(opinions))
+        nouns = [i for i, t in enumerate(tags) if t in NOUN_TAGS and i != opinion]
+        aspect = draw(st.one_of(st.none(), st.sampled_from(nouns))) if nouns else None
+        pattern = TagPattern(tags=tags, opinion_offset=opinion, aspect_offset=aspect)
+        patterns.setdefault((tags, opinion, aspect), pattern)
+    for p in draw(st.lists(tag_patterns(), max_size=3)):
+        patterns.setdefault((p.tags, p.opinion_offset, p.aspect_offset), p)
+    ordered = draw(st.permutations(list(patterns.values())))
+    pieces = draw(st.lists(
+        st.one_of(
+            st.integers(1, MAX_PATTERN_LEN).map(lambda n: run[:n]),
+            st.lists(st.sampled_from(DIFF_TAGS), max_size=3),
+        ),
+        max_size=4,
+    ))
+    tags = [tag for piece in pieces for tag in piece]
+    words = [draw(st.sampled_from(WORDS_FOR_TAG.get(tag, DIFF_WORDS))) for tag in tags]
+    sentence = TaggedSentence(
+        tokens=tuple(
+            Token(surface=w, tag=t, index=i) for i, (w, t) in enumerate(zip(words, tags))
+        )
+    )
+    return sentence, PatternSet(patterns=tuple(ordered))
+
+
 def pair_rows(pairs):
     """Every field of every pair, in output order."""
     return [tuple(getattr(p, f.name) for f in fields(p)) for p in pairs]
+
+
+def assert_equal_to_oracle(sentence, dictionary, lexicon, pattern_set):
+    """Every field and the order of the pairs, under all four options."""
+    for fallback in (True, False):
+        for conjunction in (True, False):
+            options = {"fallback": fallback, "conjunction": conjunction}
+            args = (sentence, dictionary, lexicon, pattern_set)
+            got = extract_with_options(*args, **options)
+            want = staged_extract(*args, **options)
+            assert pair_rows(got) == pair_rows(want), options
 
 
 class TestSingleCoreAgainstStagedOracle:
@@ -707,23 +793,37 @@ class TestSingleCoreAgainstStagedOracle:
     )
     def test_pairs_equal_oracle(self, sentence, entries, pattern_set):
         d = AspectDictionary(entries=dict(entries))
-        for fallback in (True, False):
-            for conjunction in (True, False):
-                options = {"fallback": fallback, "conjunction": conjunction}
-                got = extract_with_options(sentence, d, DIFF_LEXICON, pattern_set, **options)
-                want = staged_extract(sentence, d, DIFF_LEXICON, pattern_set, **options)
-                assert pair_rows(got) == pair_rows(want), options
+        assert_equal_to_oracle(sentence, d, DIFF_LEXICON, pattern_set)
+
+    @given(shared_first_tag_cases(), st.sets(st.sampled_from(DIFF_ENTRIES)))
+    @settings(max_examples=500, deadline=None)
+    # The first pattern hits after the second, and both claim (0, 2): the
+    # hits are claimed pattern by pattern, not start by start.
+    @example(
+        (
+            sent("battery/NN is/VBZ good/JJ"),
+            PatternSet(
+                patterns=(
+                    TagPattern(tags=("VBZ", "JJ"), opinion_offset=1),
+                    TagPattern(
+                        tags=("NN", "VBZ", "JJ"), opinion_offset=2, aspect_offset=0
+                    ),
+                )
+            ),
+        ),
+        set(),
+    )
+    def test_pairs_equal_oracle_on_shared_first_tags(self, case, entries):
+        sentence, pattern_set = case
+        d = AspectDictionary(entries=dict(entries))
+        assert_equal_to_oracle(sentence, d, DIFF_LEXICON, pattern_set)
 
     def test_oracle_agrees_on_sample(self, resources, sample_tagged, minieval_tagged):
         for sentence in sample_tagged + minieval_tagged:
-            for fallback in (True, False):
-                for conjunction in (True, False):
-                    args = (sentence, resources.aspect_dictionary,
-                            resources.opinion_lexicon, resources.pattern_set)
-                    options = {"fallback": fallback, "conjunction": conjunction}
-                    assert pair_rows(extract_with_options(*args, **options)) == (
-                        pair_rows(staged_extract(*args, **options))
-                    )
+            assert_equal_to_oracle(
+                sentence, resources.aspect_dictionary, resources.opinion_lexicon,
+                resources.pattern_set,
+            )
 
 
 def brute_force_supports(sentence_tags, min_support, max_len):

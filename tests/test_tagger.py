@@ -1,13 +1,18 @@
 """Pretagged parsing, the tag set, and the baseline tagger's rules."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from aspectminer.corpus import GoldAnnotation, ReviewSentence
 from aspectminer.errors import ParseError
 from aspectminer.tagger import (
     NOUN_TAGS,
     PENN_TAGS,
     VERB_TAGS,
     BaselineTagger,
+    TaggedSentence,
+    Token,
     load_tag_lexicon,
     parse_pretagged,
     render_pretagged,
@@ -61,6 +66,57 @@ class TestParsePretagged:
     def test_empty_line_rejected(self):
         with pytest.raises(ParseError):
             parse_pretagged("   ")
+
+
+def build_sentence(drawn, position, gold):
+    source = ReviewSentence(
+        review_id="r1",
+        sentence_index=position,
+        raw_text=" ".join(w for w, _ in drawn),
+        gold=tuple(GoldAnnotation(aspect_term=term, strength=1) for term in gold),
+    )
+    tokens = tuple(Token(surface=w, tag=t, index=i) for i, (w, t) in enumerate(drawn))
+    return TaggedSentence(tokens=tokens, source=source, position=position)
+
+
+class TestSentenceHash:
+    @given(
+        st.lists(
+            st.tuples(st.text(min_size=1, max_size=4), st.sampled_from(sorted(PENN_TAGS))),
+            max_size=8,
+        ),
+        st.integers(0, 10_000),
+        st.lists(st.text(min_size=1, max_size=4), max_size=2),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equal_sentences_hash_equal(self, drawn, position, gold):
+        a = build_sentence(drawn, position, gold)
+        b = build_sentence(drawn, position, gold)
+        assert a is not b and a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_hashes_no_token_or_source(self, monkeypatch):
+        sentence = build_sentence([("nice", "JJ"), ("zoom", "NN")], 3, ["zoom"])
+
+        def refuse(self):
+            raise AssertionError(f"hashed a {type(self).__name__}")
+
+        monkeypatch.setattr(Token, "__hash__", refuse)
+        monkeypatch.setattr(ReviewSentence, "__hash__", refuse)
+        monkeypatch.setattr(GoldAnnotation, "__hash__", refuse)
+        assert {sentence: 1}[sentence] == 1
+
+    def test_distinct_lines_at_one_position_spread(self):
+        # library users who parse lines without renumbering them
+        words = "good bad zoom lens battery is the very and fast".split()
+        lines = {
+            f"{words[i % 10]}/JJ {words[i // 10 % 10]}/NN {words[i // 100]}/VBZ"
+            for i in range(1_000)
+        }
+        assert len(lines) == 1_000
+        hashes = {hash(parse_pretagged(line)) for line in lines}
+        assert len(hashes) >= 990
 
 
 class TestTagLexicon:
