@@ -1,9 +1,11 @@
 """Command-line interface.
 
-Subcommands mirror the pipeline stages: ``tag`` emits pretagged lines,
+Commands mirror the pipeline stages: ``tag`` emits pretagged lines,
 ``mine`` reports frequent tag sequences, ``extract`` lists aspect/opinion
 pairs, ``summarize`` renders the pros/cons report, and ``evaluate``
 scores extraction against gold annotations.
+One parser takes the command as a positional and every flag, before or
+after it; ``_COMMANDS`` is the one table keyed by command name.
 
 Exit codes: 0 success, 2 missing input or resource file (path named),
 3 malformed content (bad bytes, lines or config values, path named),
@@ -21,7 +23,7 @@ import sys
 import types
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import get_args, get_origin, get_type_hints
+from typing import Callable, NamedTuple, get_args, get_origin, get_type_hints
 
 from .corpus import Corpus, load_corpus
 from .errors import AspectMinerError, ParseError, read_text
@@ -33,6 +35,7 @@ from .evaluation import (
 )
 from .patterns import mine_frequent_tag_sets
 from .pipeline import (
+    DEFAULT_FILES,
     Resources,
     evaluate_corpus,
     extract_corpus,
@@ -41,7 +44,7 @@ from .pipeline import (
     summarize_corpus,
     tag_corpus,
 )
-from .summary import render
+from .summary import FORMATS, render
 from .tagger import TaggedSentence, render_pretagged
 
 EXIT_OK = 0
@@ -49,21 +52,12 @@ EXIT_ERROR = 1
 EXIT_MISSING_FILE = 2
 EXIT_PARSE_ERROR = 3
 
-_PATH_FIELDS = (
-    "patterns",
-    "pos_lex",
-    "neg_lex",
-    "aspects",
-    "synonyms",
-    "verbs",
-    "tag_lexicon",
-    "baseline",
-)
+_PATH_FIELDS = (*DEFAULT_FILES, "baseline")
 
 
 @dataclass
 class RunConfig:
-    """Everything one subcommand invocation needs."""
+    """Everything one command invocation needs."""
 
     corpus: list[str] = field(default_factory=list)
     pretagged: list[str] = field(default_factory=list)
@@ -155,24 +149,16 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     """Merge config-file values with explicit flags (flags win)."""
     values: dict = {}
     if args.config:
-        values.update(_load_config_file(args.config, _FORMATS[args.command]))
+        values.update(_load_config_file(args.config, _COMMANDS[args.command].formats))
     for f in fields(RunConfig):
-        flag_value = getattr(args, f.name, None)
+        flag_value = getattr(args, f.name)
         if flag_value is not None:
             values[f.name] = flag_value
     return RunConfig(**values)
 
 
 def _resources(config: RunConfig) -> Resources:
-    return load_resources(
-        pos_lex=config.pos_lex,
-        neg_lex=config.neg_lex,
-        aspects=config.aspects,
-        synonyms=config.synonyms,
-        verbs=config.verbs,
-        patterns=config.patterns,
-        tag_lexicon=config.tag_lexicon,
-    )
+    return load_resources(**{name: getattr(config, name) for name in DEFAULT_FILES})
 
 
 def _require_sentences(sentences, path: str) -> None:
@@ -360,25 +346,24 @@ def _cmd_evaluate(config: RunConfig) -> str:
     return text
 
 
+class _Command(NamedTuple):
+    run: Callable[[RunConfig], str]
+    formats: tuple[str, ...]  # the output formats it renders; the first is the default
+    help: str
+
+
 _COMMANDS = {
-    "tag": _cmd_tag,
-    "mine": _cmd_mine,
-    "extract": _cmd_extract,
-    "summarize": _cmd_summarize,
-    "evaluate": _cmd_evaluate,
-}
-
-# The output formats each command renders; the first is the default.
-_FORMATS = {
-    "tag": ("text",),
-    "mine": ("text", "machine"),
-    "extract": ("text", "machine"),
-    "summarize": ("text", "machine", "histogram"),
-    "evaluate": ("text", "machine"),
+    "tag": _Command(_cmd_tag, ("text",), "tokenize and tag a review corpus"),
+    "mine": _Command(_cmd_mine, ("text", "machine"), "mine frequent tag sequences"),
+    "extract": _Command(_cmd_extract, ("text", "machine"), "extract aspect/opinion pairs"),
+    "summarize": _Command(_cmd_summarize, FORMATS, "render the pros/cons summary"),
+    "evaluate": _Command(
+        _cmd_evaluate, ("text", "machine"), "score extraction against gold annotations"
+    ),
 }
 
 
-def _add_common_flags(parser: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
+def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file seeding any flag")
     parser.add_argument(
         "--corpus", action="append", metavar="PATH", help="review corpus file (repeatable)"
@@ -403,7 +388,7 @@ def _add_common_flags(parser: argparse.ArgumentParser, formats: tuple[str, ...])
         "--max-len", dest="max_len", type=int, help="longest mined tag sequence"
     )
     parser.add_argument(
-        "--format", choices=formats, help="output format"
+        "--format", choices=FORMATS, help="output format; the command must render it"
     )
     parser.add_argument("--out", help="output path, or 'stdout'")
     parser.add_argument("--baseline", help="machine-format report to compare against")
@@ -432,29 +417,33 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    width = max(map(len, _COMMANDS)) + 2
     parser = _ArgumentParser(
         prog="aspectminer",
         description="Aspect-based pros/cons mining of customer reviews",
+        epilog="commands:\n" + "".join(
+            f"  {name:<{width}}{command.help}\n" for name, command in _COMMANDS.items()
+        ),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    help_text = {
-        "tag": "tokenize and tag a review corpus",
-        "mine": "mine frequent tag sequences",
-        "extract": "extract aspect/opinion pairs",
-        "summarize": "render the pros/cons summary",
-        "evaluate": "score extraction against gold annotations",
-    }
-    for name in _COMMANDS:
-        _add_common_flags(sub.add_parser(name, help=help_text[name]), _FORMATS[name])
+    parser.add_argument("command", choices=_COMMANDS, help="the pipeline stage to run")
+    _add_common_flags(parser)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    command = _COMMANDS[args.command]
+    if args.format not in (None, *command.formats):
+        parser.error(
+            f"argument --format: invalid choice: {args.format!r} "
+            f"(choose from {', '.join(map(repr, command.formats))})"
+        )
     try:
         config = build_config(args)
         config.validate()
-        output = _COMMANDS[args.command](config)
+        output = command.run(config)
         _write_output(output, config.out)
     except FileNotFoundError as exc:
         print(f"error: missing file: {exc.args[0]}", file=sys.stderr)

@@ -32,8 +32,6 @@ _ANNOT_RE = re.compile(
 )
 _FLAG_RE = re.compile(r"\[([^\[\]]+)\]")
 
-KNOWN_FLAGS = frozenset({"u", "p", "s", "cc", "cs"})
-
 
 @dataclass(frozen=True)
 class GoldAnnotation:
@@ -57,12 +55,6 @@ class ReviewSentence:
 class Corpus:
     product_name: str
     sentences: tuple[ReviewSentence, ...] = ()
-
-    def __len__(self) -> int:
-        return len(self.sentences)
-
-    def __iter__(self):
-        return iter(self.sentences)
 
 
 def _parse_annotation(text: str) -> GoldAnnotation:

@@ -156,7 +156,10 @@ def _count_matched(predicted: _Buckets, gold: _Buckets, hit) -> tuple[int, int]:
 def evaluate_extraction_detailed(
     predicted: list[AspectOpinionPair], gold: Corpus
 ) -> ExtractionBreakdown:
-    """Full metric breakdown; see evaluate_extraction for the headline.
+    """Headline subset-match metrics plus their exact-match counterparts.
+
+    Duplicate predictions and duplicate gold items collapse before
+    counting; an empty side yields 0.0 for its ratios.
 
     Items are kept per sentence, so each is compared only with the other
     side's items of its own sentence and the cost is linear in the
@@ -209,18 +212,6 @@ def evaluate_extraction_detailed(
         n_predicted_opinions=n_pred_opinions,
         n_gold_opinions=n_gold_opinions,
     )
-
-
-def evaluate_extraction(
-    predicted: list[AspectOpinionPair], gold: Corpus
-) -> tuple[float, float, float, float]:
-    """Headline metrics: (aspect_p, aspect_r, opinion_p, opinion_r).
-
-    Duplicate predictions and duplicate gold items collapse before
-    counting; an empty side yields 0.0 for its ratio.
-    """
-    b = evaluate_extraction_detailed(predicted, gold)
-    return b.aspect_p, b.aspect_r, b.opinion_p, b.opinion_r
 
 
 def make_report(rows: list[ExtractionScores]) -> EvalReport:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import Collection, NamedTuple
 
 from .errors import ParseError, read_text
 from .lexicons import NONE, AspectDictionary, OpinionLexicon
@@ -78,9 +78,6 @@ class TagPattern:
         if not self.name:
             object.__setattr__(self, "name", "-".join(t.lower() for t in self.tags))
 
-    def __len__(self) -> int:
-        return len(self.tags)
-
 
 @dataclass(frozen=True)
 class PatternSet:
@@ -107,12 +104,6 @@ class PatternSet:
             index.setdefault(p.tags[0], []).append((rank, p))
         by_first_tag = {tag: tuple(entries) for tag, entries in index.items()}
         object.__setattr__(self, "by_first_tag", by_first_tag)
-
-    def __iter__(self) -> Iterator[TagPattern]:
-        return iter(self.patterns)
-
-    def __len__(self) -> int:
-        return len(self.patterns)
 
 
 def parse_pattern_line(line: str) -> TagPattern | None:
@@ -183,11 +174,7 @@ class AspectOpinionPair:
     aspect_index: int
     opinion_index: int
     pattern_name: str
-    aspect_end: int = -1  # one past the last aspect token
-
-    def __post_init__(self):
-        if self.aspect_end < 0:
-            object.__setattr__(self, "aspect_end", self.aspect_index + 1)
+    aspect_end: int  # one past the last aspect token
 
 
 class AspectSpan(NamedTuple):
@@ -365,20 +352,17 @@ class MinedPattern:
 def _level_supports(
     sentence_tags: list[tuple[str, ...]],
     length: int,
-    candidates: set[tuple[str, ...]] | None,
+    shorter: Collection[tuple[str, ...]],
 ) -> dict[tuple[str, ...], int]:
-    """Sentence-level support counts for tag n-grams of one length.
-
-    ``candidates`` of None means count every n-gram present.
-    """
+    """Sentence-level support counts for the tag n-grams of one length
+    whose prefix and suffix of one tag less are both in ``shorter``."""
     supports: dict[tuple[str, ...], int] = {}
     for tags in sentence_tags:
         seen: set[tuple[str, ...]] = set()
         for start in range(len(tags) - length + 1):
             gram = tags[start : start + length]
-            if candidates is not None and gram not in candidates:
-                continue
-            seen.add(gram)
+            if gram[:-1] in shorter and gram[1:] in shorter:
+                seen.add(gram)
         for gram in seen:
             supports[gram] = supports.get(gram, 0) + 1
     return supports
@@ -392,10 +376,11 @@ def mine_frequent_tag_sets(
     """Levelwise mining of frequent contiguous tag n-grams (lengths 2..max_len).
 
     Support is sentence-level: a sentence counts once per distinct n-gram
-    no matter how often the n-gram repeats inside it.  Candidates of
-    length L+1 are joined from frequent length-L grams sharing an
-    (L-1)-overlap, which for contiguous sequences is exactly the
-    anti-monotonicity prune.
+    no matter how often the n-gram repeats inside it.  An n-gram of
+    length L+1 is counted only when both of its length-L sub-grams are
+    frequent, which for contiguous sequences is exactly the
+    anti-monotonicity prune; the test is two set lookups per position,
+    so each level costs time linear in the input.
     """
     if min_support < 1:
         raise ValueError("min_support must be >= 1")
@@ -409,28 +394,17 @@ def mine_frequent_tag_sets(
         return []
 
     frequent: dict[tuple[str, ...], int] = {}
-    level = {
-        gram: sup
-        for gram, sup in _level_supports(sentence_tags, MIN_PATTERN_LEN, None).items()
-        if sup >= min_support
-    }
-    length = MIN_PATTERN_LEN
-    while level:
-        frequent.update(level)
-        if length == max_len:
-            break
-        candidates = {
-            left + (right[-1],)
-            for left in level
-            for right in level
-            if left[1:] == right[:-1]
-        }
-        length += 1
+    # every 1-gram present, so that the first level prunes nothing
+    level: Collection[tuple[str, ...]] = {(tag,) for tags in sentence_tags for tag in tags}
+    for length in range(MIN_PATTERN_LEN, max_len + 1):
         level = {
             gram: sup
-            for gram, sup in _level_supports(sentence_tags, length, candidates).items()
+            for gram, sup in _level_supports(sentence_tags, length, level).items()
             if sup >= min_support
         }
+        if not level:
+            break
+        frequent.update(level)
 
     mined = [
         MinedPattern(tags=gram, support=sup, support_ratio=sup / total)

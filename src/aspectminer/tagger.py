@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .corpus import ReviewSentence
 from .errors import ParseError, read_text
@@ -42,11 +43,9 @@ _PUNCT_TAG = {
 }
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     surface: str
     tag: str
-    index: int
 
 
 @dataclass(frozen=True)
@@ -54,9 +53,6 @@ class TaggedSentence:
     tokens: tuple[Token, ...] = ()
     source: ReviewSentence | None = None
     position: int = 0  # ordinal within the corpus, used for tie-breaking
-
-    def __len__(self) -> int:
-        return len(self.tokens)
 
     def __hash__(self) -> int:
         # Equal sentences have equal positions and surfaces, so this agrees
@@ -88,7 +84,7 @@ def parse_pretagged(
             raise ParseError(f"item {i + 1} {item!r} has an empty word")
         if tag not in PENN_TAGS:
             raise ParseError(f"item {i + 1} {item!r}: unknown tag {tag!r}")
-        tokens.append(Token(surface=surface, tag=tag, index=i))
+        tokens.append(Token(surface, tag))
     if not tokens:
         raise ParseError("empty pretagged line")
     return TaggedSentence(tokens=tuple(tokens), source=source, position=position)
@@ -182,10 +178,7 @@ class BaselineTagger:
     ) -> TaggedSentence:
         if not words:
             raise ValueError("empty sentence")
-        tokens = tuple(
-            Token(surface=w, tag=self.tag_word(w, i), index=i)
-            for i, w in enumerate(words)
-        )
+        tokens = tuple(Token(w, self.tag_word(w, i)) for i, w in enumerate(words))
         return TaggedSentence(tokens=tokens, source=source, position=position)
 
 

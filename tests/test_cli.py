@@ -1,6 +1,9 @@
-"""Tests for the command-line interface: subcommands, exit codes, config."""
+"""Tests for the command-line interface: commands, exit codes, config."""
 
+import inspect
 import json
+import re
+from typing import get_type_hints
 
 import pytest
 
@@ -14,6 +17,7 @@ from aspectminer.cli import (
     build_parser,
     main,
 )
+from aspectminer.pipeline import DEFAULT_FILES, load_resources
 
 
 @pytest.fixture()
@@ -58,6 +62,46 @@ class TestParser:
     def test_format_choices(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["summarize", "--format", "json"])
+
+    def test_help_names_every_command_with_its_help_line(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == EXIT_OK
+        out = capsys.readouterr().out
+        for name, command in cli._COMMANDS.items():
+            assert re.search(rf"^  {name} +{re.escape(command.help)}$", out, re.M)
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--corpus", "a.txt", "--corpus", "b.txt", "--format", "machine"],
+         ["--no-fallback", "--top-k", "2", "--pos-lex", "p.txt", "--out", "o.txt"]],
+    )
+    def test_flags_before_the_command_parse_as_after(self, flags):
+        before = build_parser().parse_args([*flags, "summarize"])
+        after = build_parser().parse_args(["summarize", *flags])
+        assert before == after
+        assert before.command == "summarize"
+
+    def test_format_the_command_cannot_render_named_after_the_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--format", "histogram", "evaluate"])
+        assert exc.value.code == EXIT_ERROR
+        assert "argument --format: invalid choice: 'histogram'" in capsys.readouterr().err
+
+    def test_resources_named_alike_by_flags_config_and_defaults(self):
+        resources = set(DEFAULT_FILES)
+        assert len(resources) == 7
+        assert set(inspect.signature(load_resources).parameters) == resources
+        assert cli._PATH_FIELDS == (*DEFAULT_FILES, "baseline")
+        hints = get_type_hints(RunConfig)
+        path_fields = {name for name, hint in hints.items() if hint == str | None}
+        path_fields.discard("product")
+        assert path_fields == resources | {"baseline"}
+        options = {
+            a.dest: a.option_strings for a in build_parser()._actions
+        }
+        for name in resources:
+            assert options[name] == ["--" + name.replace("_", "-")]
 
 
 class TestRunConfig:

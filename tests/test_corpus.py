@@ -39,10 +39,10 @@ class TestCorpusParsing:
     def test_titles_start_reviews(self):
         content = "[t]first\n##one .\n##two .\n[t]second\n##three .\n"
         corpus = parse_corpus_file(content, "p")
-        assert len(corpus) == 5
-        ids = [s.review_id for s in corpus]
+        assert len(corpus.sentences) == 5
+        ids = [s.review_id for s in corpus.sentences]
         assert ids == ["r1", "r1", "r1", "r2", "r2"]
-        assert [s.sentence_index for s in corpus] == [0, 1, 2, 0, 1]
+        assert [s.sentence_index for s in corpus.sentences] == [0, 1, 2, 0, 1]
         assert corpus.sentences[0].is_title
         assert not corpus.sentences[1].is_title
 
@@ -60,25 +60,25 @@ class TestCorpusParsing:
         content = "broken[]##text .\n"
         with caplog.at_level("WARNING"):
             corpus = parse_corpus_file(content, "p")
-        assert len(corpus) == 1
+        assert len(corpus.sentences) == 1
         assert corpus.sentences[0].gold == ()
         assert any("annotation" in r.message for r in caplog.records)
 
     def test_line_without_separator_skipped(self, caplog):
         with caplog.at_level("WARNING"):
             corpus = parse_corpus_file("no separator here\n##real .\n", "p")
-        assert len(corpus) == 1
+        assert len(corpus.sentences) == 1
 
     def test_blank_lines_skipped(self):
         corpus = parse_corpus_file("\n\n##one .\n\n##two .\n", "p")
-        assert len(corpus) == 2
+        assert len(corpus.sentences) == 2
 
     def test_leading_sentences_before_any_title(self):
         corpus = parse_corpus_file("##orphan .\n[t]titled\n##body .\n", "p")
-        assert [s.review_id for s in corpus] == ["r1", "r2", "r2"]
+        assert [s.review_id for s in corpus.sentences] == ["r1", "r2", "r2"]
 
     def test_empty_content_yields_empty_corpus(self):
-        assert len(parse_corpus_file("", "p")) == 0
+        assert len(parse_corpus_file("", "p").sentences) == 0
 
 
 class TestLoadCorpus:
@@ -117,12 +117,12 @@ class TestLoadCorpus:
 
 class TestSampleCorpus:
     def test_shape(self, sample_corpus):
-        assert len(sample_corpus) == 30
-        assert sum(1 for s in sample_corpus if s.is_title) == 3
-        assert {s.review_id for s in sample_corpus} == {"r1", "r2", "r3"}
+        assert len(sample_corpus.sentences) == 30
+        assert sum(1 for s in sample_corpus.sentences if s.is_title) == 3
+        assert {s.review_id for s in sample_corpus.sentences} == {"r1", "r2", "r3"}
 
     def test_gold_terms_present(self, sample_corpus):
-        terms = {a.aspect_term for s in sample_corpus for a in s.gold}
+        terms = {a.aspect_term for s in sample_corpus.sentences for a in s.gold}
         assert {"sound", "battery life", "software", "equipment"} <= terms
 
 

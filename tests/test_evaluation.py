@@ -21,7 +21,6 @@ from aspectminer.evaluation import (
     ExtractionScores,
     check_f_consistency,
     compare_to_baseline,
-    evaluate_extraction,
     evaluate_extraction_detailed,
     f_measure,
     load_report,
@@ -44,10 +43,7 @@ def gold_corpus(*lines, product="widget"):
 
 def tagged_for(sentence_obj):
     """Minimal TaggedSentence anchored to a gold sentence."""
-    tokens = tuple(
-        Token(surface=w, tag="NN", index=i)
-        for i, w in enumerate(sentence_obj.raw_text.split())
-    )
+    tokens = tuple(Token(w, "NN") for w in sentence_obj.raw_text.split())
     return TaggedSentence(tokens=tokens, source=sentence_obj)
 
 
@@ -60,6 +56,7 @@ def prediction(sentence_obj, aspect, orientation="positive"):
         aspect_index=0,
         opinion_index=0,
         pattern_name="test",
+        aspect_end=1,
     )
 
 
@@ -85,11 +82,17 @@ class TestFMeasure:
             f_measure(0.5, 1.1)
 
 
+def headline(predicted, gold):
+    """The four headline rates: aspect p and r, opinion p and r."""
+    b = evaluate_extraction_detailed(predicted, gold)
+    return b.aspect_p, b.aspect_r, b.opinion_p, b.opinion_r
+
+
 class TestEvaluateExtraction:
     def test_perfect_match(self):
         gold = gold_corpus("sound[+2]##the sound is great .")
         s = gold.sentences[0]
-        p, r, op, orc = evaluate_extraction([prediction(s, "sound")], gold)
+        p, r, op, orc = headline([prediction(s, "sound")], gold)
         assert (p, r, op, orc) == (1.0, 1.0, 1.0, 1.0)
 
     def test_two_of_three_overlap(self):
@@ -103,7 +106,7 @@ class TestEvaluateExtraction:
             prediction(s, "gamma"),
             prediction(s, "delta"),
         ]
-        p, r, op, orc = evaluate_extraction(preds, gold)
+        p, r, op, orc = headline(preds, gold)
         assert p == pytest.approx(2 / 3, abs=TOL)
         assert r == pytest.approx(2 / 3, abs=TOL)
 
@@ -119,13 +122,13 @@ class TestEvaluateExtraction:
     def test_superset_match_also_counts(self):
         gold = gold_corpus("battery[+2]##battery life is great .")
         s = gold.sentences[0]
-        p, r, _, _ = evaluate_extraction([prediction(s, "battery life")], gold)
+        p, r, _, _ = headline([prediction(s, "battery life")], gold)
         assert (p, r) == (1.0, 1.0)
 
     def test_disjoint_tokens_do_not_match(self):
         gold = gold_corpus("battery life[+2]##it lasts forever .")
         s = gold.sentences[0]
-        p, r, _, _ = evaluate_extraction([prediction(s, "life span hmm")], gold)
+        p, r, _, _ = headline([prediction(s, "life span hmm")], gold)
         # {battery, life} vs {life, span, hmm}: neither side contains the other
         assert (p, r) == (0.0, 0.0)
 
@@ -142,7 +145,7 @@ class TestEvaluateExtraction:
     def test_negative_gold_strength(self):
         gold = gold_corpus("screen[-3]##the screen is awful .")
         s = gold.sentences[0]
-        _, _, op, orc = evaluate_extraction(
+        _, _, op, orc = headline(
             [prediction(s, "screen", orientation="negative")], gold
         )
         assert (op, orc) == (1.0, 1.0)
@@ -154,7 +157,7 @@ class TestEvaluateExtraction:
         )
         right, wrong = gold.sentences
         # correct aspect attached to the wrong sentence does not match
-        p, r, _, _ = evaluate_extraction([prediction(wrong, "sound")], gold)
+        p, r, _, _ = headline([prediction(wrong, "sound")], gold)
         assert (p, r) == (0.0, 0.0)
 
     def test_duplicates_collapse(self):
@@ -167,13 +170,13 @@ class TestEvaluateExtraction:
 
     def test_empty_predictions(self):
         gold = gold_corpus("sound[+2]##the sound is great .")
-        p, r, op, orc = evaluate_extraction([], gold)
+        p, r, op, orc = headline([], gold)
         assert (p, r, op, orc) == (0.0, 0.0, 0.0, 0.0)
 
     def test_no_gold_annotations(self):
         gold = gold_corpus("##plain sentence with no gold .")
         s = gold.sentences[0]
-        p, r, op, orc = evaluate_extraction([prediction(s, "thing")], gold)
+        p, r, op, orc = headline([prediction(s, "thing")], gold)
         assert (p, r, op, orc) == (0.0, 0.0, 0.0, 0.0)
 
     def test_prediction_outside_corpus_rejected(self):
@@ -186,7 +189,7 @@ class TestEvaluateExtraction:
         # second sentence of the other corpus: no such key in gold
         stray = prediction(other.sentences[1], "lens")
         with pytest.raises(ValueError):
-            evaluate_extraction([stray], gold)
+            evaluate_extraction_detailed([stray], gold)
 
     def test_prediction_without_source_rejected(self):
         gold = gold_corpus("sound[+2]##the sound is great .")
@@ -198,9 +201,10 @@ class TestEvaluateExtraction:
             aspect_index=0,
             opinion_index=0,
             pattern_name="test",
+            aspect_end=1,
         )
         with pytest.raises(ValueError):
-            evaluate_extraction([unanchored], gold)
+            evaluate_extraction_detailed([unanchored], gold)
 
     def test_counts_reported(self):
         gold = gold_corpus("sound[+2],price[-1]##good sound bad price .")

@@ -18,6 +18,7 @@ def pair(aspect, opinion="good", orientation="positive", position=0):
         aspect_index=0,
         opinion_index=1,
         pattern_name="test",
+        aspect_end=1,
     )
 
 

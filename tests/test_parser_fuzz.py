@@ -96,7 +96,7 @@ def test_pattern_reader_builds_the_index(workdir, data):
     ps = parse_or_report(load_pattern_set, write(workdir, "patterns.txt", data))
     if ps is not None:
         entries = [entry for group in ps.by_first_tag.values() for entry in group]
-        assert sorted(entries, key=lambda e: e[0]) == list(enumerate(ps))
+        assert sorted(entries, key=lambda e: e[0]) == list(enumerate(ps.patterns))
 
 
 @given(contents, contents)
@@ -138,7 +138,7 @@ def test_tag_lexicon_reader(workdir, data):
 @example(b'{"top_k": ' + b"1" * 5_000 + b"}")
 def test_config_reader(workdir, data):
     parse_or_report(
-        cli._load_config_file, write(workdir, "run.json", data), cli._FORMATS["summarize"]
+        cli._load_config_file, write(workdir, "run.json", data), cli._COMMANDS["summarize"].formats
     )
 
 

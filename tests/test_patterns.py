@@ -16,6 +16,7 @@ from aspectminer.patterns import (
     OPINION_ROLE_TAGS,
     AspectOpinionPair,
     AspectSpan,
+    MinedPattern,
     PatternSet,
     TagPattern,
     extract_with_options,
@@ -34,16 +35,14 @@ def sent(pretagged: str, position: int = 0) -> TaggedSentence:
 
 
 def sent_from_tags(tags, position=0) -> TaggedSentence:
-    tokens = tuple(
-        Token(surface=f"w{i}", tag=t, index=i) for i, t in enumerate(tags)
-    )
+    tokens = tuple(Token(f"w{i}", t) for i, t in enumerate(tags))
     return TaggedSentence(tokens=tokens, position=position)
 
 
 class TestTagPattern:
     def test_basic_construction(self):
         p = TagPattern(tags=("NN", "VBZ", "JJ"), opinion_offset=2, aspect_offset=0)
-        assert len(p) == 3
+        assert len(p.tags) == 3
         assert p.name == "nn-vbz-jj"
 
     def test_explicit_name_kept(self):
@@ -135,8 +134,8 @@ class TestPatternSet:
         a = TagPattern(tags=("NN", "VBZ", "JJ"), opinion_offset=2, aspect_offset=0)
         b = TagPattern(tags=("VBZ", "JJ"), opinion_offset=1)
         ps = PatternSet(patterns=(a, b))
-        assert list(ps) == [a, b]
-        assert len(ps) == 2
+        assert list(ps.patterns) == [a, b]
+        assert len(ps.patterns) == 2
 
     def test_duplicate_rejected(self):
         a = TagPattern(tags=("NN", "VBZ", "JJ"), opinion_offset=2, aspect_offset=0)
@@ -150,7 +149,7 @@ class TestPatternSet:
         ps = resources.pattern_set
         assert sorted(
             entry for entries in ps.by_first_tag.values() for entry in entries
-        ) == list(enumerate(ps))
+        ) == list(enumerate(ps.patterns))
         for tag, entries in ps.by_first_tag.items():
             assert all(p.tags[0] == tag for _, p in entries)
             assert [rank for rank, _ in entries] == sorted(rank for rank, _ in entries)
@@ -165,8 +164,8 @@ class TestPatternSet:
 
     def test_load_bundled_file(self, resources):
         ps = resources.pattern_set
-        assert len(ps) == 11
-        names = [p.name for p in ps]
+        assert len(ps.patterns) == 11
+        names = [p.name for p in ps.patterns]
         assert names[0] == "adv-adj-infinitive"
         assert "noun-is-adj" in names
         assert names[-1] == "adj-gerund"
@@ -543,7 +542,7 @@ def staged_match_pattern(sentence, pattern):
 def staged_extract_pairs(sentence, dictionary, lexicon, pattern_set):
     tokens = sentence.tokens
     found = {}
-    for pattern in pattern_set:
+    for pattern in pattern_set.patterns:
         for start in staged_match_pattern(sentence, pattern):
             oi = start + pattern.opinion_offset
             orientation = lexicon.polarity(tokens[oi].surface)
@@ -696,7 +695,7 @@ diff_tokens = st.one_of(
 )
 sentences = st.lists(diff_tokens, max_size=14).map(
     lambda drawn: TaggedSentence(
-        tokens=tuple(Token(surface=w, tag=t, index=i) for i, (w, t) in enumerate(drawn))
+        tokens=tuple(Token(w, t) for w, t in drawn)
     )
 )
 
@@ -751,9 +750,7 @@ def shared_first_tag_cases(draw):
     tags = [tag for piece in pieces for tag in piece]
     words = [draw(st.sampled_from(WORDS_FOR_TAG.get(tag, DIFF_WORDS))) for tag in tags]
     sentence = TaggedSentence(
-        tokens=tuple(
-            Token(surface=w, tag=t, index=i) for i, (w, t) in enumerate(zip(words, tags))
-        )
+        tokens=tuple(Token(w, t) for w, t in zip(words, tags))
     )
     return sentence, PatternSet(patterns=tuple(ordered))
 
@@ -836,6 +833,67 @@ def brute_force_supports(sentence_tags, min_support, max_len):
         for gram in seen:
             supports[gram] = supports.get(gram, 0) + 1
     return {g: s for g, s in supports.items() if s >= min_support}
+
+
+def joined_mining(sentence_tags, min_support, max_len):
+    """The levelwise miner before the membership prune: candidates of
+    length L+1 joined pairwise from the frequent length-L grams."""
+
+    def supports(length, candidates):
+        counts = {}
+        for tags in sentence_tags:
+            seen = set()
+            for start in range(len(tags) - length + 1):
+                gram = tags[start : start + length]
+                if candidates is None or gram in candidates:
+                    seen.add(gram)
+            for gram in seen:
+                counts[gram] = counts.get(gram, 0) + 1
+        return {g: c for g, c in counts.items() if c >= min_support}
+
+    total = len(sentence_tags)
+    frequent = {}
+    level = supports(MIN_PATTERN_LEN, None)
+    length = MIN_PATTERN_LEN
+    while level:
+        frequent.update(level)
+        if length == max_len:
+            break
+        candidates = {
+            left + (right[-1],)
+            for left in level
+            for right in level
+            if left[1:] == right[:-1]
+        }
+        length += 1
+        level = supports(length, candidates)
+    mined = [
+        MinedPattern(tags=gram, support=sup, support_ratio=sup / total)
+        for gram, sup in frequent.items()
+    ]
+    mined.sort(key=lambda m: (-m.support, -len(m.tags), m.tags))
+    return mined
+
+
+class TestMiningAgainstJoinOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        corpus=st.lists(
+            st.lists(st.sampled_from(["DT", "NN", "VBZ", "JJ", "RB", "CC"]), max_size=14),
+            min_size=1,
+            max_size=12,
+        ),
+        min_support=st.integers(1, 4),
+        max_len=st.integers(MIN_PATTERN_LEN, MAX_PATTERN_LEN),
+    )
+    def test_same_patterns_in_the_same_order(self, corpus, min_support, max_len):
+        tagged = [sent_from_tags(tags, position=i) for i, tags in enumerate(corpus)]
+        expected = joined_mining([tuple(t) for t in corpus], min_support, max_len)
+        assert mine_frequent_tag_sets(tagged, min_support, max_len) == expected
+
+    def test_sample_corpus(self, sample_tagged):
+        expected = joined_mining([tuple(s.tags()) for s in sample_tagged], 2, MAX_PATTERN_LEN)
+        assert mine_frequent_tag_sets(sample_tagged, 2) == expected
 
 
 class TestMineFrequentTagSets:

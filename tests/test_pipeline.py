@@ -40,7 +40,7 @@ class TestDataDir:
 
 class TestLoadResources:
     def test_bundled_defaults(self, resources):
-        assert len(resources.pattern_set) == 11
+        assert len(resources.pattern_set.patterns) == 11
         assert resources.tag_lexicon["the"] == "DT"
         assert resources.tag_weights.weight("JJS") == 3
 
@@ -51,7 +51,7 @@ class TestLoadResources:
         assert res.opinion_lexicon.polarity("stellar") == "positive"
         # everything else still comes from the bundled files
         assert res.opinion_lexicon.polarity("terrible") == "negative"
-        assert len(res.pattern_set) == 11
+        assert len(res.pattern_set.patterns) == 11
 
     def test_env_redirect_missing_files(self, monkeypatch, tmp_path):
         monkeypatch.setenv(DATA_ENV_VAR, str(tmp_path))
@@ -63,7 +63,7 @@ class TestLoadResources:
         shutil.copytree(data_dir(), tmp_path / "data", dirs_exist_ok=True)
         monkeypatch.setenv(DATA_ENV_VAR, str(tmp_path / "data"))
         res = load_resources()
-        assert len(res.pattern_set) == 11
+        assert len(res.pattern_set.patterns) == 11
 
 
 class TestTagCorpus:
@@ -81,7 +81,7 @@ class TestTagCorpus:
         corpus = parse_corpus_file("##\n##real text here .\n", "p")
         tagged = tag_corpus(corpus, resources.tagger())
         assert len(tagged) == 2
-        assert len(tagged[0]) == 0
+        assert len(tagged[0].tokens) == 0
         assert tagged[0].source is corpus.sentences[0]
 
 

@@ -52,9 +52,7 @@ tokens_strategy = st.lists(
 
 def build_sentence(pairs, position=0):
     return TaggedSentence(
-        tokens=tuple(
-            Token(surface=w, tag=t, index=i) for i, (w, t) in enumerate(pairs)
-        ),
+        tokens=tuple(Token(w, t) for w, t in pairs),
         position=position,
     )
 
@@ -89,9 +87,9 @@ class TestExtractionProperties:
         )
         seen = set()
         for pair in pairs:
-            assert 0 <= pair.aspect_index < len(sentence)
-            assert pair.aspect_index < pair.aspect_end <= len(sentence)
-            assert 0 <= pair.opinion_index < len(sentence)
+            assert 0 <= pair.aspect_index < len(sentence.tokens)
+            assert pair.aspect_index < pair.aspect_end <= len(sentence.tokens)
+            assert 0 <= pair.opinion_index < len(sentence.tokens)
             key = (pair.aspect_index, pair.opinion_index)
             assert key not in seen
             seen.add(key)
@@ -131,6 +129,7 @@ class TestGroupingProperties:
                 aspect_index=0,
                 opinion_index=1,
                 pattern_name="t",
+                aspect_end=1,
             )
             for i, a in enumerate(aspects)
         ]
@@ -152,6 +151,7 @@ class TestGroupingProperties:
                 aspect_index=0,
                 opinion_index=1,
                 pattern_name="t",
+                aspect_end=1,
             )
             for i, a in enumerate(aspects)
         ]

@@ -233,6 +233,7 @@ class TestRanking:
                 aspect_index=0,
                 opinion_index=1,
                 pattern_name="test",
+                aspect_end=1,
             )
 
         group = AspectGroup(

@@ -35,6 +35,7 @@ def pair(aspect, orientation, sentence):
         aspect_index=0,
         opinion_index=1,
         pattern_name="test",
+        aspect_end=1,
     )
 
 

@@ -37,7 +37,6 @@ class TestParsePretagged:
         ts = parse_pretagged("the/DT sound/NN is/VBZ wonderful/JJ ./.")
         assert [t.surface for t in ts.tokens] == ["the", "sound", "is", "wonderful", "."]
         assert ts.tags() == ["DT", "NN", "VBZ", "JJ", "."]
-        assert [t.index for t in ts.tokens] == [0, 1, 2, 3, 4]
 
     def test_last_slash_delimits(self):
         # words may contain slashes; the tag follows the final one
@@ -75,7 +74,7 @@ def build_sentence(drawn, position, gold):
         raw_text=" ".join(w for w, _ in drawn),
         gold=tuple(GoldAnnotation(aspect_term=term, strength=1) for term in gold),
     )
-    tokens = tuple(Token(surface=w, tag=t, index=i) for i, (w, t) in enumerate(drawn))
+    tokens = tuple(Token(w, t) for w, t in drawn)
     return TaggedSentence(tokens=tokens, source=source, position=position)
 
 
@@ -204,10 +203,9 @@ class TestBaselineTagger:
         with pytest.raises(ValueError):
             tagger.tag([])
 
-    def test_tag_produces_indexed_tokens(self, tagger):
+    def test_tag_produces_tokens(self, tagger):
         ts = tagger.tag(["the", "sound", "is", "nice", "."])
         assert ts.tags() == ["DT", "NN", "VBZ", "JJ", "."]
-        assert [t.index for t in ts.tokens] == [0, 1, 2, 3, 4]
 
 
 class TestBundledLexiconTagging:
