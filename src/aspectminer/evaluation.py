@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .corpus import Corpus
 from .errors import ParseError, read_text
-from .lexicons import POSITIVE
+from .lexicons import NEGATIVE, POSITIVE
 from .patterns import AspectOpinionPair
 
 _SENTENCE_KEY = tuple[str, int]
@@ -187,7 +187,7 @@ def evaluate_extraction_detailed(
         key = (sentence.review_id, sentence.sentence_index)
         for ann in sentence.gold:
             term = ann.aspect_term.lower()
-            sign = POSITIVE if ann.strength > 0 else "negative"
+            sign = POSITIVE if ann.strength > 0 else NEGATIVE
             _add(gold_aspects, key, term)
             _add(gold_opinions, key, (term, sign))
 
@@ -352,9 +352,6 @@ class ComparisonResult:
     table: str
     t_tests: dict[str, TTestResult]
     f_mismatches: tuple[str, ...]
-
-    def __str__(self) -> str:
-        return self.table
 
 
 _COMPARED_METRICS = (

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lexicons import AspectDictionary
+from .lexicons import NEGATIVE, POSITIVE, AspectDictionary
 from .patterns import AspectOpinionPair
 
 
@@ -35,11 +35,11 @@ class AspectGroup:
 
     @property
     def positive_count(self) -> int:
-        return sum(1 for p in self.pairs if p.orientation == "positive")
+        return sum(1 for p in self.pairs if p.orientation == POSITIVE)
 
     @property
     def negative_count(self) -> int:
-        return sum(1 for p in self.pairs if p.orientation == "negative")
+        return sum(1 for p in self.pairs if p.orientation == NEGATIVE)
 
 
 class _UnionFind:

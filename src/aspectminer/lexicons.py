@@ -139,30 +139,19 @@ def load_aspect_dictionary(
 
 
 @dataclass(frozen=True)
-class VerbCategory:
-    name: str
-    orientation: str  # positive | negative
-    verbs: frozenset[str]
-
-
-@dataclass(frozen=True)
 class VerbCategoryLexicon:
-    """Verb categories that reinforce (+1) or weaken (-1) sentence weight."""
+    """Verbs that reinforce (+1) or weaken (-1) sentence weight."""
 
-    categories: tuple[VerbCategory, ...] = ()
+    orientations: dict[str, int] = field(default_factory=dict)  # base form -> +1 | -1
 
     def orientation_of(self, base_form: str) -> int:
-        w = base_form.lower()
-        for cat in self.categories:
-            if w in cat.verbs:
-                return 1 if cat.orientation == POSITIVE else -1
-        return 0
+        return self.orientations.get(base_form.lower(), 0)
 
 
 def load_verb_categories(path: str | Path) -> VerbCategoryLexicon:
+    """Read ``category<TAB>orientation<TAB>verbs`` lines; the name is not kept."""
     path = Path(path)
-    categories: list[VerbCategory] = []
-    seen: dict[str, str] = {}  # verb -> orientation
+    orientations: dict[str, int] = {}
     for lineno, line in enumerate(read_text(path).splitlines(), 1):
         line = line.rstrip()
         if not line.strip() or line.startswith((";", "#")):
@@ -172,17 +161,17 @@ def load_verb_categories(path: str | Path) -> VerbCategoryLexicon:
             raise ParseError(
                 "expected category<TAB>orientation<TAB>verbs", path=path, line=lineno
             )
-        name, orientation, verb_part = (p.strip() for p in parts)
+        _name, orientation, verb_part = (p.strip() for p in parts)
         if orientation not in (POSITIVE, NEGATIVE):
             raise ParseError(f"unknown orientation {orientation!r}", path=path, line=lineno)
-        verbs = frozenset(v.strip().lower() for v in verb_part.split(",") if v.strip())
-        for v in verbs:
-            if seen.setdefault(v, orientation) != orientation:
+        sign = 1 if orientation == POSITIVE else -1
+        for v in verb_part.split(","):
+            v = v.strip().lower()
+            if v and orientations.setdefault(v, sign) != sign:
                 raise ParseError(
                     f"verb {v!r} appears in both orientations", path=path, line=lineno
                 )
-        categories.append(VerbCategory(name=name, orientation=orientation, verbs=verbs))
-    return VerbCategoryLexicon(categories=tuple(categories))
+    return VerbCategoryLexicon(orientations=orientations)
 
 
 @dataclass(frozen=True)

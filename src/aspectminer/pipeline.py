@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from importlib import resources as importlib_resources
 from pathlib import Path
 
 from .corpus import Corpus, tokenize
@@ -28,7 +27,7 @@ from .lexicons import (
 from .patterns import AspectOpinionPair, PatternSet, extract_with_options, load_pattern_set
 from .scoring import SentenceScore, score_sentences
 from .summary import Summary, generate_summary
-from .tagger import BaselineTagger, TaggedSentence, load_tag_lexicon, parse_pretagged
+from .tagger import BaselineTagger, TaggedSentence, Token, load_tag_lexicon, parse_pretagged
 
 DATA_ENV_VAR = "ASPECTMINER_DATA"
 
@@ -48,7 +47,7 @@ def data_dir() -> Path:
     override = os.environ.get(DATA_ENV_VAR)
     if override:
         return Path(override)
-    return Path(str(importlib_resources.files("aspectminer").joinpath("data")))
+    return Path(__file__).parent / "data"
 
 
 def default_path(resource: str) -> Path:
@@ -113,29 +112,65 @@ def tag_corpus(
     return tagged
 
 
+# Penn Treebank escapes that real taggers write for brackets and quotes.
+_PENN_ESCAPES = {
+    "-LRB-": "(", "-RRB-": ")", "-LSB-": "[", "-RSB-": "]", "-LCB-": "{", "-RCB-": "}",
+    "``": '"', "''": '"',
+}
+
+
+def _spells(tokens: tuple[Token, ...], text: str) -> bool:
+    """Whether each token matches the next non-space characters of ``text``,
+    as written or as the character its Penn escape stands for."""
+    rest = "".join(text.split())
+    if "".join([t.surface for t in tokens]) == rest:
+        return True
+    at = 0
+    for t in tokens:
+        for form in (t.surface, _PENN_ESCAPES.get(t.surface)):
+            if form is not None and rest.startswith(form, at):
+                at += len(form)
+                break
+        else:
+            return False
+    return at == len(rest)
+
+
 def load_pretagged_file(
     path: str | Path, corpus: Corpus | None = None, *, start: int = 0
 ) -> list[TaggedSentence]:
     """Read pretagged lines; with a corpus, align them one-to-one.
 
     Blank lines are skipped.  Alignment is positional: line i annotates
-    corpus sentence i, and the counts must agree exactly.  Positions
-    count up from ``start``, as in :func:`tag_corpus`.
+    corpus sentence i, the counts must agree exactly, and the line's
+    tokens must spell the sentence's text (see :func:`_spells`).
+    Positions count up from ``start``, as in :func:`tag_corpus`.
     """
     path = Path(path)
-    lines = [l for l in read_text(path).splitlines() if l.strip()]
+    lines = [
+        (lineno, line)
+        for lineno, line in enumerate(read_text(path).splitlines(), 1)
+        if line.strip()
+    ]
     if corpus is not None and len(lines) != len(corpus.sentences):
         raise ParseError(
             f"{len(lines)} pretagged lines for {len(corpus.sentences)} corpus sentences",
             path=path,
         )
     tagged = []
-    for i, line in enumerate(lines):
+    for i, (lineno, line) in enumerate(lines):
         source = corpus.sentences[i] if corpus is not None else None
         try:
-            tagged.append(parse_pretagged(line, source=source, position=start + i))
+            sentence = parse_pretagged(line, source=source, position=start + i)
         except ParseError as exc:
-            raise ParseError(exc.message, path=path, line=i + 1) from exc
+            raise ParseError(exc.message, path=path, line=lineno) from exc
+        if source is not None and not _spells(sentence.tokens, source.raw_text):
+            raise ParseError(
+                f"tokens do not spell corpus sentence {i + 1}: {source.raw_text!r}",
+                path=path,
+                line=lineno,
+            )
+        tagged.append(sentence)
     return tagged
 
 

@@ -2,7 +2,7 @@
 
 A sentence's weight is the sum of its adjective/adverb tag weights plus
 one point per reinforcing verb and minus one per weakening verb, with
-verbs reduced to base form by simple suffix stripping.
+verbs reduced to base form by the tagger's ``base_form_candidates``.
 """
 
 from __future__ import annotations
@@ -11,45 +11,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .lexicons import TagWeightTable, VerbCategoryLexicon
-from .tagger import VERB_TAGS, TaggedSentence
-
-_VOWELS = "aeiou"
-
-
-def base_form_candidates(word: str) -> list[str]:
-    """Plausible base forms of an inflected verb, most specific first.
-
-    Handles -s/-es/-ies, -ed/-ied, -ing, undoing consonant doubling
-    (stopped -> stop) and restoring a dropped final e (advising -> advise).
-    """
-    w = word.lower()
-    candidates = [w]
-
-    def add(c: str) -> None:
-        if len(c) >= 2 and c not in candidates:
-            candidates.append(c)
-
-    if w.endswith("ies") and len(w) > 4:
-        add(w[:-3] + "y")
-    if w.endswith("es") and len(w) > 3:
-        add(w[:-2])
-    if w.endswith("s") and not w.endswith("ss"):
-        add(w[:-1])
-    for suffix in ("ed", "ing"):
-        if w.endswith(suffix) and len(w) > len(suffix) + 1:
-            stem = w[: -len(suffix)]
-            add(stem)
-            add(stem + "e")
-            if suffix == "ed" and stem.endswith("i"):
-                add(stem[:-1] + "y")
-            if (
-                len(stem) >= 3
-                and stem[-1] == stem[-2]
-                and stem[-1] not in _VOWELS
-                and stem[-1] != "s"
-            ):
-                add(stem[:-1])
-    return candidates
+from .tagger import VERB_TAGS, TaggedSentence, base_form_candidates
 
 
 @dataclass(frozen=True)

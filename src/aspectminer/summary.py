@@ -43,10 +43,6 @@ class SummaryGroup:
     pros: tuple[SummaryEntry, ...]
     cons: tuple[SummaryEntry, ...]
 
-    @property
-    def total(self) -> int:
-        return self.positive_count + self.negative_count
-
 
 @dataclass(frozen=True)
 class Summary:

@@ -112,14 +112,36 @@ def load_tag_lexicon(path: str | Path) -> dict[str, str]:
     return lexicon
 
 
-def _strip_candidates(word: str) -> list[str]:
-    """Stems to probe when deciding whether an -s form is a known verb."""
-    stems = [word[:-1]]
-    if word.endswith("es"):
-        stems.append(word[:-2])
-    if word.endswith("ies"):
-        stems.append(word[:-3] + "y")
-    return stems
+def base_form_candidates(word: str) -> list[str]:
+    """Plausible base forms of an inflected verb, most specific first.
+
+    Handles -s/-es/-ies, -ed/-ied, -ing, undoing consonant doubling
+    (stopped -> stop) and restoring a dropped final e (advising -> advise).
+    Shared by the tagger's -s rule and the sentence scorer's verb lookup.
+    """
+    w = word.lower()
+    candidates = [w]
+
+    def add(c: str) -> None:
+        if len(c) >= 2 and c not in candidates:
+            candidates.append(c)
+
+    if w.endswith("ies") and len(w) > 4:
+        add(w[:-3] + "y")
+    if w.endswith("es") and len(w) > 3:
+        add(w[:-2])
+    if w.endswith("s") and not w.endswith("ss"):
+        add(w[:-1])
+    for suffix in ("ed", "ing"):
+        if w.endswith(suffix) and len(w) > len(suffix) + 1:
+            stem = w[: -len(suffix)]
+            add(stem)
+            add(stem + "e")
+            if suffix == "ed" and stem.endswith("i"):
+                add(stem[:-1] + "y")
+            if len(stem) >= 3 and _doubled(stem) and stem[-1] != "s":
+                add(stem[:-1])
+    return candidates
 
 
 class BaselineTagger:
@@ -158,9 +180,8 @@ class BaselineTagger:
         if low.endswith("ed") and len(low) >= 4:
             return "VBD"
         if low.endswith("s") and len(low) >= 3 and not low.endswith("ss"):
-            for stem in _strip_candidates(low):
-                if self.lexicon.get(stem) in ("VB", "VBP"):
-                    return "VBZ"
+            if any(self.lexicon.get(b) in ("VB", "VBP") for b in base_form_candidates(low)):
+                return "VBZ"
             return "NNS"
         if "-" in word[1:-1]:
             last = word.rsplit("-", 1)[1].lower()

@@ -575,6 +575,17 @@ class TestCorpusWithPretagged:
         assert sample_paths["eval_pretagged"] in err
         assert "25 pretagged lines for 30 corpus sentences" in err
 
+    def test_shuffled_pretagged_names_file_and_line(self, sample_paths, tmp_path, capsys):
+        lines = open(sample_paths["eval_pretagged"], encoding="utf-8").readlines()
+        reversed_file = tmp_path / "reversed.txt"
+        reversed_file.write_text("".join(reversed(lines)), encoding="utf-8")
+        code = main(
+            ["evaluate", "--corpus", sample_paths["eval_corpus"],
+             "--pretagged", str(reversed_file)]
+        )
+        assert code == EXIT_PARSE_ERROR
+        assert f"{reversed_file}: line 1: tokens do not spell" in capsys.readouterr().err
+
     def test_file_count_mismatch(self, sample_paths, capsys):
         code = main(
             ["summarize", "--corpus", sample_paths["corpus"],

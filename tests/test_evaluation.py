@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from aspectminer.corpus import Corpus, GoldAnnotation, ReviewSentence, parse_corpus_file
 from aspectminer.errors import ParseError
 from aspectminer.evaluation import (
-    ComparisonResult,
     EvalReport,
     ExtractionBreakdown,
     ExtractionScores,
@@ -647,12 +646,6 @@ class TestCompareToBaseline:
         assert any(m.startswith("report ") for m in result.f_mismatches)
         assert any(m.startswith("baseline ") for m in result.f_mismatches)
         assert "f-measure mismatch: " in result.table
-
-    def test_str_is_table(self):
-        mine, base = self.reports()
-        result = compare_to_baseline(mine, base)
-        assert str(result) == result.table
-        assert isinstance(result, ComparisonResult)
 
 
 def quadratic_breakdown(predicted, gold):

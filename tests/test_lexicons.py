@@ -12,12 +12,12 @@ from aspectminer.lexicons import (
     AspectDictionary,
     OpinionLexicon,
     TagWeightTable,
-    VerbCategory,
     VerbCategoryLexicon,
     load_aspect_dictionary,
     load_opinion_lexicon,
     load_verb_categories,
 )
+from aspectminer.pipeline import default_path
 
 
 def write(path, text):
@@ -162,12 +162,7 @@ class TestAspectDictionary:
 
 class TestVerbCategories:
     def test_orientation_of(self):
-        lex = VerbCategoryLexicon(
-            categories=(
-                VerbCategory("praise", POSITIVE, frozenset({"love"})),
-                VerbCategory("criticise", NEGATIVE, frozenset({"hate"})),
-            )
-        )
+        lex = VerbCategoryLexicon(orientations={"love": 1, "hate": -1})
         assert lex.orientation_of("love") == 1
         assert lex.orientation_of("hate") == -1
         assert lex.orientation_of("walk") == 0
@@ -206,6 +201,26 @@ class TestVerbCategories:
         lex = resources.verb_categories
         assert lex.orientation_of("advise") == 1
         assert lex.orientation_of("warn") == -1
+
+    def test_bundled_map_matches_a_category_scan(self, resources):
+        """The loaded map answers as a scan of the file's categories does."""
+        categories = []  # (orientation, verbs) per category line, in file order
+        for line in default_path("verbs").read_text(encoding="utf-8").splitlines():
+            if line.strip() and not line.startswith((";", "#")):
+                _, orientation, verbs = (p.strip() for p in line.split("\t"))
+                categories.append((orientation, {v.strip().lower() for v in verbs.split(",")}))
+
+        def scanned(verb):
+            for orientation, verbs in categories:
+                if verb in verbs:
+                    return 1 if orientation == POSITIVE else -1
+            return 0
+
+        lex = resources.verb_categories
+        every_verb = set().union(*(verbs for _, verbs in categories)) - {""}
+        assert len(every_verb) == len(lex.orientations) > 0
+        for verb in sorted(every_verb) + ["walk", "ADVISE"]:
+            assert lex.orientation_of(verb) == scanned(verb.lower()), verb
 
 
 class TestTagWeightTable:

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import aspectminer
@@ -26,8 +26,8 @@ from aspectminer.lexicons import (
     load_verb_categories,
 )
 from aspectminer.patterns import load_pattern_set
-from aspectminer.pipeline import data_dir, load_pretagged_file
-from aspectminer.tagger import load_tag_lexicon
+from aspectminer.pipeline import data_dir, load_pretagged_file, load_resources, tag_corpus
+from aspectminer.tagger import load_tag_lexicon, render_pretagged
 
 FRAGMENTS = [
     # patterns
@@ -87,6 +87,38 @@ def test_pretagged_reader_alone_and_aligned(workdir, data, corpus_data):
         aligned = parse_or_report(load_pretagged_file, path, corpus)
         if aligned is not None:
             assert [s.tokens for s in aligned] == [s.tokens for s in tagged]
+
+
+sentence_texts = st.lists(
+    st.one_of(
+        st.sampled_from(FRAGMENTS + ['"', "(", "]", "-LRB-", "``", "''", "don't", "/", "a/NN"]),
+        st.text(max_size=6),
+    ),
+    max_size=8,
+).map("".join)
+corpus_texts = st.lists(
+    st.tuples(st.sampled_from(["##", "[t]", "sound[+2]##"]), sentence_texts).map("".join),
+    max_size=6,
+).map("\n".join)
+
+
+@pytest.fixture(scope="module")
+def tagger():
+    return load_resources().tagger()
+
+
+@given(corpus_texts)
+@FUZZ
+def test_tag_rendering_aligns_with_its_corpus(workdir, tagger, text):
+    """What ``tag`` prints for a corpus loads back aligned with that corpus."""
+    corpus = load_corpus(write(workdir, "corpus.txt", text.encode("utf-8")))
+    tagged = tag_corpus(corpus, tagger)
+    # ``tag`` prints a sentence without tokens as a blank line, which the reader skips
+    assume(all(s.tokens for s in tagged))
+    rendered = "".join(render_pretagged(s) + "\n" for s in tagged)
+    path = write(workdir, "tagged.txt", rendered.encode("utf-8"))
+    aligned = load_pretagged_file(path, corpus)
+    assert [s.tokens for s in aligned] == [s.tokens for s in tagged]
 
 
 @given(contents)

@@ -16,7 +16,7 @@ from aspectminer.pipeline import (
     summarize_corpus,
     tag_corpus,
 )
-from aspectminer.corpus import parse_corpus_file
+from aspectminer.corpus import load_corpus, parse_corpus_file
 from aspectminer.summary import render
 
 
@@ -125,6 +125,64 @@ class TestLoadPretaggedFile:
         assert len(sample_tagged) == len(sample_corpus.sentences) == 30
         for tagged, sentence in zip(sample_tagged, sample_corpus.sentences):
             assert tagged.source is sentence
+
+    def test_reversed_file_rejected_at_line_1(self, sample_dir, tmp_path):
+        corpus = load_corpus(sample_dir / "minieval.txt")
+        lines = (sample_dir / "minieval-pretagged.txt").read_text(encoding="utf-8")
+        f = tmp_path / "reversed.txt"
+        f.write_text("".join(reversed(lines.splitlines(keepends=True))), encoding="utf-8")
+        with pytest.raises(ParseError) as exc:
+            load_pretagged_file(f, corpus)
+        assert exc.value.path == f
+        assert exc.value.line == 1
+        assert "do not spell corpus sentence 1" in str(exc.value)
+
+    def test_mismatch_line_counts_blank_lines(self, tmp_path):
+        corpus = parse_corpus_file("##good sound .\n##bad .\n", "p")
+        f = tmp_path / "p.txt"
+        f.write_text("good/JJ sound/NN ./.\n\nsad/JJ ./.\n", encoding="utf-8")
+        with pytest.raises(ParseError) as exc:
+            load_pretagged_file(f, corpus)
+        assert exc.value.line == 3
+        assert "corpus sentence 2: 'bad .'" in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("the lens (cap) is [big] {ok} .",
+             "the/DT lens/NN -LRB-/-LRB- cap/NN -RRB-/-RRB- is/VBZ -LSB-/-LRB- "
+             "big/JJ -RSB-/-RRB- -LCB-/-LRB- ok/JJ -RCB-/-RRB- ./."),
+            ('it is "great" .', "it/PRP is/VBZ ``/`` great/JJ ''/'' ./."),
+            ("it is ''great'' .", "it/PRP is/VBZ ''/'' great/JJ ''/'' ./."),
+            ("a -LRB- b", "a/DT -LRB-/-LRB- b/NN"),
+            ("don't stop", "do/VBP n't/RB stop/VB"),
+            ("well-made  lens", "well/RB -/: made/VBN lens/NN"),
+        ],
+    )
+    def test_escaped_and_resplit_tokens_align(self, tmp_path, text, line):
+        corpus = parse_corpus_file(f"##{text}\n", "p")
+        f = tmp_path / "p.txt"
+        f.write_text(line + "\n", encoding="utf-8")
+        assert load_pretagged_file(f, corpus)[0].source is corpus.sentences[0]
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("good sound .", "good/JJ sound/NN"),
+            ("good sound", "good/JJ sound/NN ./."),
+            ("good sound .", "sound/NN good/JJ ./."),
+            ("a ( b", "a/DT -RRB-/-RRB- b/NN"),
+            ('a " b', "a/DT -LRB-/-LRB- b/NN"),
+            ("(", "-LRB-/-LRB- -LRB-/-LRB-"),
+        ],
+    )
+    def test_tokens_that_do_not_spell_the_sentence_rejected(self, tmp_path, text, line):
+        corpus = parse_corpus_file(f"##{text}\n", "p")
+        f = tmp_path / "p.txt"
+        f.write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(ParseError) as exc:
+            load_pretagged_file(f, corpus)
+        assert exc.value.line == 1
 
 
 class TestExtractCorpus:

@@ -5,21 +5,17 @@ import pytest
 from aspectminer.grouping import AspectGroup
 from aspectminer.lexicons import (
     DEFAULT_TAG_WEIGHTS,
-    NEGATIVE,
-    POSITIVE,
     TagWeightTable,
-    VerbCategory,
     VerbCategoryLexicon,
 )
 from aspectminer.patterns import AspectOpinionPair
 from aspectminer.scoring import (
     SentenceScore,
-    base_form_candidates,
     rank_sentences,
     score_sentences,
     weight_sentence,
 )
-from aspectminer.tagger import parse_pretagged
+from aspectminer.tagger import base_form_candidates, parse_pretagged
 
 NO_VERBS = VerbCategoryLexicon()
 WEIGHTS = TagWeightTable()
@@ -112,9 +108,7 @@ class TestWeightSentence:
         assert score.total == 2
 
     def test_reinforcing_verb_adds_one(self):
-        verbs = VerbCategoryLexicon(
-            categories=(VerbCategory("advise", POSITIVE, frozenset({"recommend"})),)
-        )
+        verbs = VerbCategoryLexicon(orientations={"recommend": 1})
         score = weight_sentence(
             sent("i/PRP recommend/VBP it/PRP ./."), WEIGHTS, verbs
         )
@@ -122,18 +116,14 @@ class TestWeightSentence:
         assert score.adjective_adverb_points == 0
 
     def test_weakening_verb_subtracts_one(self):
-        verbs = VerbCategoryLexicon(
-            categories=(VerbCategory("caution", NEGATIVE, frozenset({"warn"})),)
-        )
+        verbs = VerbCategoryLexicon(orientations={"warn": -1})
         score = weight_sentence(
             sent("i/PRP must/MD warn/VB you/PRP ./."), WEIGHTS, verbs
         )
         assert score.verb_points == -1
 
     def test_inflected_verb_matches_category(self):
-        verbs = VerbCategoryLexicon(
-            categories=(VerbCategory("caution", NEGATIVE, frozenset({"warn"})),)
-        )
+        verbs = VerbCategoryLexicon(orientations={"warn": -1})
         for form, tag in (("warns", "VBZ"), ("warned", "VBD"), ("warning", "VBG")):
             score = weight_sentence(
                 sent(f"he/PRP {form}/{tag} us/PRP ./."), WEIGHTS, verbs
@@ -141,20 +131,14 @@ class TestWeightSentence:
             assert score.verb_points == -1, form
 
     def test_category_word_outside_verb_tag_ignored(self):
-        verbs = VerbCategoryLexicon(
-            categories=(VerbCategory("caution", NEGATIVE, frozenset({"warning"})),)
-        )
+        verbs = VerbCategoryLexicon(orientations={"warning": -1})
         score = weight_sentence(
             sent("a/DT warning/NN label/NN ./."), WEIGHTS, verbs
         )
         assert score.verb_points == 0
 
     def test_one_point_per_verb_hit(self):
-        verbs = VerbCategoryLexicon(
-            categories=(
-                VerbCategory("advise", POSITIVE, frozenset({"recommend", "advise"})),
-            )
-        )
+        verbs = VerbCategoryLexicon(orientations={"recommend": 1, "advise": 1})
         score = weight_sentence(
             sent("i/PRP recommend/VBP and/CC advise/VBP it/PRP ./."),
             WEIGHTS,

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from aspectminer.corpus import GoldAnnotation, ReviewSentence
 from aspectminer.errors import ParseError
+from aspectminer.pipeline import default_path
 from aspectminer.tagger import (
     NOUN_TAGS,
     PENN_TAGS,
@@ -217,3 +218,80 @@ class TestBundledLexiconTagging:
     def test_tagger_with_explicit_lexicon(self):
         ts = BaselineTagger({"good": "JJ", "camera": "NN"}).tag(["good", "camera"])
         assert ts.tags() == ["JJ", "NN"]
+
+
+def _strip_candidates(word: str) -> list[str]:
+    """The stems the -s rule probed before it shared base_form_candidates."""
+    stems = [word[:-1]]
+    if word.endswith("es"):
+        stems.append(word[:-2])
+    if word.endswith("ies"):
+        stems.append(word[:-3] + "y")
+    return stems
+
+
+def old_s_rule(lexicon: dict[str, str], word: str) -> str:
+    """Oracle for a word that reaches the -s rule (not in the lexicon)."""
+    low = word.lower()
+    verb = any(lexicon.get(stem) in ("VB", "VBP") for stem in _strip_candidates(low))
+    return "VBZ" if verb else "NNS"
+
+
+def reaches_s_rule(lexicon: dict[str, str], word: str) -> bool:
+    low = word.lower()
+    return (
+        word not in lexicon and low not in lexicon
+        and len(low) >= 3 and low.endswith("s") and not low.endswith("ss")
+    )
+
+
+def s_form(stem: str, suffix: str) -> str:
+    if suffix == "ies" and stem.endswith("y"):
+        return stem[:-1] + suffix
+    return stem + suffix
+
+
+BUNDLED = load_tag_lexicon(default_path("tag_lexicon"))
+BUNDLED_VERBS = sorted(w for w, tag in BUNDLED.items() if tag in ("VB", "VBP"))
+
+
+class TestSharedBaseFormRule:
+    """The VBZ rule probes base_form_candidates; on the bundled lexicon it
+    tags every -s word as the old -s/-es/-ies stripper did."""
+
+    def test_every_bundled_word_inflects_as_before(self):
+        tagger = BaselineTagger(BUNDLED)
+        checked = 0
+        for stem in sorted(BUNDLED):
+            for suffix in ("s", "es", "ies"):
+                word = s_form(stem, suffix)
+                if reaches_s_rule(BUNDLED, word):
+                    assert tagger.tag_word(word, 1) == old_s_rule(BUNDLED, word), word
+                    checked += 1
+        assert checked > 1000
+
+    @given(
+        st.one_of(
+            st.text(alphabet="abdeiklnorsty", min_size=1, max_size=7),
+            st.sampled_from(BUNDLED_VERBS),
+            st.sampled_from(BUNDLED_VERBS).map(lambda v: v[:-1]),
+        ),
+        st.sampled_from(["s", "es", "ies"]),
+        st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_random_s_words_tag_as_before(self, stem, suffix, capital):
+        word = s_form(stem, suffix)
+        if capital:
+            word = word.capitalize()
+        if reaches_s_rule(BUNDLED, word):
+            assert BaselineTagger(BUNDLED).tag_word(word, 1) == old_s_rule(BUNDLED, word)
+
+    @pytest.mark.parametrize("entry, word", [("dy", "dies"), ("b", "bes")])
+    def test_short_stems_no_longer_probed(self, entry, word):
+        # The old rule also tried the two-letter Xy stem of a four-letter
+        # -ies word and the one-letter stem of a three-letter -es word; the
+        # bundled lexicon has no VB/VBP entry of either shape.
+        lexicon = {entry: "VB"}
+        assert old_s_rule(lexicon, word) == "VBZ"
+        assert BaselineTagger(lexicon).tag_word(word, 1) == "NNS"
