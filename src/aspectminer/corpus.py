@@ -33,7 +33,7 @@ _ANNOT_RE = re.compile(
 _FLAG_RE = re.compile(r"\[([^\[\]]+)\]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GoldAnnotation:
     """One human label: an aspect term with a signed opinion strength."""
 
@@ -42,7 +42,7 @@ class GoldAnnotation:
     flags: frozenset[str] = frozenset()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReviewSentence:
     review_id: str
     sentence_index: int

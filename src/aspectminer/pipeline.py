@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
+from typing import Sequence
 
-from .corpus import Corpus, tokenize
+from .corpus import Corpus, ReviewSentence, tokenize
 from .errors import ParseError, read_text
 from .evaluation import ExtractionBreakdown, ExtractionScores, evaluate_extraction_detailed
 from .grouping import AspectGroup, group_aspects
@@ -27,7 +29,7 @@ from .lexicons import (
 from .patterns import AspectOpinionPair, PatternSet, extract_with_options, load_pattern_set
 from .scoring import SentenceScore, score_sentences
 from .summary import Summary, generate_summary
-from .tagger import BaselineTagger, TaggedSentence, Token, load_tag_lexicon, parse_pretagged
+from .tagger import BaselineTagger, TaggedSentence, load_tag_lexicon, parse_pretagged
 
 DATA_ENV_VAR = "ASPECTMINER_DATA"
 
@@ -56,14 +58,22 @@ def default_path(resource: str) -> Path:
 
 @dataclass(frozen=True)
 class Resources:
-    """All loaded knowledge needed to run extraction and summarization."""
+    """All loaded knowledge needed to run extraction and summarization.
+
+    The tag lexicon is read on first use and kept, so a run over
+    pretagged input never parses it.
+    """
 
     opinion_lexicon: OpinionLexicon
     aspect_dictionary: AspectDictionary
     verb_categories: VerbCategoryLexicon
     pattern_set: PatternSet
-    tag_lexicon: dict[str, str]
+    tag_lexicon_path: Path
     tag_weights: TagWeightTable
+
+    @cached_property
+    def tag_lexicon(self) -> dict[str, str]:
+        return load_tag_lexicon(self.tag_lexicon_path)
 
     def tagger(self) -> BaselineTagger:
         return BaselineTagger(self.tag_lexicon)
@@ -78,7 +88,14 @@ def load_resources(
     patterns: str | Path | None = None,
     tag_lexicon: str | Path | None = None,
 ) -> Resources:
-    """Load every resource, falling back to the bundled defaults."""
+    """Load every resource, falling back to the bundled defaults.
+
+    The tag lexicon is only checked to be a file here; it is parsed by
+    the first :meth:`Resources.tagger` call.
+    """
+    tag_lexicon_path = Path(tag_lexicon or default_path("tag_lexicon"))
+    if not tag_lexicon_path.is_file():
+        raise FileNotFoundError(str(tag_lexicon_path))
     return Resources(
         opinion_lexicon=load_opinion_lexicon(
             pos_lex or default_path("pos_lex"), neg_lex or default_path("neg_lex")
@@ -88,7 +105,7 @@ def load_resources(
         ),
         verb_categories=load_verb_categories(verbs or default_path("verbs")),
         pattern_set=load_pattern_set(patterns or default_path("patterns")),
-        tag_lexicon=load_tag_lexicon(tag_lexicon or default_path("tag_lexicon")),
+        tag_lexicon_path=tag_lexicon_path,
         tag_weights=TagWeightTable(),
     )
 
@@ -107,7 +124,7 @@ def tag_corpus(
         if words:
             ts = tagger.tag(words, source=sentence, position=position)
         else:
-            ts = TaggedSentence(tokens=(), source=sentence, position=position)
+            ts = TaggedSentence(source=sentence, position=position)
         tagged.append(ts)
     return tagged
 
@@ -119,15 +136,15 @@ _PENN_ESCAPES = {
 }
 
 
-def _spells(tokens: tuple[Token, ...], text: str) -> bool:
-    """Whether each token matches the next non-space characters of ``text``,
+def _spells(surfaces: tuple[str, ...], text: str) -> bool:
+    """Whether each surface matches the next non-space characters of ``text``,
     as written or as the character its Penn escape stands for."""
     rest = "".join(text.split())
-    if "".join([t.surface for t in tokens]) == rest:
+    if "".join(surfaces) == rest:
         return True
     at = 0
-    for t in tokens:
-        for form in (t.surface, _PENN_ESCAPES.get(t.surface)):
+    for surface in surfaces:
+        for form in (surface, _PENN_ESCAPES.get(surface)):
             if form is not None and rest.startswith(form, at):
                 at += len(form)
                 break
@@ -141,10 +158,13 @@ def load_pretagged_file(
 ) -> list[TaggedSentence]:
     """Read pretagged lines; with a corpus, align them one-to-one.
 
-    Blank lines are skipped.  Alignment is positional: line i annotates
-    corpus sentence i, the counts must agree exactly, and the line's
-    tokens must spell the sentence's text (see :func:`_spells`).
-    Positions count up from ``start``, as in :func:`tag_corpus`.
+    Blank lines are skipped.  Alignment is positional: the lines annotate
+    the corpus sentences that have text, in order, the counts must agree
+    exactly, and each line's tokens must spell its sentence's text (see
+    :func:`_spells`).  A corpus sentence without text (a bare ``##`` or
+    ``[t]`` line, which ``tag`` prints as a blank line) takes no line and
+    gets an empty :class:`TaggedSentence`.  Positions count up from
+    ``start`` by corpus sentence, as in :func:`tag_corpus`.
     """
     path = Path(path)
     lines = [
@@ -152,19 +172,29 @@ def load_pretagged_file(
         for lineno, line in enumerate(read_text(path).splitlines(), 1)
         if line.strip()
     ]
-    if corpus is not None and len(lines) != len(corpus.sentences):
-        raise ParseError(
-            f"{len(lines)} pretagged lines for {len(corpus.sentences)} corpus sentences",
-            path=path,
-        )
+    sources: Sequence[ReviewSentence | None] = [None] * len(lines)
+    if corpus is not None:
+        sources = corpus.sentences
+        with_text = sum(1 for source in sources if source.raw_text)
+        if len(lines) != with_text:
+            without = len(sources) - with_text
+            raise ParseError(
+                f"{len(lines)} pretagged lines for {with_text} corpus sentences"
+                + (f" (and {without} without text)" if without else ""),
+                path=path,
+            )
     tagged = []
-    for i, (lineno, line) in enumerate(lines):
-        source = corpus.sentences[i] if corpus is not None else None
+    annotations = iter(lines)
+    for i, source in enumerate(sources):
+        if source is not None and not source.raw_text:
+            tagged.append(TaggedSentence(source=source, position=start + i))
+            continue
+        lineno, line = next(annotations)
         try:
             sentence = parse_pretagged(line, source=source, position=start + i)
         except ParseError as exc:
             raise ParseError(exc.message, path=path, line=lineno) from exc
-        if source is not None and not _spells(sentence.tokens, source.raw_text):
+        if source is not None and not _spells(sentence.surfaces, source.raw_text):
             raise ParseError(
                 f"tokens do not spell corpus sentence {i + 1}: {source.raw_text!r}",
                 path=path,

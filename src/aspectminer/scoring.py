@@ -14,7 +14,7 @@ from .lexicons import TagWeightTable, VerbCategoryLexicon
 from .tagger import VERB_TAGS, TaggedSentence, base_form_candidates
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SentenceScore:
     sentence: TaggedSentence
     adjective_adverb_points: int
@@ -31,12 +31,12 @@ def weight_sentence(
     verbs: VerbCategoryLexicon,
 ) -> SentenceScore:
     """Score one sentence from its tags and verb categories."""
-    adj_points = sum(weights.weight(token.tag) for token in sentence.tokens)
+    adj_points = sum(map(weights.weight, sentence.tags))
     verb_points = 0
-    for token in sentence.tokens:
-        if token.tag not in VERB_TAGS:
+    for surface, tag in zip(sentence.surfaces, sentence.tags):
+        if tag not in VERB_TAGS:
             continue
-        for base in base_form_candidates(token.surface):
+        for base in base_form_candidates(surface):
             orientation = verbs.orientation_of(base)
             if orientation != 0:
                 verb_points += orientation

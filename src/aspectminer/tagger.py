@@ -5,7 +5,9 @@ The wire format for pretagged text is one sentence per line, tokens as
 the delimiter so surfaces containing slashes survive.  The baseline
 tagger is deterministic and lexicon-driven; it makes no claim to match
 a statistical tagger, and any component producing the same
-:class:`TaggedSentence` shape can replace it.
+:class:`TaggedSentence` shape can replace it: two parallel tuples,
+``surfaces`` and ``tags``, one entry per token.  ``tokens`` is a
+read-only view of them as ``(surface, tag)`` rows.
 """
 
 from __future__ import annotations
@@ -44,29 +46,36 @@ _PUNCT_TAG = {
 
 
 class Token(NamedTuple):
+    """One row of :attr:`TaggedSentence.tokens`."""
+
     surface: str
     tag: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TaggedSentence:
-    tokens: tuple[Token, ...] = ()
+    """A sentence as two parallel columns: ``surfaces[i]`` carries ``tags[i]``."""
+
+    surfaces: tuple[str, ...] = ()
+    tags: tuple[str, ...] = ()
     source: ReviewSentence | None = None
     position: int = 0  # ordinal within the corpus, used for tie-breaking
 
     def __hash__(self) -> int:
         # Equal sentences have equal positions and surfaces, so this agrees
-        # with the generated __eq__ at a fifth of the cost of hashing every
-        # Token and the source ReviewSentence with its gold.
-        return hash((self.position, *[t.surface for t in self.tokens]))
+        # with the generated __eq__ without hashing the source ReviewSentence
+        # and its gold.
+        return hash((self.position, self.surfaces))
 
-    def tags(self) -> list[str]:
-        return [t.tag for t in self.tokens]
+    @property
+    def tokens(self) -> tuple[Token, ...]:
+        """The columns as ``(surface, tag)`` rows, built on each access."""
+        return tuple(map(Token, self.surfaces, self.tags))
 
     def text(self) -> str:
         if self.source is not None:
             return self.source.raw_text
-        return " ".join(t.surface for t in self.tokens)
+        return " ".join(self.surfaces)
 
 
 def parse_pretagged(
@@ -75,7 +84,11 @@ def parse_pretagged(
     position: int = 0,
 ) -> TaggedSentence:
     """Parse one ``word/TAG`` line; unknown tags are hard errors."""
-    tokens = []
+    # Both columns are built as lists: a tuple grown from a generator is
+    # resized, and CPython's tuple free lists then keep up to 2,000 of
+    # each length alive.
+    surfaces = []
+    tags = []
     for i, item in enumerate(line.split()):
         surface, sep, tag = item.rpartition("/")
         if not sep:
@@ -84,15 +97,16 @@ def parse_pretagged(
             raise ParseError(f"item {i + 1} {item!r} has an empty word")
         if tag not in PENN_TAGS:
             raise ParseError(f"item {i + 1} {item!r}: unknown tag {tag!r}")
-        tokens.append(Token(surface, tag))
-    if not tokens:
+        surfaces.append(surface)
+        tags.append(tag)
+    if not surfaces:
         raise ParseError("empty pretagged line")
-    return TaggedSentence(tokens=tuple(tokens), source=source, position=position)
+    return TaggedSentence(tuple(surfaces), tuple(tags), source, position)
 
 
 def render_pretagged(sentence: TaggedSentence) -> str:
     """Inverse of :func:`parse_pretagged` (``source`` and ``position`` excepted)."""
-    return " ".join(f"{t.surface}/{t.tag}" for t in sentence.tokens)
+    return " ".join(map("{}/{}".format, sentence.surfaces, sentence.tags))
 
 
 def load_tag_lexicon(path: str | Path) -> dict[str, str]:
@@ -199,8 +213,8 @@ class BaselineTagger:
     ) -> TaggedSentence:
         if not words:
             raise ValueError("empty sentence")
-        tokens = tuple(Token(w, self.tag_word(w, i)) for i, w in enumerate(words))
-        return TaggedSentence(tokens=tokens, source=source, position=position)
+        tags = [self.tag_word(w, i) for i, w in enumerate(words)]
+        return TaggedSentence(tuple(words), tuple(tags), source, position)
 
 
 def _doubled(stem: str) -> bool:

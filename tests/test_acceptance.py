@@ -29,7 +29,7 @@ from aspectminer.lexicons import TagWeightTable
 from aspectminer.patterns import extract_with_options, mine_frequent_tag_sets
 from aspectminer.pipeline import extract_corpus
 from aspectminer.scoring import weight_sentence
-from aspectminer.tagger import TaggedSentence, Token, parse_pretagged
+from aspectminer.tagger import TaggedSentence, parse_pretagged
 
 
 def _ok(criterion: int, message: str) -> None:
@@ -151,7 +151,8 @@ def test_criterion_04_mining_oracle_equivalence():
         min_support = 1 + trial % 3
         corpus = [
             TaggedSentence(
-                tokens=tuple(Token("w", t) for t in tags),
+                surfaces=("w",) * len(tags),
+                tags=tuple(tags),
                 position=pos,
             )
             for pos, tags in enumerate(sentences)

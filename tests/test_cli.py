@@ -608,6 +608,53 @@ class TestCorpusWithPretagged:
         assert aligned[1:] == alone[1:]
 
 
+class TestTagRoundTrip:
+    """What ``tag`` prints loads back with its corpus, blank lines and all."""
+
+    def test_sentences_without_text_round_trip(self, tmp_path, capsys):
+        corpus = tmp_path / "c.txt"
+        corpus.write_text(
+            "##\nsound[+2]##the sound is good .\n[t]\n##the screen is awful .\n",
+            encoding="utf-8",
+        )
+        pretagged = tmp_path / "c.pos"
+        assert main(["tag", "--corpus", str(corpus), "--out", str(pretagged)]) == EXIT_OK
+        assert pretagged.read_text(encoding="utf-8").splitlines()[0::2] == ["", ""]
+        assert main(["summarize", "--corpus", str(corpus)]) == EXIT_OK
+        tagged_here = capsys.readouterr().out
+        code = main(["summarize", "--corpus", str(corpus), "--pretagged", str(pretagged)])
+        out, err = capsys.readouterr()
+        assert code == EXIT_OK, err
+        assert out == tagged_here
+        assert "opinions: 2 (50% positive, 50% negative)" in out
+
+
+class TestTagLexiconOnlyWhenTagging:
+    """A pretagged run checks that the tag lexicon exists but never parses it."""
+
+    def test_malformed_lexicon_ignored_on_pretagged_run(self, sample_paths, tmp_path, capsys):
+        bad = tmp_path / "lex.txt"
+        bad.write_text("word\tXYZ\n", encoding="utf-8")
+        code = main(["summarize", "--pretagged", sample_paths["pretagged"],
+                     "--tag-lexicon", str(bad)])
+        assert code == EXIT_OK, capsys.readouterr().err
+
+    def test_malformed_lexicon_fails_a_tagging_run(self, sample_paths, tmp_path, capsys):
+        bad = tmp_path / "lex.txt"
+        bad.write_text("word\tXYZ\n", encoding="utf-8")
+        code = main(["summarize", "--corpus", sample_paths["corpus"],
+                     "--tag-lexicon", str(bad)])
+        assert code == EXIT_PARSE_ERROR
+        assert f"{bad}: line 1: unknown tag 'XYZ'" in capsys.readouterr().err
+
+    def test_missing_lexicon_fails_a_pretagged_run(self, sample_paths, tmp_path, capsys):
+        absent = tmp_path / "absent.txt"
+        code = main(["summarize", "--pretagged", sample_paths["pretagged"],
+                     "--tag-lexicon", str(absent)])
+        assert code == EXIT_MISSING_FILE
+        assert str(absent) in capsys.readouterr().err
+
+
 class TestInputOutputErrors:
     """Bad paths and bad bytes end in a documented code naming the path."""
 

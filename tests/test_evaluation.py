@@ -31,7 +31,7 @@ from aspectminer.evaluation import (
 )
 from aspectminer.patterns import AspectOpinionPair
 from aspectminer.pipeline import evaluate_corpus, extract_corpus
-from aspectminer.tagger import Token, TaggedSentence, parse_pretagged
+from aspectminer.tagger import TaggedSentence, parse_pretagged
 
 TOL = 1e-9  # implementation promises much better than 1e-6
 
@@ -42,8 +42,8 @@ def gold_corpus(*lines, product="widget"):
 
 def tagged_for(sentence_obj):
     """Minimal TaggedSentence anchored to a gold sentence."""
-    tokens = tuple(Token(w, "NN") for w in sentence_obj.raw_text.split())
-    return TaggedSentence(tokens=tokens, source=sentence_obj)
+    words = tuple(sentence_obj.raw_text.split())
+    return TaggedSentence(surfaces=words, tags=("NN",) * len(words), source=sentence_obj)
 
 
 def prediction(sentence_obj, aspect, orientation="positive"):

@@ -25,7 +25,7 @@ from aspectminer.patterns import (
     mine_frequent_tag_sets,
 )
 from aspectminer.pipeline import extract_corpus, load_pretagged_file
-from aspectminer.tagger import PENN_TAGS, TaggedSentence, Token
+from aspectminer.tagger import PENN_TAGS, TaggedSentence
 
 
 def timed(fn, *args):
@@ -100,7 +100,7 @@ def test_match_at_never_iterates_the_dictionary():
 
 def test_extraction_cost_ignores_unmatched_patterns(resources, sample_tagged):
     sentences = (sample_tagged * 67)[:2_000]
-    present = {token.tag for sentence in sentences for token in sentence.tokens}
+    present = {tag for sentence in sentences for tag in sentence.tags}
     absent = sorted(PENN_TAGS - present)
     extra = [
         TagPattern(tags=(first, middle, "JJ"), opinion_offset=2)
@@ -125,7 +125,8 @@ def test_mining_of_8k_random_sentences():
     alphabet = sorted(PENN_TAGS)
     tagged = [
         TaggedSentence(
-            tokens=tuple(Token(f"w{i}", rng.choice(alphabet)) for i in range(12)),
+            surfaces=tuple(f"w{i}" for i in range(12)),
+            tags=tuple(rng.choice(alphabet) for _ in range(12)),
             position=position,
         )
         for position in range(8_000)

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import aspectminer
@@ -86,7 +86,10 @@ def test_pretagged_reader_alone_and_aligned(workdir, data, corpus_data):
     if corpus is not None:
         aligned = parse_or_report(load_pretagged_file, path, corpus)
         if aligned is not None:
-            assert [s.tokens for s in aligned] == [s.tokens for s in tagged]
+            # corpus sentences without text take no line and stay empty
+            with_text = [s for s in aligned if s.source.raw_text]
+            assert [s.tokens for s in with_text] == [s.tokens for s in tagged]
+            assert not any(s.surfaces for s in aligned if not s.source.raw_text)
 
 
 sentence_texts = st.lists(
@@ -112,13 +115,12 @@ def tagger():
 def test_tag_rendering_aligns_with_its_corpus(workdir, tagger, text):
     """What ``tag`` prints for a corpus loads back aligned with that corpus."""
     corpus = load_corpus(write(workdir, "corpus.txt", text.encode("utf-8")))
-    tagged = tag_corpus(corpus, tagger)
-    # ``tag`` prints a sentence without tokens as a blank line, which the reader skips
-    assume(all(s.tokens for s in tagged))
+    tagged = tag_corpus(corpus, tagger, start=7)
     rendered = "".join(render_pretagged(s) + "\n" for s in tagged)
     path = write(workdir, "tagged.txt", rendered.encode("utf-8"))
-    aligned = load_pretagged_file(path, corpus)
+    aligned = load_pretagged_file(path, corpus, start=7)
     assert [s.tokens for s in aligned] == [s.tokens for s in tagged]
+    assert [s.position for s in aligned] == [s.position for s in tagged]
 
 
 @given(contents)

@@ -27,7 +27,7 @@ from aspectminer.patterns import (
     resolve_aspect,
 )
 from aspectminer.pipeline import data_dir
-from aspectminer.tagger import NOUN_TAGS, TaggedSentence, Token, parse_pretagged
+from aspectminer.tagger import NOUN_TAGS, TaggedSentence, parse_pretagged
 
 
 def sent(pretagged: str, position: int = 0) -> TaggedSentence:
@@ -35,8 +35,8 @@ def sent(pretagged: str, position: int = 0) -> TaggedSentence:
 
 
 def sent_from_tags(tags, position=0) -> TaggedSentence:
-    tokens = tuple(Token(f"w{i}", t) for i, t in enumerate(tags))
-    return TaggedSentence(tokens=tokens, position=position)
+    surfaces = tuple(f"w{i}" for i in range(len(tags)))
+    return TaggedSentence(surfaces=surfaces, tags=tuple(tags), position=position)
 
 
 class TestTagPattern:
@@ -189,7 +189,7 @@ def window_starts(tags, pattern):
     window yields one pair at its own positions.
     """
     s = sent_from_tags(tags)
-    lex = OpinionLexicon(positive=frozenset(t.surface for t in s.tokens),
+    lex = OpinionLexicon(positive=frozenset(s.surfaces),
                          negative=frozenset())
     pairs = extract_with_options(
         s, AspectDictionary(), lex, PatternSet(patterns=(pattern,)),
@@ -529,7 +529,7 @@ class TestExtractWithOptions:
 
 
 def staged_match_pattern(sentence, pattern):
-    tags = sentence.tags()
+    tags = sentence.tags
     width = len(pattern.tags)
     want = pattern.tags
     return [
@@ -695,7 +695,7 @@ diff_tokens = st.one_of(
 )
 sentences = st.lists(diff_tokens, max_size=14).map(
     lambda drawn: TaggedSentence(
-        tokens=tuple(Token(w, t) for w, t in drawn)
+        surfaces=tuple(w for w, _ in drawn), tags=tuple(t for _, t in drawn)
     )
 )
 
@@ -749,9 +749,7 @@ def shared_first_tag_cases(draw):
     ))
     tags = [tag for piece in pieces for tag in piece]
     words = [draw(st.sampled_from(WORDS_FOR_TAG.get(tag, DIFF_WORDS))) for tag in tags]
-    sentence = TaggedSentence(
-        tokens=tuple(Token(w, t) for w, t in zip(words, tags))
-    )
+    sentence = TaggedSentence(surfaces=tuple(words), tags=tuple(tags))
     return sentence, PatternSet(patterns=tuple(ordered))
 
 
@@ -892,7 +890,7 @@ class TestMiningAgainstJoinOracle:
         assert mine_frequent_tag_sets(tagged, min_support, max_len) == expected
 
     def test_sample_corpus(self, sample_tagged):
-        expected = joined_mining([tuple(s.tags()) for s in sample_tagged], 2, MAX_PATTERN_LEN)
+        expected = joined_mining([s.tags for s in sample_tagged], 2, MAX_PATTERN_LEN)
         assert mine_frequent_tag_sets(sample_tagged, 2) == expected
 
 
@@ -954,7 +952,7 @@ class TestMineFrequentTagSets:
             ]
             min_support = rng.choice([1, 2, 3])
             expected = brute_force_supports(
-                [tuple(s.tags()) for s in corpus], min_support, MAX_PATTERN_LEN
+                [s.tags for s in corpus], min_support, MAX_PATTERN_LEN
             )
             mined = mine_frequent_tag_sets(corpus, min_support=min_support)
             got = {m.tags: m.support for m in mined}

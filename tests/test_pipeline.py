@@ -4,6 +4,7 @@ import shutil
 
 import pytest
 
+from aspectminer import pipeline
 from aspectminer.errors import ParseError
 from aspectminer.pipeline import (
     DATA_ENV_VAR,
@@ -58,6 +59,37 @@ class TestLoadResources:
         with pytest.raises(FileNotFoundError):
             load_resources()
 
+
+class TestLazyTagLexicon:
+    """The tag lexicon is parsed by the first tagger() call, once."""
+
+    def test_parsed_once_on_first_tagger_call(self, monkeypatch):
+        calls = []
+        real = pipeline.load_tag_lexicon
+        monkeypatch.setattr(
+            pipeline, "load_tag_lexicon", lambda path: calls.append(path) or real(path)
+        )
+        res = load_resources()
+        assert calls == []
+        first, second = res.tagger(), res.tagger()
+        assert calls == [default_path("tag_lexicon")]
+        assert first.lexicon == second.lexicon == res.tag_lexicon
+        assert res.tag_lexicon["the"] == "DT"
+        assert calls == [default_path("tag_lexicon")]
+
+    def test_missing_lexicon_fails_at_load(self, tmp_path):
+        with pytest.raises(FileNotFoundError) as exc:
+            load_resources(tag_lexicon=tmp_path / "absent.txt")
+        assert str(tmp_path / "absent.txt") in str(exc.value)
+
+    def test_malformed_lexicon_fails_only_when_tagging(self, tmp_path):
+        bad = tmp_path / "lex.txt"
+        bad.write_text("word\tXYZ\n", encoding="utf-8")
+        res = load_resources(tag_lexicon=bad)
+        with pytest.raises(ParseError) as exc:
+            res.tagger()
+        assert exc.value.path == bad and exc.value.line == 1
+
     def test_env_redirect_to_copy(self, monkeypatch, tmp_path):
         monkeypatch.delenv(DATA_ENV_VAR, raising=False)
         shutil.copytree(data_dir(), tmp_path / "data", dirs_exist_ok=True)
@@ -75,7 +107,7 @@ class TestTagCorpus:
         assert [t.position for t in tagged] == [0, 1]
         assert tagged[0].source is corpus.sentences[0]
         assert tagged[0].source.is_title
-        assert tagged[1].tags() == ["DT", "NN", "VBZ", "JJ", "."]
+        assert list(tagged[1].tags) == ["DT", "NN", "VBZ", "JJ", "."]
 
     def test_empty_sentence_keeps_slot(self, resources):
         corpus = parse_corpus_file("##\n##real text here .\n", "p")
@@ -136,6 +168,36 @@ class TestLoadPretaggedFile:
         assert exc.value.path == f
         assert exc.value.line == 1
         assert "do not spell corpus sentence 1" in str(exc.value)
+
+    def test_sentences_without_text_take_no_line(self, tmp_path):
+        corpus = parse_corpus_file(
+            "##\nsound[+2]##the sound is good .\n[t]\n##the screen is awful .\n", "p"
+        )
+        f = tmp_path / "p.txt"
+        f.write_text("the/DT sound/NN is/VBZ good/JJ ./.\n\n"
+                     "the/DT screen/NN is/VBZ awful/JJ ./.\n", encoding="utf-8")
+        tagged = load_pretagged_file(f, corpus, start=10)
+        assert [t.source for t in tagged] == list(corpus.sentences)
+        assert [t.position for t in tagged] == [10, 11, 12, 13]
+        assert [len(t.surfaces) for t in tagged] == [0, 5, 0, 5]
+        assert [len(t.tags) for t in tagged] == [0, 5, 0, 5]
+
+    def test_count_mismatch_counts_sentences_with_text(self, tmp_path):
+        corpus = parse_corpus_file("##\n##one .\n##two .\n", "p")
+        f = tmp_path / "p.txt"
+        f.write_text("one/CD ./.\n", encoding="utf-8")
+        with pytest.raises(ParseError) as exc:
+            load_pretagged_file(f, corpus)
+        assert "1 pretagged lines for 2 corpus sentences (and 1 without text)" in str(exc.value)
+
+    def test_sentence_number_counts_sentences_without_text(self, tmp_path):
+        corpus = parse_corpus_file("##\n##good .\n##bad .\n", "p")
+        f = tmp_path / "p.txt"
+        f.write_text("good/JJ ./.\nsad/JJ ./.\n", encoding="utf-8")
+        with pytest.raises(ParseError) as exc:
+            load_pretagged_file(f, corpus)
+        assert exc.value.line == 2
+        assert "corpus sentence 3: 'bad .'" in str(exc.value)
 
     def test_mismatch_line_counts_blank_lines(self, tmp_path):
         corpus = parse_corpus_file("##good sound .\n##bad .\n", "p")

@@ -31,7 +31,6 @@ from aspectminer.scoring import weight_sentence
 from aspectminer.summary import _percentages
 from aspectminer.tagger import (
     TaggedSentence,
-    Token,
     parse_pretagged,
     render_pretagged,
 )
@@ -52,7 +51,8 @@ tokens_strategy = st.lists(
 
 def build_sentence(pairs, position=0):
     return TaggedSentence(
-        tokens=tuple(Token(w, t) for w, t in pairs),
+        surfaces=tuple(w for w, _ in pairs),
+        tags=tuple(t for _, t in pairs),
         position=position,
     )
 
@@ -87,9 +87,9 @@ class TestExtractionProperties:
         )
         seen = set()
         for pair in pairs:
-            assert 0 <= pair.aspect_index < len(sentence.tokens)
-            assert pair.aspect_index < pair.aspect_end <= len(sentence.tokens)
-            assert 0 <= pair.opinion_index < len(sentence.tokens)
+            assert 0 <= pair.aspect_index < len(sentence.surfaces)
+            assert pair.aspect_index < pair.aspect_end <= len(sentence.surfaces)
+            assert 0 <= pair.opinion_index < len(sentence.surfaces)
             key = (pair.aspect_index, pair.opinion_index)
             assert key not in seen
             seen.add(key)

@@ -36,14 +36,14 @@ class TestTagSet:
 class TestParsePretagged:
     def test_simple_line(self):
         ts = parse_pretagged("the/DT sound/NN is/VBZ wonderful/JJ ./.")
-        assert [t.surface for t in ts.tokens] == ["the", "sound", "is", "wonderful", "."]
-        assert ts.tags() == ["DT", "NN", "VBZ", "JJ", "."]
+        assert list(ts.surfaces) == ["the", "sound", "is", "wonderful", "."]
+        assert list(ts.tags) == ["DT", "NN", "VBZ", "JJ", "."]
 
     def test_last_slash_delimits(self):
         # words may contain slashes; the tag follows the final one
         ts = parse_pretagged("dvd/cd/NN player/NN")
-        assert [t.surface for t in ts.tokens] == ["dvd/cd", "player"]
-        assert ts.tags() == ["NN", "NN"]
+        assert list(ts.surfaces) == ["dvd/cd", "player"]
+        assert list(ts.tags) == ["NN", "NN"]
 
     def test_round_trip(self):
         line = "great/JJ looking/VBG camera/NN ./."
@@ -75,8 +75,12 @@ def build_sentence(drawn, position, gold):
         raw_text=" ".join(w for w, _ in drawn),
         gold=tuple(GoldAnnotation(aspect_term=term, strength=1) for term in gold),
     )
-    tokens = tuple(Token(w, t) for w, t in drawn)
-    return TaggedSentence(tokens=tokens, source=source, position=position)
+    return TaggedSentence(
+        surfaces=tuple(w for w, _ in drawn),
+        tags=tuple(t for _, t in drawn),
+        source=source,
+        position=position,
+    )
 
 
 class TestSentenceHash:
@@ -206,18 +210,18 @@ class TestBaselineTagger:
 
     def test_tag_produces_tokens(self, tagger):
         ts = tagger.tag(["the", "sound", "is", "nice", "."])
-        assert ts.tags() == ["DT", "NN", "VBZ", "JJ", "."]
+        assert list(ts.tags) == ["DT", "NN", "VBZ", "JJ", "."]
 
 
 class TestBundledLexiconTagging:
     def test_sample_sentence(self, resources):
         tagger = resources.tagger()
         ts = tagger.tag("the sound is wonderful .".split())
-        assert ts.tags() == ["DT", "NN", "VBZ", "JJ", "."]
+        assert list(ts.tags) == ["DT", "NN", "VBZ", "JJ", "."]
 
     def test_tagger_with_explicit_lexicon(self):
         ts = BaselineTagger({"good": "JJ", "camera": "NN"}).tag(["good", "camera"])
-        assert ts.tags() == ["JJ", "NN"]
+        assert list(ts.tags) == ["JJ", "NN"]
 
 
 def _strip_candidates(word: str) -> list[str]:
