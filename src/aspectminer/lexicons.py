@@ -2,6 +2,8 @@
 categories, and the adjective/adverb tag weight table.
 
 All matching is lowercase; every structure is immutable after loading.
+The verb lexicon remembers the orientation of each verb surface it is
+asked about; the answer depends only on its immutable map.
 File formats (all UTF-8, ``;`` and ``#`` start comment lines):
 
 * opinion seed lists: one word per line, one file per polarity
@@ -16,6 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ParseError, read_text
+from .tagger import base_form_candidates
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -72,27 +75,37 @@ class AspectDictionary:
     """Known aspect terms mapping to their canonical form.
 
     Canonical terms map to themselves; synonyms map to their canonical.
+    Keys are normalized terms: lowercase words joined by single spaces.
     ``match_at`` matches the longest dictionary term starting at a token
-    position, so multi-word terms win over their prefixes.
+    position, so multi-word terms win over their prefixes.  ``widest``
+    maps each entry's first word to the word count of the longest entry
+    starting with it, the widest window ``match_at`` tries there.
     """
 
     entries: dict[str, str] = field(default_factory=dict)
-    max_words: int = field(init=False, repr=False, compare=False)
+    widest: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # word count of the longest entry, the widest window match_at tries
-        longest = max((term.count(" ") + 1 for term in self.entries), default=0)
-        object.__setattr__(self, "max_words", longest)
+        widest: dict[str, int] = {}
+        for term in self.entries:
+            first = term.partition(" ")[0]
+            words = term.count(" ") + 1
+            if words > widest.get(first, 0):
+                widest[first] = words
+        object.__setattr__(self, "widest", widest)
 
     def lookup(self, term: str) -> str | None:
         return self.entries.get(_normalize_term(term))
 
     def match_at(self, words_lower: list[str], start: int) -> tuple[int, str] | None:
-        """Longest entry equal to ``words_lower[start:start+n]``; returns (n, canonical)."""
-        limit = min(self.max_words, len(words_lower) - start)
+        """Longest entry equal to ``words_lower[start:start+n]``; returns (n, canonical).
+
+        The words hold no whitespace (see :class:`~aspectminer.tagger.TaggedSentence`),
+        so a window joined by single spaces is already a normalized key.
+        """
+        limit = min(self.widest.get(words_lower[start], 0), len(words_lower) - start)
         for n in range(limit, 0, -1):
-            key = " ".join(words_lower[start : start + n])
-            canonical = self.entries.get(key)
+            canonical = self.entries.get(" ".join(words_lower[start : start + n]))
             if canonical is not None:
                 return n, canonical
         return None
@@ -140,12 +153,31 @@ def load_aspect_dictionary(
 
 @dataclass(frozen=True)
 class VerbCategoryLexicon:
-    """Verbs that reinforce (+1) or weaken (-1) sentence weight."""
+    """Verbs that reinforce (+1) or weaken (-1) sentence weight.
+
+    ``by_surface`` remembers :meth:`orientation_of_surface` for each
+    surface asked about; it grows with the distinct verb surfaces seen.
+    """
 
     orientations: dict[str, int] = field(default_factory=dict)  # base form -> +1 | -1
+    by_surface: dict[str, int] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def orientation_of(self, base_form: str) -> int:
         return self.orientations.get(base_form.lower(), 0)
+
+    def orientation_of_surface(self, surface: str) -> int:
+        """Orientation of the first of ``surface``'s base forms that has one, else 0."""
+        orientation = self.by_surface.get(surface)
+        if orientation is None:
+            orientation = 0
+            for base in base_form_candidates(surface):
+                orientation = self.orientation_of(base)
+                if orientation != 0:
+                    break
+            self.by_surface[surface] = orientation
+        return orientation
 
 
 def load_verb_categories(path: str | Path) -> VerbCategoryLexicon:

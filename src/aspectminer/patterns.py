@@ -18,6 +18,7 @@ scans each sentence's tags once whatever the number of patterns.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Collection, NamedTuple
 
@@ -203,41 +204,43 @@ def resolve_aspect(
     """Aspect span for the noun at ``index``: maximal noun run, canonicalized.
 
     The full span is looked up first; failing that, the anchor token
-    alone.  Unknown spans keep their raw lowercase text.
+    alone.  Unknown spans keep their raw lowercase text.  Surfaces hold
+    no whitespace, so the lowercased run joined by single spaces is
+    already a normalized dictionary key and is probed as it is.
     """
     start, end = _noun_run(sentence, index)
+    entries = dictionary.entries
+    if end - start == 1:
+        surface = sentence.surfaces[start].lower()
+        return AspectSpan(start=start, end=end, surface=entries.get(surface) or surface)
     words = [w.lower() for w in sentence.surfaces[start:end]]
     surface = " ".join(words)
-    canonical = dictionary.lookup(surface)
+    canonical = entries.get(surface)
     if canonical is None:
-        canonical = dictionary.lookup(words[index - start])
+        canonical = entries.get(words[index - start])
     return AspectSpan(start=start, end=end, surface=canonical or surface)
 
 
 def nearest_aspect_search(
-    sentence: TaggedSentence, opinion_index: int, dictionary: AspectDictionary
+    sentence: TaggedSentence,
+    opinion_index: int,
+    dictionary: AspectDictionary,
+    words_lower: list[str],
 ) -> AspectSpan | None:
-    """Nearest noun or dictionary term: backward first, then forward."""
-    words_lower = [w.lower() for w in sentence.surfaces]
-    tags = sentence.tags
+    """Nearest noun or dictionary term: backward first, then forward.
 
-    def candidate(j: int) -> AspectSpan | None:
+    ``words_lower`` holds the sentence's surfaces lowercased.
+    """
+    tags = sentence.tags
+    backward = range(opinion_index - 1, -1, -1)
+    forward = range(opinion_index + 1, len(tags))
+    for j in chain(backward, forward):
         if tags[j] in NOUN_TAGS:
             return resolve_aspect(sentence, j, dictionary)
         hit = dictionary.match_at(words_lower, j)
         if hit is not None:
             n, canonical = hit
             return AspectSpan(start=j, end=j + n, surface=canonical)
-        return None
-
-    for j in range(opinion_index - 1, -1, -1):
-        span = candidate(j)
-        if span is not None:
-            return span
-    for j in range(opinion_index + 1, len(tags)):
-        span = candidate(j)
-        if span is not None:
-            return span
     return None
 
 
@@ -268,9 +271,11 @@ def extract_with_options(
     start with its tag are compared, and each hit is recorded as
     ``(rank, start, pattern)``, so sorting the hits gives the order of
     pass 1.  The same scan records the opinion-role positions pass 2
-    visits.  Output is ordered by token position.
+    visits.  A sentence with neither hits nor (with ``fallback``) such
+    positions yields no pairs; any other is lowercased once, for the
+    polarity gate, the opinion surfaces and the nearest-aspect search.
+    Output is ordered by token position.
     """
-    surfaces = sentence.surfaces
     tags = sentence.tags
     by_first_tag = pattern_set.by_first_tag
     hits: list[tuple[int, int, TagPattern]] = []
@@ -283,14 +288,17 @@ def extract_with_options(
                     hits.append((rank, start, pattern))
         if tag in OPINION_ROLE_TAGS:
             opinion_positions.append(start)
+    if not hits and not (fallback and opinion_positions):
+        return []
     hits.sort()
+    words_lower = [w.lower() for w in sentence.surfaces]
     found: dict[tuple[int, int], AspectOpinionPair] = {}
 
     def claim(span: AspectSpan, oi: int, orientation: str, pattern_name: str) -> None:
         if (span.start, oi) not in found:
             found[span.start, oi] = AspectOpinionPair(
                 aspect_surface=span.surface,
-                opinion_surface=surfaces[oi].lower(),
+                opinion_surface=words_lower[oi],
                 orientation=orientation,
                 sentence=sentence,
                 aspect_index=span.start,
@@ -301,13 +309,13 @@ def extract_with_options(
 
     for _, start, pattern in hits:
         oi = start + pattern.opinion_offset
-        orientation = lexicon.polarity(surfaces[oi])
+        orientation = lexicon.polarity(words_lower[oi])
         if orientation == NONE:
             continue
         if pattern.aspect_offset is not None:
             span = resolve_aspect(sentence, start + pattern.aspect_offset, dictionary)
         else:
-            span = nearest_aspect_search(sentence, oi, dictionary)
+            span = nearest_aspect_search(sentence, oi, dictionary, words_lower)
             if span is None:
                 continue
         claim(span, oi, orientation, pattern.name)
@@ -317,10 +325,10 @@ def extract_with_options(
         for oi in opinion_positions:
             if oi in claimed:
                 continue
-            orientation = lexicon.polarity(surfaces[oi])
+            orientation = lexicon.polarity(words_lower[oi])
             if orientation == NONE:
                 continue
-            span = nearest_aspect_search(sentence, oi, dictionary)
+            span = nearest_aspect_search(sentence, oi, dictionary, words_lower)
             if span is not None:
                 claim(span, oi, orientation, FALLBACK_PATTERN_NAME)
 

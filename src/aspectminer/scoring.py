@@ -2,7 +2,8 @@
 
 A sentence's weight is the sum of its adjective/adverb tag weights plus
 one point per reinforcing verb and minus one per weakening verb, with
-verbs reduced to base form by the tagger's ``base_form_candidates``.
+verbs reduced to base form by the tagger's ``base_form_candidates`` once
+per distinct surface (:meth:`VerbCategoryLexicon.orientation_of_surface`).
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .lexicons import TagWeightTable, VerbCategoryLexicon
-from .tagger import VERB_TAGS, TaggedSentence, base_form_candidates
+from .tagger import VERB_TAGS, TaggedSentence
 
 
 @dataclass(frozen=True, slots=True)
@@ -34,13 +35,8 @@ def weight_sentence(
     adj_points = sum(map(weights.weight, sentence.tags))
     verb_points = 0
     for surface, tag in zip(sentence.surfaces, sentence.tags):
-        if tag not in VERB_TAGS:
-            continue
-        for base in base_form_candidates(surface):
-            orientation = verbs.orientation_of(base)
-            if orientation != 0:
-                verb_points += orientation
-                break
+        if tag in VERB_TAGS:
+            verb_points += verbs.orientation_of_surface(surface)
     return SentenceScore(
         sentence=sentence,
         adjective_adverb_points=adj_points,

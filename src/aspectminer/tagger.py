@@ -8,6 +8,11 @@ a statistical tagger, and any component producing the same
 :class:`TaggedSentence` shape can replace it: two parallel tuples,
 ``surfaces`` and ``tags``, one entry per token.  ``tokens`` is a
 read-only view of them as ``(surface, tag)`` rows.
+
+No surface contains a character for which ``str.isspace()`` is true:
+the pretagged parser splits items on whitespace and ``corpus.tokenize``
+splits words on it.  Extraction relies on this when it joins lowercased
+surfaces by single spaces to probe the aspect dictionary.
 """
 
 from __future__ import annotations
@@ -54,7 +59,10 @@ class Token(NamedTuple):
 
 @dataclass(frozen=True, slots=True)
 class TaggedSentence:
-    """A sentence as two parallel columns: ``surfaces[i]`` carries ``tags[i]``."""
+    """A sentence as two parallel columns: ``surfaces[i]`` carries ``tags[i]``.
+
+    No surface contains a whitespace character (``str.isspace()``).
+    """
 
     surfaces: tuple[str, ...] = ()
     tags: tuple[str, ...] = ()
@@ -166,10 +174,18 @@ class BaselineTagger:
     adjectival stem, -ing, -ed, -s); hyphen compounds with an adjectival
     last part; capitalized non-initial words; default NN.  Digit tokens
     carry no rule of their own and fall through to the default.
+
+    :meth:`tag_word` reads its index only as ``index > 0``, so
+    :meth:`tag` remembers each word's tag in two memos, one for
+    sentence-initial words and one for the rest, and applies the rules
+    once per distinct (word, initial) pair over the tagger's life.  The
+    lexicon must not change after construction.
     """
 
     def __init__(self, lexicon: dict[str, str] | None = None):
         self.lexicon = dict(lexicon) if lexicon else {}
+        self._initial_tags: dict[str, str] = {}
+        self._later_tags: dict[str, str] = {}
 
     def tag_word(self, word: str, index: int) -> str:
         tag = self.lexicon.get(word)
@@ -213,7 +229,14 @@ class BaselineTagger:
     ) -> TaggedSentence:
         if not words:
             raise ValueError("empty sentence")
-        tags = [self.tag_word(w, i) for i, w in enumerate(words)]
+        tags = []
+        memo = self._initial_tags
+        for i, word in enumerate(words):
+            tag = memo.get(word)
+            if tag is None:
+                tag = memo[word] = self.tag_word(word, i)
+            tags.append(tag)
+            memo = self._later_tags
         return TaggedSentence(tuple(words), tuple(tags), source, position)
 
 

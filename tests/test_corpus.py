@@ -1,6 +1,8 @@
 """Review corpus parsing: annotations, review segmentation, tokenizer."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from aspectminer.corpus import _parse_annotation, load_corpus, parse_corpus_file, tokenize
 from aspectminer.errors import ParseError
@@ -141,3 +143,16 @@ class TestTokenize:
 
     def test_empty(self):
         assert tokenize("") == []
+
+
+class TestTokenizeSurfaceContract:
+    @given(
+        st.text(st.sampled_from("ab1'.-/ \t\n\r\u00a0\u2003\x1c\u2028\u3000"), max_size=30)
+        | st.text(max_size=30)
+    )
+    @settings(max_examples=300, deadline=None)
+    @example("a\u00a0b\u2003c\x1cd\u2028e")
+    def test_no_token_holds_whitespace(self, text):
+        tokens = tokenize(text)
+        assert not any(ch.isspace() for token in tokens for ch in token)
+        assert "".join(tokens) == "".join(ch for ch in text if not ch.isspace())

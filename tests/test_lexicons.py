@@ -2,6 +2,8 @@
 and the tag weight table."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from aspectminer.errors import ParseError
 from aspectminer.lexicons import (
@@ -18,6 +20,7 @@ from aspectminer.lexicons import (
     load_verb_categories,
 )
 from aspectminer.pipeline import default_path
+from aspectminer.tagger import base_form_candidates
 
 
 def write(path, text):
@@ -87,10 +90,13 @@ class TestAspectDictionary:
         assert d.lookup("battery life") is not None
         assert d.lookup("battery") is None
 
-    def test_max_words(self):
-        d = AspectDictionary(entries={"a": "a", "b c d": "b c d"})
-        assert d.max_words == 3
-        assert AspectDictionary().max_words == 0
+    def test_widest(self):
+        d = AspectDictionary(
+            entries={"a": "a", "b c d": "b c d", "b": "b", "b c": "b", "c d": "c d"}
+        )
+        assert d.widest == {"a": 1, "b": 3, "c": 2}
+        assert max(d.widest.values()) == 3
+        assert AspectDictionary().widest == {}
 
     def test_match_at_prefers_longest(self):
         d = AspectDictionary(
@@ -157,7 +163,8 @@ class TestAspectDictionary:
         # synonyms fold into their canonical term
         assert d.lookup("audio") == "sound"
         assert d.lookup("earbud") == "earpiece"
-        assert d.max_words >= 2
+        assert max(d.widest.values()) >= 2
+        assert d.widest["battery"] >= 2
 
 
 class TestVerbCategories:
@@ -258,3 +265,88 @@ class TestTagWeightTable:
     def test_rejects_non_integer_weight(self):
         with pytest.raises(ValueError):
             TagWeightTable(weights={"JJ": 1.5})
+
+
+def scanned_match(entries, words_lower, start):
+    """match_at before the first-word index: every width up to the
+    longest entry's, longest first."""
+    max_words = max((term.count(" ") + 1 for term in entries), default=0)
+    for n in range(min(max_words, len(words_lower) - start), 0, -1):
+        canonical = entries.get(" ".join(words_lower[start : start + n]))
+        if canonical is not None:
+            return n, canonical
+    return None
+
+
+# Few distinct words, so that entries share first words and windows often
+# spell an entry, its prefix or an entry of another width.
+MATCH_WORDS = ["a", "b", "c", "d"]
+entry_terms = st.lists(st.sampled_from(MATCH_WORDS), min_size=1, max_size=6).map(" ".join)
+
+
+class TestMatchAtAgainstScan:
+    @given(
+        st.dictionaries(entry_terms, entry_terms, max_size=12),
+        st.lists(st.sampled_from(MATCH_WORDS + ["x"]), min_size=1, max_size=10),
+    )
+    @settings(max_examples=500, deadline=None)
+    # The longest entry is not the first one with its first word.
+    @example({"a": "a", "a b c d e": "a", "a b": "b"}, ["a", "b", "c", "d", "e"])
+    def test_every_start_matches_as_the_scan_does(self, entries, words):
+        d = AspectDictionary(entries=entries)
+        for start in range(len(words)):
+            assert d.match_at(words, start) == scanned_match(entries, words, start)
+
+    def test_equality_and_repr_ignore_the_index(self):
+        a = AspectDictionary(entries={"battery life": "battery life"})
+        b = AspectDictionary(entries={"battery life": "battery life"})
+        object.__setattr__(b, "widest", {})
+        assert a == b
+        assert "widest" not in repr(a)
+
+
+def candidate_loop(lex, surface):
+    """weight_sentence's verb lookup before the per-surface memo."""
+    for base in base_form_candidates(surface):
+        orientation = lex.orientation_of(base)
+        if orientation != 0:
+            return orientation
+    return 0
+
+
+def verb_forms(verb):
+    """The verb and its regular -s, -ed and -ing forms, both spellings of
+    each where a final e, y or consonant changes."""
+    forms = {verb, verb + "s", verb + "es", verb + "ed", verb + "d", verb + "ing"}
+    if verb.endswith("e"):
+        forms |= {verb[:-1] + "ing", verb[:-1] + "ed"}
+    if verb.endswith("y"):
+        forms |= {verb[:-1] + "ies", verb[:-1] + "ied"}
+    forms |= {verb + verb[-1] + "ed", verb + verb[-1] + "ing"}
+    return forms
+
+
+class TestOrientationOfSurface:
+    def test_every_form_of_every_bundled_verb(self, resources):
+        lex = VerbCategoryLexicon(orientations=resources.verb_categories.orientations)
+        forms = sorted(set().union(*(verb_forms(v) for v in lex.orientations)))
+        forms += [f.capitalize() for f in forms]
+        assert len(forms) > 100
+        for _ in range(2):  # the second pass is answered from the memo
+            for form in forms:
+                assert lex.orientation_of_surface(form) == candidate_loop(lex, form), form
+
+    @given(st.lists(st.text(alphabet="adeginorsvwyADE", min_size=1, max_size=9), max_size=20))
+    @settings(max_examples=300, deadline=None)
+    def test_random_words(self, resources, words):
+        lex = resources.verb_categories
+        for word in words + words:
+            assert lex.orientation_of_surface(word) == candidate_loop(lex, word), word
+
+    def test_memo_is_not_part_of_the_value(self):
+        a = VerbCategoryLexicon(orientations={"love": 1})
+        b = VerbCategoryLexicon(orientations={"love": 1})
+        assert a.orientation_of_surface("loves") == 1
+        assert a.by_surface == {"loves": 1}
+        assert a == b
+        assert "by_surface" not in repr(a)

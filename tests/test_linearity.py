@@ -8,24 +8,35 @@ for evaluation and 60 s for mining's pairwise candidate join on a
 while machine noise does not.  Extraction is held to a ratio instead:
 patterns that cannot start anywhere in the input must cost next to
 nothing (0.7x with the first-tag index, 8.5x with one scan per pattern).
+Per-word work is held to counts: the dictionary is not probed at a word
+that starts no entry, and the tagger's rules and the verb base forms run
+once per distinct word.
 """
 
 import random
 import time
 from dataclasses import replace
 
+from aspectminer import lexicons, scoring
 from aspectminer.corpus import parse_corpus_file
 from aspectminer.evaluation import evaluate_extraction_detailed
 from aspectminer.grouping import group_aspects
-from aspectminer.lexicons import AspectDictionary
+from aspectminer.lexicons import AspectDictionary, VerbCategoryLexicon
 from aspectminer.patterns import (
     AspectOpinionPair,
     PatternSet,
     TagPattern,
     mine_frequent_tag_sets,
 )
-from aspectminer.pipeline import extract_corpus, load_pretagged_file
-from aspectminer.tagger import PENN_TAGS, TaggedSentence
+from aspectminer.pipeline import extract_corpus, load_pretagged_file, tag_corpus
+from aspectminer.scoring import score_sentences
+from aspectminer.tagger import (
+    PENN_TAGS,
+    VERB_TAGS,
+    BaselineTagger,
+    TaggedSentence,
+    base_form_candidates,
+)
 
 
 def timed(fn, *args):
@@ -74,13 +85,18 @@ def test_grouping_of_8k_distinct_surfaces():
 
 
 class CountingDict(dict):
-    """A dict that counts how often it is iterated."""
+    """A dict that counts how often it is iterated and probed with get."""
 
     iterations = 0
+    gets = 0
 
     def __iter__(self):
         self.iterations += 1
         return super().__iter__()
+
+    def get(self, *args):
+        self.gets += 1
+        return super().get(*args)
 
 
 def test_match_at_never_iterates_the_dictionary():
@@ -96,6 +112,64 @@ def test_match_at_never_iterates_the_dictionary():
     assert entries.iterations == 0
     assert hits[1] == (2, "battery life")
     assert hits[5] == (1, "sound")
+
+
+def test_match_at_skips_positions_whose_word_starts_no_entry():
+    entries = CountingDict(
+        {"a b c d e f": "a b c d e f", "battery": "battery", "sound": "sound"}
+    )
+    d = AspectDictionary(entries=entries)
+    words = "the price is right and the screen is great".split()
+
+    hits = [d.match_at(words, i) for i in range(len(words))]
+
+    assert hits == [None] * len(words)
+    assert entries.gets == 0
+
+
+class CountingTagger(BaselineTagger):
+    calls = 0
+
+    def tag_word(self, word, index):
+        self.calls += 1
+        return super().tag_word(word, index)
+
+
+def test_tagging_applies_the_rules_once_per_distinct_word_and_position(
+    resources, sample_corpus
+):
+    corpus = replace(sample_corpus, sentences=sample_corpus.sentences * 400)
+    tagger = CountingTagger(resources.tag_lexicon)
+
+    tagged = tag_corpus(corpus, tagger)
+
+    distinct = {(w, i > 0) for s in tagged for i, w in enumerate(s.surfaces)}
+    assert sum(len(s.surfaces) for s in tagged) > 100 * len(distinct)
+    assert tagger.calls <= len(distinct)
+
+
+def test_scoring_reduces_each_verb_surface_once(resources, sample_corpus, monkeypatch):
+    corpus = replace(sample_corpus, sentences=sample_corpus.sentences * 400)
+    tagged = tag_corpus(corpus, resources.tagger())
+    calls = []
+
+    def counted(word):
+        calls.append(word)
+        return base_form_candidates(word)
+
+    # counted in whichever module turns verb surfaces into base forms
+    for module in (lexicons, scoring):
+        if hasattr(module, "base_form_candidates"):
+            monkeypatch.setattr(module, "base_form_candidates", counted)
+    verbs = VerbCategoryLexicon(orientations=resources.verb_categories.orientations)
+
+    score_sentences(tagged, resources.tag_weights, verbs)
+
+    verb_surfaces = {
+        w for s in tagged for w, tag in zip(s.surfaces, s.tags) if tag in VERB_TAGS
+    }
+    assert verb_surfaces
+    assert len(calls) == len(verb_surfaces)
 
 
 def test_extraction_cost_ignores_unmatched_patterns(resources, sample_tagged):

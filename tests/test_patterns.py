@@ -34,6 +34,10 @@ def sent(pretagged: str, position: int = 0) -> TaggedSentence:
     return parse_pretagged(pretagged, position=position)
 
 
+def lower(sentence):
+    return [w.lower() for w in sentence.surfaces]
+
+
 def sent_from_tags(tags, position=0) -> TaggedSentence:
     surfaces = tuple(f"w{i}" for i in range(len(tags)))
     return TaggedSentence(surfaces=surfaces, tags=tuple(tags), position=position)
@@ -242,27 +246,27 @@ class TestResolveAspect:
 class TestNearestAspectSearch:
     def test_backward_before_forward(self):
         s = sent("the/DT player/NN looks/VBZ nice/JJ ./.")
-        span = nearest_aspect_search(s, 3, AspectDictionary())
+        span = nearest_aspect_search(s, 3, AspectDictionary(), lower(s))
         assert span == AspectSpan(1, 2, "player")
 
     def test_forward_when_nothing_behind(self):
         s = sent("great/JJ looking/VBG camera/NN ./.")
-        span = nearest_aspect_search(s, 0, AspectDictionary())
+        span = nearest_aspect_search(s, 0, AspectDictionary(), lower(s))
         assert span == AspectSpan(2, 3, "camera")
 
     def test_dictionary_term_without_noun_tag(self):
         s = sent("truly/RB great/JJ zoom/VB ./.")
         d = AspectDictionary(entries={"zoom": "zoom"})
-        span = nearest_aspect_search(s, 1, d)
+        span = nearest_aspect_search(s, 1, d, lower(s))
         assert span == AspectSpan(2, 3, "zoom")
 
     def test_none_when_no_candidate(self):
         s = sent("very/RB fast/RB ./.")
-        assert nearest_aspect_search(s, 1, AspectDictionary()) is None
+        assert nearest_aspect_search(s, 1, AspectDictionary(), lower(s)) is None
 
     def test_nearest_wins(self):
         s = sent("the/DT screen/NN and/CC sound/NN are/VBP good/JJ ./.")
-        span = nearest_aspect_search(s, 5, AspectDictionary())
+        span = nearest_aspect_search(s, 5, AspectDictionary(), lower(s))
         assert span.surface == "sound"
 
 
@@ -525,7 +529,73 @@ class TestExtractWithOptions:
 # The staged extraction the single core replaced: one matcher call per
 # pattern, pattern pairs first, then the fallback and the conjunction
 # loops, each with its own set of claimed positions.  Kept verbatim as the
-# oracle of the differential test below.
+# oracle of the differential test below, together with frozen copies of
+# the aspect search it called (noun runs, span resolution, the nearest
+# search, the normalizing dictionary lookup and the longest-entry scan),
+# so that the oracle calls no code under test.
+
+
+def staged_lookup(dictionary, term):
+    return dictionary.entries.get(" ".join(term.lower().split()))
+
+
+def staged_match_at(dictionary, words_lower, start):
+    """Longest entry at ``start``, every width up to the longest entry's."""
+    max_words = max((term.count(" ") + 1 for term in dictionary.entries), default=0)
+    limit = min(max_words, len(words_lower) - start)
+    for n in range(limit, 0, -1):
+        key = " ".join(words_lower[start : start + n])
+        canonical = dictionary.entries.get(key)
+        if canonical is not None:
+            return n, canonical
+    return None
+
+
+def staged_noun_run(sentence, index):
+    tags = sentence.tags
+    if tags[index] not in NOUN_TAGS:
+        return index, index + 1
+    start = index
+    while start > 0 and tags[start - 1] in NOUN_TAGS:
+        start -= 1
+    end = index + 1
+    while end < len(tags) and tags[end] in NOUN_TAGS:
+        end += 1
+    return start, end
+
+
+def staged_resolve_aspect(sentence, index, dictionary):
+    start, end = staged_noun_run(sentence, index)
+    words = [w.lower() for w in sentence.surfaces[start:end]]
+    surface = " ".join(words)
+    canonical = staged_lookup(dictionary, surface)
+    if canonical is None:
+        canonical = staged_lookup(dictionary, words[index - start])
+    return AspectSpan(start=start, end=end, surface=canonical or surface)
+
+
+def staged_nearest_aspect_search(sentence, opinion_index, dictionary):
+    words_lower = [w.lower() for w in sentence.surfaces]
+    tags = sentence.tags
+
+    def candidate(j):
+        if tags[j] in NOUN_TAGS:
+            return staged_resolve_aspect(sentence, j, dictionary)
+        hit = staged_match_at(dictionary, words_lower, j)
+        if hit is not None:
+            n, canonical = hit
+            return AspectSpan(start=j, end=j + n, surface=canonical)
+        return None
+
+    for j in range(opinion_index - 1, -1, -1):
+        span = candidate(j)
+        if span is not None:
+            return span
+    for j in range(opinion_index + 1, len(tags)):
+        span = candidate(j)
+        if span is not None:
+            return span
+    return None
 
 
 def staged_match_pattern(sentence, pattern):
@@ -549,9 +619,10 @@ def staged_extract_pairs(sentence, dictionary, lexicon, pattern_set):
             if orientation == NONE:
                 continue
             if pattern.aspect_offset is not None:
-                span = resolve_aspect(sentence, start + pattern.aspect_offset, dictionary)
+                aspect = start + pattern.aspect_offset
+                span = staged_resolve_aspect(sentence, aspect, dictionary)
             else:
-                span = nearest_aspect_search(sentence, oi, dictionary)
+                span = staged_nearest_aspect_search(sentence, oi, dictionary)
                 if span is None:
                     continue
             key = (span.start, oi)
@@ -576,7 +647,7 @@ def staged_conjunction_expand(pair, sentence, dictionary):
         return [pair]
     if tokens[after].tag != "CC" or tokens[after + 1].tag not in NOUN_TAGS:
         return [pair]
-    span = resolve_aspect(sentence, after + 1, dictionary)
+    span = staged_resolve_aspect(sentence, after + 1, dictionary)
     extra = AspectOpinionPair(
         aspect_surface=span.surface,
         opinion_surface=pair.opinion_surface,
@@ -603,7 +674,7 @@ def staged_extract(
             orientation = lexicon.polarity(token.surface)
             if orientation == NONE:
                 continue
-            span = nearest_aspect_search(sentence, i, dictionary)
+            span = staged_nearest_aspect_search(sentence, i, dictionary)
             if span is None or (span.start, i) in keys:
                 continue
             keys.add((span.start, i))

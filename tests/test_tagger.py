@@ -1,7 +1,7 @@
 """Pretagged parsing, the tag set, and the baseline tagger's rules."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aspectminer.corpus import GoldAnnotation, ReviewSentence
@@ -299,3 +299,66 @@ class TestSharedBaseFormRule:
         lexicon = {entry: "VB"}
         assert old_s_rule(lexicon, word) == "VBZ"
         assert BaselineTagger(lexicon).tag_word(word, 1) == "NNS"
+
+
+class TestSurfaceContract:
+    """No surface of a parsed line holds a character for which
+    ``str.isspace()`` is true; extraction joins surfaces by single spaces
+    to probe the aspect dictionary."""
+
+    SPACES = " \t\n\u00a0\u2003\x1c\u2028"
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.text(alphabet="ab/." + SPACES, min_size=1, max_size=5),
+                st.sampled_from(["DT", "NN", "JJ", ".", "NNP"]),
+                st.text(alphabet=SPACES, min_size=1, max_size=2),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    @example([("a", "DT", "\u00a0"), ("b", "NN", "\u2003"), ("c", "JJ", "\x1c"),
+              ("d", "NN", "\u2028"), (".", ".", " ")])
+    def test_accepted_lines_hold_no_whitespace_surface(self, items):
+        line = "".join(f"{word}/{tag}{space}" for word, tag, space in items)
+        try:
+            sentence = parse_pretagged(line)
+        except ParseError:
+            return
+        assert not any(ch.isspace() for s in sentence.surfaces for ch in s)
+
+
+# Reused across examples, so that most words are answered from its memos.
+WARM_TAGGER = BaselineTagger(BUNDLED)
+RULES = BaselineTagger(BUNDLED)  # asked through tag_word only
+
+lexicon_words = st.sampled_from(sorted(BUNDLED))
+tagger_words = st.one_of(
+    lexicon_words,
+    lexicon_words.map(str.capitalize),
+    st.tuples(lexicon_words, st.sampled_from(["s", "ed", "ing", "er"])).map("".join),
+    st.text(alphabet="abeilnrsyAB-.'", min_size=1, max_size=8),
+)
+
+
+class TestTagMemo:
+    """tag answers each word from a memo filled by tag_word: one memo for
+    sentence-initial words and one for the rest."""
+
+    @given(st.lists(tagger_words, min_size=1, max_size=8))
+    @settings(max_examples=500, deadline=None)
+    @example(["Canon", "Canon"])
+    @example(["Lens", "Lens", "Lens"])
+    def test_tag_equals_the_rule_per_word(self, words):
+        got = WARM_TAGGER.tag(words)
+        assert got.tags == tuple(RULES.tag_word(w, i) for i, w in enumerate(words))
+        assert got.surfaces == tuple(words)
+
+    def test_initial_and_later_positions_are_kept_apart(self):
+        tagger = BaselineTagger({})
+        assert tagger.tag(["Canon", "Canon"]).tags == ("NN", "NNP")
+        assert tagger.tag(["it", "Canon"]).tags == ("NN", "NNP")
+        assert tagger.tag(["Canon"]).tags == ("NN",)
