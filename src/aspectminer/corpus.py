@@ -151,19 +151,20 @@ def tokenize(raw_text: str) -> list[str]:
     Case is preserved.
     """
     tokens: list[str] = []
-    word: list[str] = []
-    for ch in raw_text:
-        if ch.isspace():
-            if word:
-                tokens.append("".join(word))
-                word.clear()
-        elif ch.isalnum() or ch == "'":
-            word.append(ch)
-        else:
-            if word:
-                tokens.append("".join(word))
-                word.clear()
-            tokens.append(ch)
-    if word:
-        tokens.append("".join(word))
+    for chunk in raw_text.split():
+        # a chunk of letters, digits and apostrophes only is one word
+        if chunk.isalnum() or chunk.replace("'", "").isalnum():
+            tokens.append(chunk)
+            continue
+        word: list[str] = []
+        for ch in chunk:
+            if ch.isalnum() or ch == "'":
+                word.append(ch)
+            else:
+                if word:
+                    tokens.append("".join(word))
+                    word.clear()
+                tokens.append(ch)
+        if word:
+            tokens.append("".join(word))
     return tokens

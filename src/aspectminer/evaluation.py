@@ -13,7 +13,6 @@ well under 1e-6.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from math import exp, fsum, inf, lgamma, log, sqrt
 from pathlib import Path
@@ -106,51 +105,19 @@ def f_measure(p: float, r: float) -> float:
     return 2.0 * p * r / (p + r)
 
 
-def _terms_match(a: str, b: str) -> bool:
-    if a == b:
-        return True
-    ta, tb = set(a.split()), set(b.split())
-    return ta <= tb or tb <= ta
+def _terms_match(a: frozenset[str], b: frozenset[str]) -> bool:
+    """Subset match on the terms' word sets, in either direction."""
+    return a <= b or b <= a
 
 
 def _ratio(matched: int, total: int) -> float:
     return matched / total if total else 0.0
 
 
-# One side's items grouped by sentence: per sentence, its distinct aspect
-# terms, or its distinct (aspect term, orientation) pairs.
-_Buckets = dict[_SENTENCE_KEY, list]
-
-
-def _add(buckets: _Buckets, key: _SENTENCE_KEY, item) -> None:
-    bucket = buckets.setdefault(key, [])
-    if item not in bucket:
-        bucket.append(item)
-
-
-def _size(buckets: _Buckets) -> int:
-    return sum(len(bucket) for bucket in buckets.values())
-
-
-def _opinion_hit(match):
-    """Opinion items match when their terms match and orientations agree."""
-    return lambda p, g: match(p[0], g[0]) and p[1] == g[1]
-
-
-def _count_matched(predicted: _Buckets, gold: _Buckets, hit) -> tuple[int, int]:
-    """Matched (predictions, golds): an item counts once it hits any item
-    of the other side in the same sentence."""
-    matched_pred = sum(
-        any(hit(p, g) for g in gold.get(key, ()))
-        for key, bucket in predicted.items()
-        for p in bucket
-    )
-    matched_gold = sum(
-        any(hit(p, g) for p in predicted.get(key, ()))
-        for key, bucket in gold.items()
-        for g in bucket
-    )
-    return matched_pred, matched_gold
+# One side's items grouped by sentence: per sentence, each distinct
+# lowercased aspect term with the set of its orientations, held as bit
+# flags, so agreement is a bitwise and and a set's size its bit count.
+_Terms = dict[str, int]
 
 
 def evaluate_extraction_detailed(
@@ -163,50 +130,82 @@ def evaluate_extraction_detailed(
 
     Items are kept per sentence, so each is compared only with the other
     side's items of its own sentence and the cost is linear in the
-    number of sentences.
+    number of sentences.  Within a sentence each (predicted term, gold
+    term) pair is compared once, and that one comparison feeds all
+    eight counts.
     """
-    known = {(s.review_id, s.sentence_index) for s in gold.sentences}
+    flags = {POSITIVE: 1, NEGATIVE: 2}  # one bit per distinct orientation
+    gold_terms: dict[_SENTENCE_KEY, _Terms] = {}
+    for sentence in gold.sentences:
+        terms = gold_terms.setdefault((sentence.review_id, sentence.sentence_index), {})
+        for ann in sentence.gold:
+            term = ann.aspect_term.lower()
+            sign = flags[POSITIVE if ann.strength > 0 else NEGATIVE]
+            terms[term] = terms.get(term, 0) | sign
 
-    pred_aspects: _Buckets = {}
-    pred_opinions: _Buckets = {}
+    pred_terms: dict[_SENTENCE_KEY, _Terms] = {}
     for pair in predicted:
         source = pair.sentence.source
-        if source is None or (source.review_id, source.sentence_index) not in known:
+        key = None if source is None else (source.review_id, source.sentence_index)
+        if key not in gold_terms:
             raise ValueError(
                 f"predicted pair for aspect {pair.aspect_surface!r} references "
                 f"a sentence outside the gold corpus"
             )
-        key = (source.review_id, source.sentence_index)
-        aspect = pair.aspect_surface.lower()
-        _add(pred_aspects, key, aspect)
-        _add(pred_opinions, key, (aspect, pair.orientation))
+        terms = pred_terms.setdefault(key, {})
+        term = pair.aspect_surface.lower()
+        sign = flags.setdefault(pair.orientation, 1 << len(flags))
+        terms[term] = terms.get(term, 0) | sign
 
-    gold_aspects: _Buckets = {}
-    gold_opinions: _Buckets = {}
-    for sentence in gold.sentences:
-        key = (sentence.review_id, sentence.sentence_index)
-        for ann in sentence.gold:
-            term = ann.aspect_term.lower()
-            sign = POSITIVE if ann.strength > 0 else NEGATIVE
-            _add(gold_aspects, key, term)
-            _add(gold_opinions, key, (term, sign))
+    # matched predicted and gold aspects and opinions, subset and exact
+    ap = ag = op = og = exact_aspects = exact_opinions = 0
+    words: dict[str, frozenset[str]] = {}
+    for key, predictions in pred_terms.items():
+        golds = gold_terms[key]
+        if not golds:
+            continue
+        gold_hits: _Terms = {}
+        for p_term, p_signs in predictions.items():
+            hit = False
+            signs = 0
+            for g_term, g_signs in golds.items():
+                if p_term == g_term:
+                    shared = p_signs & g_signs
+                    exact_aspects += 1
+                    exact_opinions += shared.bit_count()
+                else:
+                    p_words = words.get(p_term)
+                    if p_words is None:
+                        p_words = words[p_term] = frozenset(p_term.split())
+                    g_words = words.get(g_term)
+                    if g_words is None:
+                        g_words = words[g_term] = frozenset(g_term.split())
+                    if not _terms_match(p_words, g_words):
+                        continue
+                    shared = p_signs & g_signs
+                hit = True
+                signs |= shared
+                gold_hits[g_term] = gold_hits.get(g_term, 0) | shared
+            if hit:
+                ap += 1
+                op += signs.bit_count()
+        ag += len(gold_hits)
+        og += sum(s.bit_count() for s in gold_hits.values())
 
-    n_pred_aspects, n_gold_aspects = _size(pred_aspects), _size(gold_aspects)
-    n_pred_opinions, n_gold_opinions = _size(pred_opinions), _size(gold_opinions)
-    ap, ag = _count_matched(pred_aspects, gold_aspects, _terms_match)
-    op, og = _count_matched(pred_opinions, gold_opinions, _opinion_hit(_terms_match))
-    ap_x, ag_x = _count_matched(pred_aspects, gold_aspects, operator.eq)
-    op_x, og_x = _count_matched(pred_opinions, gold_opinions, _opinion_hit(operator.eq))
-
+    n_pred_aspects = sum(map(len, pred_terms.values()))
+    n_gold_aspects = sum(map(len, gold_terms.values()))
+    n_pred_opinions = sum(s.bit_count() for t in pred_terms.values() for s in t.values())
+    n_gold_opinions = sum(s.bit_count() for t in gold_terms.values() for s in t.values())
+    # an exact match pairs one predicted item with one gold item
     return ExtractionBreakdown(
         aspect_p=_ratio(ap, n_pred_aspects),
         aspect_r=_ratio(ag, n_gold_aspects),
         opinion_p=_ratio(op, n_pred_opinions),
         opinion_r=_ratio(og, n_gold_opinions),
-        aspect_p_exact=_ratio(ap_x, n_pred_aspects),
-        aspect_r_exact=_ratio(ag_x, n_gold_aspects),
-        opinion_p_exact=_ratio(op_x, n_pred_opinions),
-        opinion_r_exact=_ratio(og_x, n_gold_opinions),
+        aspect_p_exact=_ratio(exact_aspects, n_pred_aspects),
+        aspect_r_exact=_ratio(exact_aspects, n_gold_aspects),
+        opinion_p_exact=_ratio(exact_opinions, n_pred_opinions),
+        opinion_r_exact=_ratio(exact_opinions, n_gold_opinions),
         n_predicted_aspects=n_pred_aspects,
         n_gold_aspects=n_gold_aspects,
         n_predicted_opinions=n_pred_opinions,

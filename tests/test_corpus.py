@@ -156,3 +156,50 @@ class TestTokenizeSurfaceContract:
         tokens = tokenize(text)
         assert not any(ch.isspace() for token in tokens for ch in token)
         assert "".join(tokens) == "".join(ch for ch in text if not ch.isspace())
+
+
+def char_tokenize(raw_text):
+    """Reference tokenizer: one pass over the characters.
+
+    This is how ``tokenize`` worked before it split on whitespace first;
+    it is kept here only to check that the two give the same tokens.
+    """
+    tokens = []
+    word = []
+    for ch in raw_text:
+        if ch.isspace():
+            if word:
+                tokens.append("".join(word))
+                word.clear()
+        elif ch.isalnum() or ch == "'":
+            word.append(ch)
+        else:
+            if word:
+                tokens.append("".join(word))
+                word.clear()
+            tokens.append(ch)
+    if word:
+        tokens.append("".join(word))
+    return tokens
+
+
+# apostrophes, ASCII and non-ASCII digits and letters, underscores (not
+# word characters), punctuation, and whitespace that is not a plain space
+WORDY = "''''1239__a\u00e9\u0663\u00b2.- \t\x1c\u00a0\u2003"
+
+
+class TestTokenizeAgainstCharacterOracle:
+    @given(st.text())
+    @settings(max_examples=500, deadline=None)
+    @example("a\x1cb")
+    @example("a\u00a0b")
+    @example("it\u2003works.")
+    @example("x\x1c\u00a0\u2003y z")
+    def test_any_text(self, text):
+        assert tokenize(text) == char_tokenize(text)
+
+    @given(st.text(st.sampled_from(WORDY), max_size=40))
+    @settings(max_examples=500, deadline=None)
+    @example("don't_stop 4'' '_' 1_2 ''' x''y")
+    def test_apostrophe_digit_and_underscore_heavy_text(self, text):
+        assert tokenize(text) == char_tokenize(text)

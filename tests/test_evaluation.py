@@ -766,15 +766,177 @@ def predicted_and_gold(draw):
     return [prediction(s, term, orientation) for s, term, orientation in predicted], gold
 
 
+@st.composite
+def predicted_and_gold_with_repeated_keys(draw):
+    """Like ``predicted_and_gold``, but sentence keys are drawn from a
+    small range, so a hand-built corpus may hold one key several times,
+    and a prediction may carry an orientation no gold item has."""
+    keys = st.tuples(st.sampled_from(["r1", "r2"]), st.integers(0, 1))
+    drawn = draw(st.lists(st.tuples(keys, gold_sentence), min_size=1, max_size=6))
+    sentences = tuple(
+        ReviewSentence(
+            review_id=review_id,
+            sentence_index=index,
+            raw_text="text",
+            gold=tuple(GoldAnnotation(term, strength) for term, strength in annotations),
+        )
+        for (review_id, index), annotations in drawn
+    )
+    gold = Corpus(product_name="widget", sentences=sentences)
+    predicted = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(sentences),
+                st.sampled_from(DIFF_TERMS),
+                st.sampled_from(["positive", "negative", "neutral"]),
+            ),
+            max_size=12,
+        )
+    )
+    return [prediction(s, term, orientation) for s, term, orientation in predicted], gold
+
+
+def bucketed_breakdown(predicted, gold):
+    """Reference matcher: per sentence, four two-way passes.
+
+    This is how ``evaluate_extraction_detailed`` counted before it
+    compared each sentence's items once: each side's distinct items in a
+    list per sentence, and one pass per count, each item tried against
+    every item of the other side's bucket.  It is kept here only to check
+    that the one-comparison matcher gives the same breakdown.
+    """
+    def add(buckets, key, item):
+        bucket = buckets.setdefault(key, [])
+        if item not in bucket:
+            bucket.append(item)
+
+    def size(buckets):
+        return sum(len(bucket) for bucket in buckets.values())
+
+    def subset(a, b):
+        if a == b:
+            return True
+        ta, tb = set(a.split()), set(b.split())
+        return ta <= tb or tb <= ta
+
+    def opinion_hit(match):
+        return lambda p, g: match(p[0], g[0]) and p[1] == g[1]
+
+    def count_matched(pred, gold_, hit):
+        matched_pred = sum(
+            any(hit(p, g) for g in gold_.get(key, ()))
+            for key, bucket in pred.items()
+            for p in bucket
+        )
+        matched_gold = sum(
+            any(hit(p, g) for p in pred.get(key, ()))
+            for key, bucket in gold_.items()
+            for g in bucket
+        )
+        return matched_pred, matched_gold
+
+    def equal(a, b):
+        return a == b
+
+    pred_aspects, pred_opinions = {}, {}
+    for pair in predicted:
+        source = pair.sentence.source
+        key = (source.review_id, source.sentence_index)
+        aspect = pair.aspect_surface.lower()
+        add(pred_aspects, key, aspect)
+        add(pred_opinions, key, (aspect, pair.orientation))
+    gold_aspects, gold_opinions = {}, {}
+    for sentence in gold.sentences:
+        key = (sentence.review_id, sentence.sentence_index)
+        for ann in sentence.gold:
+            term = ann.aspect_term.lower()
+            add(gold_aspects, key, term)
+            add(gold_opinions, key, (term, "positive" if ann.strength > 0 else "negative"))
+
+    def ratio(matched, total):
+        return matched / total if total else 0.0
+
+    n_pa, n_ga = size(pred_aspects), size(gold_aspects)
+    n_po, n_go = size(pred_opinions), size(gold_opinions)
+    ap, ag = count_matched(pred_aspects, gold_aspects, subset)
+    op, og = count_matched(pred_opinions, gold_opinions, opinion_hit(subset))
+    ap_x, ag_x = count_matched(pred_aspects, gold_aspects, equal)
+    op_x, og_x = count_matched(pred_opinions, gold_opinions, opinion_hit(equal))
+    return ExtractionBreakdown(
+        aspect_p=ratio(ap, n_pa),
+        aspect_r=ratio(ag, n_ga),
+        opinion_p=ratio(op, n_po),
+        opinion_r=ratio(og, n_go),
+        aspect_p_exact=ratio(ap_x, n_pa),
+        aspect_r_exact=ratio(ag_x, n_ga),
+        opinion_p_exact=ratio(op_x, n_po),
+        opinion_r_exact=ratio(og_x, n_go),
+        n_predicted_aspects=n_pa,
+        n_gold_aspects=n_ga,
+        n_predicted_opinions=n_po,
+        n_gold_opinions=n_go,
+    )
+
+
 class TestBucketedMatchingAgainstQuadraticOracle:
-    @given(predicted_and_gold())
-    @settings(max_examples=400, deadline=None)
+    @given(predicted_and_gold() | predicted_and_gold_with_repeated_keys())
+    @settings(max_examples=500, deadline=None)
     def test_breakdown_equals_oracle(self, case):
         predicted, gold = case
-        assert evaluate_extraction_detailed(predicted, gold) == quadratic_breakdown(
-            predicted, gold
-        )
+        expected = quadratic_breakdown(predicted, gold)
+        assert evaluate_extraction_detailed(predicted, gold) == expected
+        assert bucketed_breakdown(predicted, gold) == expected
 
     def test_oracle_agrees_on_bundled_fixture(self, breakdown, minieval_corpus):
         b, predicted = breakdown
         assert b == quadratic_breakdown(predicted, minieval_corpus)
+        assert b == bucketed_breakdown(predicted, minieval_corpus)
+
+    def test_terms_sharing_a_word_without_containment_do_not_match(self):
+        gold = gold_corpus("battery life[+2],sound quality[-1]##text .")
+        s = gold.sentences[0]
+        preds = [
+            prediction(s, "battery charger"),
+            prediction(s, "quality sound", orientation="negative"),
+        ]
+        b = evaluate_extraction_detailed(preds, gold)
+        # "quality sound" has the same words as "sound quality": a subset
+        # match both ways, but not an exact one
+        assert (b.aspect_p, b.aspect_r, b.opinion_p, b.opinion_r) == (0.5, 0.5, 0.5, 0.5)
+        assert (b.aspect_p_exact, b.aspect_r_exact) == (0.0, 0.0)
+        assert b == bucketed_breakdown(preds, gold)
+
+    def test_repeated_gold_keys_merge(self):
+        first = ReviewSentence("r1", 0, "text", gold=(GoldAnnotation("sound", 2),))
+        again = ReviewSentence(
+            "r1", 0, "text", gold=(GoldAnnotation("Sound", 1), GoldAnnotation("lens", -1))
+        )
+        gold = Corpus(product_name="widget", sentences=(first, again))
+        preds = [prediction(first, "lens", "negative"), prediction(again, "sound")]
+        b = evaluate_extraction_detailed(preds, gold)
+        assert (b.n_gold_aspects, b.n_gold_opinions) == (2, 2)
+        assert (b.aspect_p, b.aspect_r, b.opinion_p, b.opinion_r) == (1.0, 1.0, 1.0, 1.0)
+        assert b == bucketed_breakdown(preds, gold)
+
+    def test_an_orientation_no_gold_item_has_is_an_opinion_that_never_matches(self):
+        gold = gold_corpus("sound[+2]##the sound is great .")
+        s = gold.sentences[0]
+        preds = [prediction(s, "sound"), prediction(s, "sound", orientation="neutral")]
+        b = evaluate_extraction_detailed(preds, gold)
+        assert (b.n_predicted_aspects, b.n_predicted_opinions) == (1, 2)
+        assert (b.opinion_p, b.opinion_r, b.opinion_p_exact) == (0.5, 1.0, 0.5)
+        assert b == bucketed_breakdown(preds, gold)
+
+    def test_error_names_the_first_pair_outside_the_corpus(self):
+        gold = gold_corpus("sound[+2]##the sound is great .")
+        other = gold_corpus("##zoom works .", "##lens is sharp .", product="other")
+        preds = [
+            prediction(gold.sentences[0], "sound"),
+            prediction(other.sentences[1], "lens"),
+            prediction(other.sentences[1], "zoom"),
+        ]
+        with pytest.raises(ValueError) as exc:
+            evaluate_extraction_detailed(preds, gold)
+        assert str(exc.value) == (
+            "predicted pair for aspect 'lens' references a sentence outside the gold corpus"
+        )

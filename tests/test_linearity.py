@@ -9,15 +9,16 @@ while machine noise does not.  Extraction is held to a ratio instead:
 patterns that cannot start anywhere in the input must cost next to
 nothing (0.7x with the first-tag index, 8.5x with one scan per pattern).
 Per-word work is held to counts: the dictionary is not probed at a word
-that starts no entry, and the tagger's rules and the verb base forms run
-once per distinct word.
+that starts no entry, the tagger's rules and the verb base forms run
+once per distinct word, and evaluation compares each (sentence,
+predicted term, gold term) at most once.
 """
 
 import random
 import time
 from dataclasses import replace
 
-from aspectminer import lexicons, scoring
+from aspectminer import evaluation, lexicons, scoring
 from aspectminer.corpus import parse_corpus_file
 from aspectminer.evaluation import evaluate_extraction_detailed
 from aspectminer.grouping import group_aspects
@@ -45,8 +46,8 @@ def timed(fn, *args):
     return result, time.perf_counter() - start
 
 
-def test_evaluation_of_10k_sentences(resources, sample_dir, tmp_path):
-    copies = 400  # 25 sentences each
+def minieval_copies(copies, resources, sample_dir, tmp_path):
+    """The evaluation sample repeated, and the pairs extracted from it."""
     text = (sample_dir / "minieval.txt").read_text(encoding="utf-8")
     corpus = parse_corpus_file(text * copies, "minieval")
     pretagged = tmp_path / "minieval-pretagged.txt"
@@ -54,13 +55,49 @@ def test_evaluation_of_10k_sentences(resources, sample_dir, tmp_path):
         (sample_dir / "minieval-pretagged.txt").read_text(encoding="utf-8") * copies,
         encoding="utf-8",
     )
-    pairs = extract_corpus(load_pretagged_file(pretagged, corpus), resources)
+    return corpus, extract_corpus(load_pretagged_file(pretagged, corpus), resources)
+
+
+def test_evaluation_of_10k_sentences(resources, sample_dir, tmp_path):
+    copies = 400  # 25 sentences each
+    corpus, pairs = minieval_copies(copies, resources, sample_dir, tmp_path)
     assert len(corpus.sentences) == 10_000
 
     breakdown, elapsed = timed(evaluate_extraction_detailed, pairs, corpus)
 
     assert breakdown.n_gold_aspects == 21 * copies
     assert elapsed < 2.0
+
+
+def test_evaluation_compares_each_sentence_term_pair_at_most_once(
+    resources, sample_dir, tmp_path, monkeypatch
+):
+    copies = 400
+    corpus, pairs = minieval_copies(copies, resources, sample_dir, tmp_path)
+    calls = []
+    subset = evaluation._terms_match
+
+    def counted(*args):
+        calls.append(args)
+        return subset(*args)
+
+    monkeypatch.setattr(evaluation, "_terms_match", counted)
+
+    evaluate_extraction_detailed(pairs, corpus)
+
+    predicted_terms = {}
+    for pair in pairs:
+        key = (pair.sentence.source.review_id, pair.sentence.source.sentence_index)
+        predicted_terms.setdefault(key, set()).add(pair.aspect_surface.lower())
+    gold_terms = {
+        (s.review_id, s.sentence_index): {a.aspect_term.lower() for a in s.gold}
+        for s in corpus.sentences
+    }
+    distinct = sum(
+        len(terms) * len(gold_terms[key]) for key, terms in predicted_terms.items()
+    )
+    assert distinct >= 18 * copies
+    assert 0 < len(calls) <= distinct
 
 
 def test_grouping_of_8k_distinct_surfaces():
