@@ -22,6 +22,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
+from ._records import slot_setters
 from .errors import read_text
 
 log = logging.getLogger(__name__)
@@ -33,7 +34,7 @@ _ANNOT_RE = re.compile(
 _FLAG_RE = re.compile(r"\[([^\[\]]+)\]")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class GoldAnnotation:
     """One human label: an aspect term with a signed opinion strength."""
 
@@ -41,14 +42,38 @@ class GoldAnnotation:
     strength: int  # in -3..3, never 0
     flags: frozenset[str] = frozenset()
 
+    def __init__(self, aspect_term, strength, flags=frozenset()):
+        _set_aspect_term(self, aspect_term)
+        _set_strength(self, strength)
+        _set_flags(self, flags)
 
-@dataclass(frozen=True, slots=True)
+
+_set_aspect_term, _set_strength, _set_flags = slot_setters(GoldAnnotation)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class ReviewSentence:
     review_id: str
     sentence_index: int
     raw_text: str
     gold: tuple[GoldAnnotation, ...] = ()
     is_title: bool = False
+
+    def __init__(self, review_id, sentence_index, raw_text, gold=(), is_title=False):
+        _set_review_id(self, review_id)
+        _set_sentence_index(self, sentence_index)
+        _set_raw_text(self, raw_text)
+        _set_gold(self, gold)
+        _set_is_title(self, is_title)
+
+
+(
+    _set_review_id,
+    _set_sentence_index,
+    _set_raw_text,
+    _set_gold,
+    _set_is_title,
+) = slot_setters(ReviewSentence)
 
 
 @dataclass(frozen=True)
@@ -59,19 +84,24 @@ class Corpus:
 
 def _parse_annotation(text: str) -> GoldAnnotation:
     """Parse one ``term[+d]`` group; raises ValueError when malformed."""
-    m = _ANNOT_RE.match(text.strip())
+    text = text.strip()
+    m = _ANNOT_RE.match(text)
     if m is None:
-        raise ValueError(f"unrecognized annotation {text.strip()!r}")
-    term = m.group("term").strip()
+        raise ValueError(f"unrecognized annotation {text!r}")
+    term, sign, digits, flag_groups = m.groups()
+    term = term.strip()
     if not term:
         raise ValueError("empty aspect term")
-    strength = int(m.group("d"))
-    if m.group("sign") == "-":
+    strength = int(digits)
+    if sign == "-":
         strength = -strength
     if strength == 0 or abs(strength) > 3:
         raise ValueError(f"strength {strength:+d} out of range")
-    flags = frozenset(f.strip() for f in _FLAG_RE.findall(m.group("flags")))
-    return GoldAnnotation(aspect_term=term, strength=strength, flags=flags)
+    if not flag_groups:
+        return GoldAnnotation(term, strength)
+    return GoldAnnotation(
+        term, strength, frozenset(f.strip() for f in _FLAG_RE.findall(flag_groups))
+    )
 
 
 def _parse_gold(prefix: str) -> tuple[GoldAnnotation, ...]:
@@ -90,24 +120,19 @@ def parse_corpus_file(
     where = f"{path}: " if path is not None else ""
     sentences: list[ReviewSentence] = []
     review = 1
+    review_id = "r1"
     index = 0
     for lineno, line in enumerate(content.splitlines(), start=1):
         line = line.rstrip()
-        if not line.strip():
+        if not line:
             continue
         if line.startswith("[t]"):
             # a title opens a new review unless the current one is still empty
             if index > 0:
                 review += 1
+                review_id = f"r{review}"
                 index = 0
-            sentences.append(
-                ReviewSentence(
-                    review_id=f"r{review}",
-                    sentence_index=index,
-                    raw_text=line[3:].strip(),
-                    is_title=True,
-                )
-            )
+            sentences.append(ReviewSentence(review_id, index, line[3:].strip(), is_title=True))
             index += 1
             continue
         if "##" not in line:
@@ -123,14 +148,7 @@ def parse_corpus_file(
                     "%sline %d: %s; keeping sentence without gold", where, lineno, exc
                 )
                 gold = ()
-        sentences.append(
-            ReviewSentence(
-                review_id=f"r{review}",
-                sentence_index=index,
-                raw_text=text.strip(),
-                gold=gold,
-            )
-        )
+        sentences.append(ReviewSentence(review_id, index, text.strip(), gold))
         index += 1
     return Corpus(product_name=product_name, sentences=tuple(sentences))
 

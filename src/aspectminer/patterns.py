@@ -22,6 +22,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Collection, NamedTuple
 
+from ._records import slot_setters
 from .errors import ParseError, read_text
 from .lexicons import NONE, AspectDictionary, OpinionLexicon
 from .tagger import NOUN_TAGS, PENN_TAGS, TaggedSentence
@@ -160,7 +161,7 @@ def load_pattern_set(path: str | Path) -> PatternSet:
         raise ParseError(str(exc), path=path) from exc
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class AspectOpinionPair:
     """One extracted (aspect, opinion) pair anchored in its sentence.
 
@@ -176,6 +177,38 @@ class AspectOpinionPair:
     opinion_index: int
     pattern_name: str
     aspect_end: int  # one past the last aspect token
+
+    def __init__(
+        self,
+        aspect_surface,
+        opinion_surface,
+        orientation,
+        sentence,
+        aspect_index,
+        opinion_index,
+        pattern_name,
+        aspect_end,
+    ):
+        _set_aspect_surface(self, aspect_surface)
+        _set_opinion_surface(self, opinion_surface)
+        _set_orientation(self, orientation)
+        _set_sentence(self, sentence)
+        _set_aspect_index(self, aspect_index)
+        _set_opinion_index(self, opinion_index)
+        _set_pattern_name(self, pattern_name)
+        _set_aspect_end(self, aspect_end)
+
+
+(
+    _set_aspect_surface,
+    _set_opinion_surface,
+    _set_orientation,
+    _set_sentence,
+    _set_aspect_index,
+    _set_opinion_index,
+    _set_pattern_name,
+    _set_aspect_end,
+) = slot_setters(AspectOpinionPair)
 
 
 class AspectSpan(NamedTuple):
@@ -266,6 +299,7 @@ def extract_with_options(
     3. with ``conjunction``, each pair of passes 1-2, in position order,
        is copied once onto the noun after a coordinating conjunction that
        directly follows its aspect span; copies are not copied again.
+       A sentence without a ``CC`` tag skips this pass.
 
     The tags are scanned once: at each position only the patterns that
     start with its tag are compared, and each hit is recorded as
@@ -297,14 +331,8 @@ def extract_with_options(
     def claim(span: AspectSpan, oi: int, orientation: str, pattern_name: str) -> None:
         if (span.start, oi) not in found:
             found[span.start, oi] = AspectOpinionPair(
-                aspect_surface=span.surface,
-                opinion_surface=words_lower[oi],
-                orientation=orientation,
-                sentence=sentence,
-                aspect_index=span.start,
-                opinion_index=oi,
-                pattern_name=pattern_name,
-                aspect_end=span.end,
+                span.surface, words_lower[oi], orientation, sentence,
+                span.start, oi, pattern_name, span.end,
             )
 
     for _, start, pattern in hits:
@@ -332,7 +360,7 @@ def extract_with_options(
             if span is not None:
                 claim(span, oi, orientation, FALLBACK_PATTERN_NAME)
 
-    if conjunction:
+    if conjunction and "CC" in tags:
         for pair in [found[key] for key in sorted(found)]:
             after = pair.aspect_end
             if (

@@ -9,21 +9,31 @@ per distinct surface (:meth:`VerbCategoryLexicon.orientation_of_surface`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Mapping
 
+from ._records import slot_setters
 from .lexicons import TagWeightTable, VerbCategoryLexicon
 from .tagger import VERB_TAGS, TaggedSentence
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class SentenceScore:
     sentence: TaggedSentence
     adjective_adverb_points: int
     verb_points: int
 
+    def __init__(self, sentence, adjective_adverb_points, verb_points):
+        _set_sentence(self, sentence)
+        _set_adjective_adverb_points(self, adjective_adverb_points)
+        _set_verb_points(self, verb_points)
+
     @property
     def total(self) -> int:
         return self.adjective_adverb_points + self.verb_points
+
+
+_set_sentence, _set_adjective_adverb_points, _set_verb_points = slot_setters(SentenceScore)
 
 
 def weight_sentence(
@@ -32,16 +42,13 @@ def weight_sentence(
     verbs: VerbCategoryLexicon,
 ) -> SentenceScore:
     """Score one sentence from its tags and verb categories."""
-    adj_points = sum(map(weights.weight, sentence.tags))
+    tags = sentence.tags
+    adj_points = sum(map(weights.weights.get, tags, repeat(0)))
     verb_points = 0
-    for surface, tag in zip(sentence.surfaces, sentence.tags):
+    for surface, tag in zip(sentence.surfaces, tags):
         if tag in VERB_TAGS:
             verb_points += verbs.orientation_of_surface(surface)
-    return SentenceScore(
-        sentence=sentence,
-        adjective_adverb_points=adj_points,
-        verb_points=verb_points,
-    )
+    return SentenceScore(sentence, adj_points, verb_points)
 
 
 def score_sentences(

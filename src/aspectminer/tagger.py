@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
+from ._records import slot_setters
 from .corpus import ReviewSentence
 from .errors import ParseError, read_text
 
@@ -57,7 +58,7 @@ class Token(NamedTuple):
     tag: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class TaggedSentence:
     """A sentence as two parallel columns: ``surfaces[i]`` carries ``tags[i]``.
 
@@ -68,6 +69,12 @@ class TaggedSentence:
     tags: tuple[str, ...] = ()
     source: ReviewSentence | None = None
     position: int = 0  # ordinal within the corpus, used for tie-breaking
+
+    def __init__(self, surfaces=(), tags=(), source=None, position=0):
+        _set_surfaces(self, surfaces)
+        _set_tags(self, tags)
+        _set_source(self, source)
+        _set_position(self, position)
 
     def __hash__(self) -> int:
         # Equal sentences have equal positions and surfaces, so this agrees
@@ -84,6 +91,9 @@ class TaggedSentence:
         if self.source is not None:
             return self.source.raw_text
         return " ".join(self.surfaces)
+
+
+_set_surfaces, _set_tags, _set_source, _set_position = slot_setters(TaggedSentence)
 
 
 def parse_pretagged(

@@ -1,10 +1,18 @@
 """Review corpus parsing: annotations, review segmentation, tokenizer."""
 
+import re
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from aspectminer.corpus import _parse_annotation, load_corpus, parse_corpus_file, tokenize
+from aspectminer.corpus import (
+    GoldAnnotation,
+    _parse_annotation,
+    load_corpus,
+    parse_corpus_file,
+    tokenize,
+)
 from aspectminer.errors import ParseError
 
 
@@ -35,6 +43,73 @@ class TestAnnotationParsing:
         sign = "+" if strength > 0 else "-"
         ann = _parse_annotation(f"zoom[{sign}{abs(strength)}]")
         assert ann.strength == strength
+
+
+# The annotation parser as it was before it read the match groups once,
+# with the two patterns it was written against; kept as an oracle.
+ORACLE_ANNOT_RE = re.compile(
+    r"^(?P<term>[^\[\]]+)\[(?P<sign>[+-])(?P<d>\d+)\](?P<flags>(?:\[[^\[\]]+\])*)$"
+)
+ORACLE_FLAG_RE = re.compile(r"\[([^\[\]]+)\]")
+
+
+def oracle_parse_annotation(text):
+    m = ORACLE_ANNOT_RE.match(text.strip())
+    if m is None:
+        raise ValueError(f"unrecognized annotation {text.strip()!r}")
+    term = m.group("term").strip()
+    if not term:
+        raise ValueError("empty aspect term")
+    strength = int(m.group("d"))
+    if m.group("sign") == "-":
+        strength = -strength
+    if strength == 0 or abs(strength) > 3:
+        raise ValueError(f"strength {strength:+d} out of range")
+    flags = frozenset(f.strip() for f in ORACLE_FLAG_RE.findall(m.group("flags")))
+    return GoldAnnotation(aspect_term=term, strength=strength, flags=flags)
+
+
+def parse_outcome(parse, text):
+    try:
+        return ("ok", parse(text))
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+# Terms, signs, ASCII and non-ASCII digits (Arabic-Indic three, fullwidth
+# two, superscript two, which is not a decimal digit) and flag groups,
+# mostly well formed, so every reachable check and message is met.
+annotation_texts = st.one_of(
+    st.tuples(
+        st.sampled_from(["zoom", " battery life ", "\u00e9cran", "", "a]b", "[x"]),
+        st.sampled_from(["+", "-", "+", "-", "*"]),
+        st.lists(st.sampled_from("1123\u0663\uff120\u00b2"), min_size=1, max_size=2)
+        .map("".join),
+        st.lists(
+            st.sampled_from(["[u]", "[cs]", "[ p ]", "[\u00e9]", "[ ]", "[]", "[u"]),
+            max_size=3,
+        ).map("".join),
+        st.sampled_from(["", " ", "\t"]),
+    ).map(lambda p: f"{p[0]}[{p[1]}{p[2]}]{p[3]}{p[4]}"),
+    st.text(st.sampled_from("ab +-[]12\u0663 "), max_size=14),
+    st.text(max_size=10),
+)
+
+
+class TestAnnotationParsingAgainstOracle:
+    @given(annotation_texts)
+    @settings(max_examples=500, deadline=None)
+    @example("zoom[+\u0663][u][ cs ]")
+    @example("lens[-\uff12]")
+    @example("lens[+\u00b2]")
+    @example(" [+2]")
+    @example("zoom[+0][u]")
+    @example("zoom[-04]")
+    def test_same_annotation_or_message(self, text):
+        got = parse_outcome(_parse_annotation, text)
+        assert got == parse_outcome(oracle_parse_annotation, text)
+        if got[0] == "ok":
+            assert type(got[1].flags) is frozenset
 
 
 class TestCorpusParsing:

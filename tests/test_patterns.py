@@ -4,7 +4,7 @@ import random
 from dataclasses import fields
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, find, given, settings
 from hypothesis import strategies as st
 
 from aspectminer.errors import ParseError
@@ -883,6 +883,27 @@ class TestSingleCoreAgainstStagedOracle:
         sentence, pattern_set = case
         d = AspectDictionary(entries=dict(entries))
         assert_equal_to_oracle(sentence, d, DIFF_LEXICON, pattern_set)
+
+    @pytest.mark.parametrize(
+        "cases",
+        [sentences.map(lambda s: (s, BUNDLED_PATTERNS)), shared_first_tag_cases()],
+        ids=["sentences", "shared_first_tag_cases"],
+    )
+    def test_strategies_reach_the_conjunction_pass(self, cases):
+        # Both oracle comparisons draw coordinated aspects (a CC after an
+        # aspect span, then a noun) that the oracle's conjunction pass copies
+        # a pair onto, so that pass is compared, not only skipped.
+        d = AspectDictionary(entries=dict(DIFF_ENTRIES))
+
+        def copies_a_pair(case):
+            args = (case[0], d, DIFF_LEXICON, case[1])
+            return len(staged_extract(*args)) > len(staged_extract(*args, conjunction=False))
+
+        sentence, _ = find(
+            cases, copies_a_pair,
+            settings=settings(max_examples=5000, database=None, phases=[Phase.generate]),
+        )
+        assert "CC" in sentence.tags
 
     def test_oracle_agrees_on_sample(self, resources, sample_tagged, minieval_tagged):
         for sentence in sample_tagged + minieval_tagged:
