@@ -89,9 +89,8 @@ def _parse_annotation(text: str) -> GoldAnnotation:
     if m is None:
         raise ValueError(f"unrecognized annotation {text!r}")
     term, sign, digits, flag_groups = m.groups()
+    # the stripped text starts with the term, so the term holds a non-space
     term = term.strip()
-    if not term:
-        raise ValueError("empty aspect term")
     strength = int(digits)
     if sign == "-":
         strength = -strength

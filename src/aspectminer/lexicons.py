@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 from .errors import ParseError, read_text
 from .tagger import base_form_candidates
@@ -103,12 +104,27 @@ class AspectDictionary:
         The words hold no whitespace (see :class:`~aspectminer.tagger.TaggedSentence`),
         so a window joined by single spaces is already a normalized key.
         """
-        limit = min(self.widest.get(words_lower[start], 0), len(words_lower) - start)
-        for n in range(limit, 0, -1):
-            canonical = self.entries.get(" ".join(words_lower[start : start + n]))
-            if canonical is not None:
-                return n, canonical
+        return _longest_entry_at(words_lower, start, self.entries.get, self.widest.get)
+
+
+def _longest_entry_at(
+    words_lower: list[str],
+    start: int,
+    entry: Callable[[str], str | None],
+    widest: Callable[[str], int | None],
+) -> tuple[int, str] | None:
+    """:meth:`AspectDictionary.match_at` given the bound ``get`` of its
+    ``entries`` and ``widest``, so a caller scanning many positions looks
+    them up once."""
+    limit = widest(words_lower[start])
+    if not limit:
         return None
+    limit = min(limit, len(words_lower) - start)
+    for n in range(limit, 0, -1):
+        canonical = entry(" ".join(words_lower[start : start + n]))
+        if canonical is not None:
+            return n, canonical
+    return None
 
 
 def load_aspect_dictionary(

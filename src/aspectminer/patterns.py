@@ -10,7 +10,10 @@ Pattern file syntax, one pattern per line::
     NN:A VBZ JJ        # name=noun-is-adj
 
 ``:A`` marks the aspect position, ``:O`` the opinion position.  Order of
-lines is precedence order; ``extract_with_options`` states the full rule.
+lines is precedence order.  ``extract_sentences`` is the one extraction
+core: it runs a whole corpus in one loop, resolving the pattern index,
+seed lists and dictionary lookups once per call, and states the full
+rule; ``extract_with_options`` is its one-sentence call.
 A :class:`PatternSet` indexes its patterns by first tag, so extraction
 scans each sentence's tags once whatever the number of patterns.
 """
@@ -20,11 +23,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
-from typing import Collection, NamedTuple
+from typing import Callable, Collection, Iterable, NamedTuple
 
 from ._records import slot_setters
 from .errors import ParseError, read_text
-from .lexicons import NONE, AspectDictionary, OpinionLexicon
+from .lexicons import (
+    NEGATIVE,
+    POSITIVE,
+    AspectDictionary,
+    OpinionLexicon,
+    _longest_entry_at,
+)
 from .tagger import NOUN_TAGS, PENN_TAGS, TaggedSentence
 
 # Tags a pattern may mark as the opinion role.
@@ -217,18 +226,49 @@ class AspectSpan(NamedTuple):
     surface: str
 
 
-def _noun_run(sentence: TaggedSentence, index: int) -> tuple[int, int]:
-    """Maximal run of noun-tagged tokens containing ``index``."""
-    tags = sentence.tags
-    if tags[index] not in NOUN_TAGS:
-        return index, index + 1
+def _aspect_at(
+    tags: tuple[str, ...],
+    words_lower: list[str],
+    index: int,
+    entry: Callable[[str], str | None],
+) -> tuple[int, int, str]:
+    """``(start, end, surface)`` of :func:`resolve_aspect`, given the
+    lowercased words and the bound ``get`` of the dictionary's entries."""
     start = index
-    while start > 0 and tags[start - 1] in NOUN_TAGS:
-        start -= 1
     end = index + 1
-    while end < len(tags) and tags[end] in NOUN_TAGS:
-        end += 1
-    return start, end
+    if tags[index] in NOUN_TAGS:
+        while start > 0 and tags[start - 1] in NOUN_TAGS:
+            start -= 1
+        while end < len(tags) and tags[end] in NOUN_TAGS:
+            end += 1
+    if end - start == 1:
+        surface = words_lower[start]
+        return start, end, entry(surface) or surface
+    surface = " ".join(words_lower[start:end])
+    canonical = entry(surface)
+    if canonical is None:
+        canonical = entry(words_lower[index])
+    return start, end, canonical or surface
+
+
+def _nearest_aspect(
+    tags: tuple[str, ...],
+    words_lower: list[str],
+    opinion_index: int,
+    entry: Callable[[str], str | None],
+    widest: Callable[[str], int | None],
+) -> tuple[int, int, str] | None:
+    """``(start, end, surface)`` of :func:`nearest_aspect_search`, given
+    the bound ``get`` of the dictionary's ``entries`` and ``widest``."""
+    backward = range(opinion_index - 1, -1, -1)
+    forward = range(opinion_index + 1, len(tags))
+    for j in chain(backward, forward):
+        if tags[j] in NOUN_TAGS:
+            return _aspect_at(tags, words_lower, j, entry)
+        hit = _longest_entry_at(words_lower, j, entry, widest)
+        if hit is not None:
+            return j, j + hit[0], hit[1]
+    return None
 
 
 def resolve_aspect(
@@ -236,22 +276,15 @@ def resolve_aspect(
 ) -> AspectSpan:
     """Aspect span for the noun at ``index``: maximal noun run, canonicalized.
 
-    The full span is looked up first; failing that, the anchor token
-    alone.  Unknown spans keep their raw lowercase text.  Surfaces hold
-    no whitespace, so the lowercased run joined by single spaces is
-    already a normalized dictionary key and is probed as it is.
+    A noun's run is the maximal run of noun-tagged tokens around it; any
+    other token is a run of its own.  The full span is looked up first;
+    failing that, the anchor token alone.  Unknown spans keep their raw
+    lowercase text.  Surfaces hold no whitespace, so the lowercased run
+    joined by single spaces is already a normalized dictionary key and is
+    probed as it is.
     """
-    start, end = _noun_run(sentence, index)
-    entries = dictionary.entries
-    if end - start == 1:
-        surface = sentence.surfaces[start].lower()
-        return AspectSpan(start=start, end=end, surface=entries.get(surface) or surface)
-    words = [w.lower() for w in sentence.surfaces[start:end]]
-    surface = " ".join(words)
-    canonical = entries.get(surface)
-    if canonical is None:
-        canonical = entries.get(words[index - start])
-    return AspectSpan(start=start, end=end, surface=canonical or surface)
+    words_lower = [w.lower() for w in sentence.surfaces]
+    return AspectSpan(*_aspect_at(sentence.tags, words_lower, index, dictionary.entries.get))
 
 
 def nearest_aspect_search(
@@ -262,19 +295,14 @@ def nearest_aspect_search(
 ) -> AspectSpan | None:
     """Nearest noun or dictionary term: backward first, then forward.
 
-    ``words_lower`` holds the sentence's surfaces lowercased.
+    ``words_lower`` holds the sentence's surfaces lowercased.  A noun
+    gives its :func:`resolve_aspect` span; any other token starting a
+    dictionary term (:meth:`AspectDictionary.match_at`) gives the term.
     """
-    tags = sentence.tags
-    backward = range(opinion_index - 1, -1, -1)
-    forward = range(opinion_index + 1, len(tags))
-    for j in chain(backward, forward):
-        if tags[j] in NOUN_TAGS:
-            return resolve_aspect(sentence, j, dictionary)
-        hit = dictionary.match_at(words_lower, j)
-        if hit is not None:
-            n, canonical = hit
-            return AspectSpan(start=j, end=j + n, surface=canonical)
-    return None
+    span = _nearest_aspect(
+        sentence.tags, words_lower, opinion_index, dictionary.entries.get, dictionary.widest.get
+    )
+    return None if span is None else AspectSpan(*span)
 
 
 def extract_with_options(
@@ -286,11 +314,28 @@ def extract_with_options(
     fallback: bool = True,
     conjunction: bool = True,
 ) -> list[AspectOpinionPair]:
-    """Extract the sentence's (aspect, opinion) pairs.
+    """The pairs of one sentence: :func:`extract_sentences` on it alone."""
+    return extract_sentences(
+        (sentence,), dictionary, lexicon, pattern_set,
+        fallback=fallback, conjunction=conjunction,
+    )
+
+
+def extract_sentences(
+    sentences: Iterable[TaggedSentence],
+    dictionary: AspectDictionary,
+    lexicon: OpinionLexicon,
+    pattern_set: PatternSet,
+    *,
+    fallback: bool = True,
+    conjunction: bool = True,
+) -> list[AspectOpinionPair]:
+    """Extract the (aspect, opinion) pairs of each sentence, in sentence order.
 
     A candidate survives only if its opinion word has a known polarity.
-    Each (aspect start, opinion index) position holds one pair, and the
-    first claim of a position wins.  Claims are made in three passes:
+    Within a sentence, each (aspect start, opinion index) position holds
+    one pair, and the first claim of a position wins.  Claims are made in
+    three passes:
 
     1. the patterns in line order, each window left to right;
     2. with ``fallback``, the nearest-aspect search for each polar
@@ -307,71 +352,88 @@ def extract_with_options(
     pass 1.  The same scan records the opinion-role positions pass 2
     visits.  A sentence with neither hits nor (with ``fallback``) such
     positions yields no pairs; any other is lowercased once, for the
-    polarity gate, the opinion surfaces and the nearest-aspect search.
-    Output is ordered by token position.
+    polarity gate, the opinion surfaces and the aspect search.  Each
+    sentence's pairs are ordered by token position.
+
+    The pattern index, the seed lists and the dictionary's lookups are
+    resolved once per call, not once per sentence.
     """
-    tags = sentence.tags
-    by_first_tag = pattern_set.by_first_tag
-    hits: list[tuple[int, int, TagPattern]] = []
-    opinion_positions: list[int] = []
-    for start, tag in enumerate(tags):
-        entries = by_first_tag.get(tag)
-        if entries is not None:
-            for rank, pattern in entries:
-                if tags[start : start + len(pattern.tags)] == pattern.tags:
-                    hits.append((rank, start, pattern))
-        if tag in OPINION_ROLE_TAGS:
-            opinion_positions.append(start)
-    if not hits and not (fallback and opinion_positions):
-        return []
-    hits.sort()
-    words_lower = [w.lower() for w in sentence.surfaces]
-    found: dict[tuple[int, int], AspectOpinionPair] = {}
-
-    def claim(span: AspectSpan, oi: int, orientation: str, pattern_name: str) -> None:
-        if (span.start, oi) not in found:
-            found[span.start, oi] = AspectOpinionPair(
-                span.surface, words_lower[oi], orientation, sentence,
-                span.start, oi, pattern_name, span.end,
-            )
-
-    for _, start, pattern in hits:
-        oi = start + pattern.opinion_offset
-        orientation = lexicon.polarity(words_lower[oi])
-        if orientation == NONE:
+    by_first_tag = pattern_set.by_first_tag.get
+    positive = lexicon.positive
+    negative = lexicon.negative
+    entry = dictionary.entries.get
+    widest = dictionary.widest.get
+    pairs: list[AspectOpinionPair] = []
+    for sentence in sentences:
+        tags = sentence.tags
+        hits: list[tuple[int, int, TagPattern]] = []
+        opinion_positions: list[int] = []
+        for start, tag in enumerate(tags):
+            patterns = by_first_tag(tag)
+            if patterns is not None:
+                for rank, pattern in patterns:
+                    if tags[start : start + len(pattern.tags)] == pattern.tags:
+                        hits.append((rank, start, pattern))
+            if tag in OPINION_ROLE_TAGS:
+                opinion_positions.append(start)
+        if not hits and not (fallback and opinion_positions):
             continue
-        if pattern.aspect_offset is not None:
-            span = resolve_aspect(sentence, start + pattern.aspect_offset, dictionary)
-        else:
-            span = nearest_aspect_search(sentence, oi, dictionary, words_lower)
-            if span is None:
-                continue
-        claim(span, oi, orientation, pattern.name)
+        if len(hits) > 1:
+            hits.sort()
+        words_lower = [w.lower() for w in sentence.surfaces]
+        # (aspect start, opinion index) -> (surface, orientation, aspect end, pattern name)
+        found: dict[tuple[int, int], tuple[str, str, int, str]] = {}
 
-    if fallback:
-        claimed = {oi for _, oi in found}
-        for oi in opinion_positions:
-            if oi in claimed:
+        for _, start, pattern in hits:
+            oi = start + pattern.opinion_offset
+            word = words_lower[oi]
+            orientation = POSITIVE if word in positive else NEGATIVE if word in negative else None
+            if orientation is None:
                 continue
-            orientation = lexicon.polarity(words_lower[oi])
-            if orientation == NONE:
-                continue
-            span = nearest_aspect_search(sentence, oi, dictionary, words_lower)
-            if span is not None:
-                claim(span, oi, orientation, FALLBACK_PATTERN_NAME)
+            if pattern.aspect_offset is not None:
+                span = _aspect_at(tags, words_lower, start + pattern.aspect_offset, entry)
+            else:
+                span = _nearest_aspect(tags, words_lower, oi, entry, widest)
+                if span is None:
+                    continue
+            found.setdefault((span[0], oi), (span[2], orientation, span[1], pattern.name))
 
-    if conjunction and "CC" in tags:
-        for pair in [found[key] for key in sorted(found)]:
-            after = pair.aspect_end
-            if (
-                after + 1 < len(tags)
-                and tags[after] == "CC"
-                and tags[after + 1] in NOUN_TAGS
-            ):
-                span = resolve_aspect(sentence, after + 1, dictionary)
-                claim(span, pair.opinion_index, pair.orientation, pair.pattern_name)
+        if fallback and opinion_positions:
+            claimed = {oi for _, oi in found}
+            for oi in opinion_positions:
+                if oi in claimed:
+                    continue
+                word = words_lower[oi]
+                orientation = (
+                    POSITIVE if word in positive else NEGATIVE if word in negative else None
+                )
+                if orientation is None:
+                    continue
+                span = _nearest_aspect(tags, words_lower, oi, entry, widest)
+                if span is not None:
+                    found.setdefault(
+                        (span[0], oi), (span[2], orientation, span[1], FALLBACK_PATTERN_NAME)
+                    )
 
-    return [found[key] for key in sorted(found)]
+        if conjunction and "CC" in tags:
+            for (_, oi), (_, orientation, after, name) in sorted(found.items()):
+                if (
+                    after + 1 < len(tags)
+                    and tags[after] == "CC"
+                    and tags[after + 1] in NOUN_TAGS
+                ):
+                    span = _aspect_at(tags, words_lower, after + 1, entry)
+                    found.setdefault((span[0], oi), (span[2], orientation, span[1], name))
+
+        for (start, oi), (surface, orientation, end, name) in (
+            sorted(found.items()) if len(found) > 1 else found.items()
+        ):
+            pairs.append(
+                AspectOpinionPair(
+                    surface, words_lower[oi], orientation, sentence, start, oi, name, end
+                )
+            )
+    return pairs
 
 
 @dataclass(frozen=True)

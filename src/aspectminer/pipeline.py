@@ -26,7 +26,7 @@ from .lexicons import (
     load_opinion_lexicon,
     load_verb_categories,
 )
-from .patterns import AspectOpinionPair, PatternSet, extract_with_options, load_pattern_set
+from .patterns import AspectOpinionPair, PatternSet, extract_sentences, load_pattern_set
 from .scoring import SentenceScore, score_sentences
 from .summary import Summary, generate_summary
 from .tagger import BaselineTagger, TaggedSentence, load_tag_lexicon, parse_pretagged
@@ -211,20 +211,16 @@ def extract_corpus(
     fallback: bool = True,
     conjunction: bool = True,
 ) -> list[AspectOpinionPair]:
-    """Run per-sentence extraction over the whole corpus, order preserved."""
-    pairs: list[AspectOpinionPair] = []
-    for sentence in tagged:
-        pairs.extend(
-            extract_with_options(
-                sentence,
-                res.aspect_dictionary,
-                res.opinion_lexicon,
-                res.pattern_set,
-                fallback=fallback,
-                conjunction=conjunction,
-            )
-        )
-    return pairs
+    """Extract the pairs of the whole corpus in one
+    :func:`~aspectminer.patterns.extract_sentences` call, order preserved."""
+    return extract_sentences(
+        tagged,
+        res.aspect_dictionary,
+        res.opinion_lexicon,
+        res.pattern_set,
+        fallback=fallback,
+        conjunction=conjunction,
+    )
 
 
 def summarize_corpus(

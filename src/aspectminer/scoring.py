@@ -9,6 +9,7 @@ per distinct surface (:meth:`VerbCategoryLexicon.orientation_of_surface`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import nsmallest
 from itertools import repeat
 from typing import Mapping
 
@@ -64,10 +65,11 @@ def rank_sentences(
     scores: Mapping[TaggedSentence, SentenceScore],
     k: int,
 ) -> list[TaggedSentence]:
-    """Top k sentences by weight; ties broken by corpus position."""
+    """Top k sentences by weight; ties broken by corpus position.
+
+    ``heapq.nsmallest`` gives ``sorted(...)[:k]`` without sorting the
+    whole set.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
-    ordered = sorted(
-        set(sentences), key=lambda s: (-scores[s].total, s.position)
-    )
-    return ordered[:k]
+    return nsmallest(k, set(sentences), key=lambda s: (-scores[s].total, s.position))

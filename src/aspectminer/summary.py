@@ -82,9 +82,9 @@ def generate_summary(
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
     rendered: list[SummaryGroup] = []
-    for group in sorted(
-        groups, key=lambda g: (-(g.positive_count + g.negative_count), g.canonical_label)
-    ):
+    counted = [(group, group.positive_count, group.negative_count) for group in groups]
+    counted.sort(key=lambda c: (-(c[1] + c[2]), c[0].canonical_label))
+    for group, positive_count, negative_count in counted:
         pos_sents = {p.sentence for p in group.pairs if p.orientation == POSITIVE}
         neg_sents = {p.sentence for p in group.pairs if p.orientation == NEGATIVE}
         pros = tuple(
@@ -98,8 +98,8 @@ def generate_summary(
         rendered.append(
             SummaryGroup(
                 label=group.canonical_label,
-                positive_count=group.positive_count,
-                negative_count=group.negative_count,
+                positive_count=positive_count,
+                negative_count=negative_count,
                 pros=pros,
                 cons=cons,
             )

@@ -141,6 +141,16 @@ class TestCorpusParsing:
         assert corpus.sentences[0].gold == ()
         assert any("annotation" in r.message for r in caplog.records)
 
+    def test_whitespace_only_term_is_unrecognized(self, caplog):
+        content = "##first .\n  [+2]##the sound is good .\n"
+        with caplog.at_level("WARNING"):
+            corpus = parse_corpus_file(content, "p")
+        assert [s.raw_text for s in corpus.sentences] == ["first .", "the sound is good ."]
+        assert corpus.sentences[1].gold == ()
+        assert [r.message for r in caplog.records] == [
+            "line 2: unrecognized annotation '[+2]'; keeping sentence without gold"
+        ]
+
     def test_line_without_separator_skipped(self, caplog):
         with caplog.at_level("WARNING"):
             corpus = parse_corpus_file("no separator here\n##real .\n", "p")

@@ -1,7 +1,7 @@
 """Tests for tag patterns, pair extraction, and frequent tag-set mining."""
 
 import random
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import Phase, example, find, given, settings
@@ -19,6 +19,7 @@ from aspectminer.patterns import (
     MinedPattern,
     PatternSet,
     TagPattern,
+    extract_sentences,
     extract_with_options,
     load_pattern_set,
     mine_frequent_tag_sets,
@@ -26,7 +27,7 @@ from aspectminer.patterns import (
     parse_pattern_line,
     resolve_aspect,
 )
-from aspectminer.pipeline import data_dir
+from aspectminer.pipeline import data_dir, extract_corpus, load_resources
 from aspectminer.tagger import NOUN_TAGS, TaggedSentence, parse_pretagged
 
 
@@ -911,6 +912,52 @@ class TestSingleCoreAgainstStagedOracle:
                 sentence, resources.aspect_dictionary, resources.opinion_lexicon,
                 resources.pattern_set,
             )
+
+
+corpora = st.tuples(st.lists(sentences, min_size=1, max_size=6), st.integers(1, 10_000)).map(
+    lambda drawn: [
+        TaggedSentence(s.surfaces, s.tags, None, position)
+        for position, s in enumerate(drawn[0], drawn[1])
+    ]
+)
+BUNDLED_RESOURCES = load_resources()
+
+
+class TestCorpusCoreAgainstStagedOracle:
+    """One call over many sentences equals the oracle run sentence by
+    sentence, so no per-sentence state carries over to the next."""
+
+    @given(corpora, st.sets(st.sampled_from(DIFF_ENTRIES)), pattern_sets)
+    @settings(max_examples=300, deadline=None)
+    # Pairs, then no pair, then a pattern pair copied across "and".
+    @example(
+        [
+            sent("the/DT sound/NN is/VBZ good/JJ ./.", position=7),
+            sent("it/PRP works/VBZ ./.", position=8),
+            sent("good/JJ sound/NN and/CC lens/NN ./.", position=9),
+        ],
+        set(),
+        BUNDLED_PATTERNS,
+    )
+    def test_corpus_equals_oracle_sentence_by_sentence(self, tagged, entries, pattern_set):
+        d = AspectDictionary(entries=dict(entries))
+        res = replace(
+            BUNDLED_RESOURCES,
+            opinion_lexicon=DIFF_LEXICON, aspect_dictionary=d, pattern_set=pattern_set,
+        )
+        for fallback in (True, False):
+            for conjunction in (True, False):
+                options = {"fallback": fallback, "conjunction": conjunction}
+                want = [
+                    pair
+                    for sentence in tagged
+                    for pair in staged_extract(
+                        sentence, d, DIFF_LEXICON, pattern_set, **options
+                    )
+                ]
+                assert pair_rows(extract_corpus(tagged, res, **options)) == pair_rows(want)
+                direct = extract_sentences(iter(tagged), d, DIFF_LEXICON, pattern_set, **options)
+                assert pair_rows(direct) == pair_rows(want), options
 
 
 def brute_force_supports(sentence_tags, min_support, max_len):

@@ -1,6 +1,8 @@
 """Tests for sentence weighting, verb base forms, and top-k selection."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aspectminer.grouping import AspectGroup
 from aspectminer.lexicons import (
@@ -15,7 +17,7 @@ from aspectminer.scoring import (
     score_sentences,
     weight_sentence,
 )
-from aspectminer.tagger import base_form_candidates, parse_pretagged
+from aspectminer.tagger import TaggedSentence, base_form_candidates, parse_pretagged
 
 NO_VERBS = VerbCategoryLexicon()
 WEIGHTS = TagWeightTable()
@@ -202,6 +204,21 @@ class TestRanking:
         a = sent("nice/JJ sound/NN ./.", position=0)
         scores = score_sentences([a], WEIGHTS, NO_VERBS)
         assert rank_sentences([a, a, a], scores, k=3) == [a]
+
+    @given(
+        st.lists(st.tuples(st.integers(0, 30), st.integers(-3, 3)), max_size=25),
+        st.integers(1, 30),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_top_k_equals_full_sort_prefix(self, drawn, k):
+        # Repeated positions and totals, so ties on both keys are common.
+        scores = {}
+        for i, (position, total) in enumerate(drawn):
+            s = TaggedSentence(surfaces=(f"w{i}",), tags=("NN",), position=position)
+            scores[s] = SentenceScore(s, total, 0)
+        sentences = list(scores)
+        ranked = sorted(set(sentences), key=lambda s: (-scores[s].total, s.position))
+        assert rank_sentences(sentences, scores, k) == ranked[:k]
 
     def test_rank_sentences_of_group(self):
         strong = sent("the/DT best/JJS sound/NN ./.", position=0)
