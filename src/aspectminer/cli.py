@@ -13,11 +13,16 @@ Exit codes: 0 success, 2 missing input or resource file (path named),
 value), an input file without sentences or an output path that cannot
 be written.  A JSON config file can seed any flag;
 explicit command-line flags win.
+
+``main`` may be called many times in one process.  The parser and the
+config schema depend only on this module, so each is built once, on
+first use; every input, config and resource file is read on each call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import types
@@ -92,6 +97,12 @@ class RunConfig:
                 raise FileNotFoundError(value)
 
 
+@functools.cache
+def _config_schema() -> dict:
+    """``RunConfig``'s field annotations, resolved on the first ``--config`` run."""
+    return get_type_hints(RunConfig)
+
+
 def _is_instance(value, hint) -> bool:
     """isinstance against a field annotation; a bool is no int here."""
     if isinstance(hint, types.UnionType):
@@ -118,8 +129,8 @@ def _load_config_file(path: str, formats: tuple[str, ...]) -> dict:
         raise ParseError(f"invalid JSON: {exc}", path=path) from exc
     if not isinstance(data, dict):
         raise ParseError("config must be a JSON object", path=path)
-    known = {f.name for f in fields(RunConfig)}
-    unknown = set(data) - known
+    hints = _config_schema()
+    unknown = data.keys() - hints.keys()
     if unknown:
         raise ParseError(
             f"unknown config key(s): {', '.join(sorted(unknown))}", path=path
@@ -127,7 +138,6 @@ def _load_config_file(path: str, formats: tuple[str, ...]) -> dict:
     for key in ("corpus", "pretagged"):
         if key in data and isinstance(data[key], str):
             data[key] = [data[key]]
-    hints = get_type_hints(RunConfig)
     for key, value in data.items():
         hint = hints[key]
         if not _is_instance(value, hint):
@@ -431,8 +441,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parse_args leaves the parser as it was, so main can reuse one
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     command = _COMMANDS[args.command]
     if args.format not in (None, *command.formats):

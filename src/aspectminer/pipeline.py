@@ -88,23 +88,29 @@ def load_resources(
     patterns: str | Path | None = None,
     tag_lexicon: str | Path | None = None,
 ) -> Resources:
-    """Load every resource, falling back to the bundled defaults.
+    """Load every resource, falling back to the defaults in :func:`data_dir`,
+    which is resolved once per call.
 
     The tag lexicon is only checked to be a file here; it is parsed by
     the first :meth:`Resources.tagger` call.
     """
-    tag_lexicon_path = Path(tag_lexicon or default_path("tag_lexicon"))
+    data = data_dir()
+
+    def path(given: str | Path | None, resource: str) -> str | Path:
+        return given or data / DEFAULT_FILES[resource]
+
+    tag_lexicon_path = Path(path(tag_lexicon, "tag_lexicon"))
     if not tag_lexicon_path.is_file():
         raise FileNotFoundError(str(tag_lexicon_path))
     return Resources(
         opinion_lexicon=load_opinion_lexicon(
-            pos_lex or default_path("pos_lex"), neg_lex or default_path("neg_lex")
+            path(pos_lex, "pos_lex"), path(neg_lex, "neg_lex")
         ),
         aspect_dictionary=load_aspect_dictionary(
-            aspects or default_path("aspects"), synonyms or default_path("synonyms")
+            path(aspects, "aspects"), path(synonyms, "synonyms")
         ),
-        verb_categories=load_verb_categories(verbs or default_path("verbs")),
-        pattern_set=load_pattern_set(patterns or default_path("patterns")),
+        verb_categories=load_verb_categories(path(verbs, "verbs")),
+        pattern_set=load_pattern_set(path(patterns, "patterns")),
         tag_lexicon_path=tag_lexicon_path,
         tag_weights=TagWeightTable(),
     )

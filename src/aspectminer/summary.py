@@ -82,11 +82,19 @@ def generate_summary(
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
     rendered: list[SummaryGroup] = []
-    counted = [(group, group.positive_count, group.negative_count) for group in groups]
-    counted.sort(key=lambda c: (-(c[1] + c[2]), c[0].canonical_label))
-    for group, positive_count, negative_count in counted:
-        pos_sents = {p.sentence for p in group.pairs if p.orientation == POSITIVE}
-        neg_sents = {p.sentence for p in group.pairs if p.orientation == NEGATIVE}
+    # one walk per group: each pair's sentence, listed under its polarity
+    split = []
+    for group in groups:
+        pos_sents: list[TaggedSentence] = []
+        neg_sents: list[TaggedSentence] = []
+        for p in group.pairs:
+            if p.orientation == POSITIVE:
+                pos_sents.append(p.sentence)
+            elif p.orientation == NEGATIVE:
+                neg_sents.append(p.sentence)
+        split.append((group, pos_sents, neg_sents))
+    split.sort(key=lambda c: (-(len(c[1]) + len(c[2])), c[0].canonical_label))
+    for group, pos_sents, neg_sents in split:
         pros = tuple(
             SummaryEntry(sentence=s, weight=scores[s].total)
             for s in rank_sentences(pos_sents, scores, top_k)
@@ -98,8 +106,8 @@ def generate_summary(
         rendered.append(
             SummaryGroup(
                 label=group.canonical_label,
-                positive_count=positive_count,
-                negative_count=negative_count,
+                positive_count=len(pos_sents),
+                negative_count=len(neg_sents),
                 pros=pros,
                 cons=cons,
             )

@@ -2,11 +2,17 @@
 
 import inspect
 import json
+import os
 import re
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 from typing import get_type_hints
 
 import pytest
 
+import aspectminer
 from aspectminer import cli
 from aspectminer.cli import (
     EXIT_ERROR,
@@ -17,7 +23,7 @@ from aspectminer.cli import (
     build_parser,
     main,
 )
-from aspectminer.pipeline import DEFAULT_FILES, load_resources
+from aspectminer.pipeline import DATA_ENV_VAR, DEFAULT_FILES, data_dir, load_resources
 
 
 @pytest.fixture()
@@ -701,3 +707,98 @@ class TestInputOutputErrors:
         code, err = self.run(["evaluate", "--corpus", str(empty)], capsys)
         assert code == EXIT_ERROR
         assert f"empty input: no sentences in {empty}" in err
+
+
+def run_alone(argv: list[str]) -> tuple[int, str]:
+    """Exit code and stdout of ``python -m aspectminer`` in a fresh process."""
+    env = dict(os.environ)
+    env.pop(DATA_ENV_VAR, None)
+    package_root = str(Path(aspectminer.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "aspectminer", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        encoding="utf-8",
+        timeout=60,
+    )
+    return proc.returncode, proc.stdout
+
+
+class TestRepeatedCalls:
+    """main keeps nothing between calls but what depends only on the code."""
+
+    def test_each_call_answers_as_if_run_alone(
+        self, sample_paths, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.delenv(DATA_ENV_VAR, raising=False)
+        config = tmp_path / "run.json"
+        config.write_text('{"top_k": 1, "format": "histogram"}', encoding="utf-8")
+        rp, r, m = sample_paths["pretagged"], sample_paths["corpus"], sample_paths["eval_corpus"]
+        runs = [
+            ["summarize", "--pretagged", rp, "--no-fallback", "--top-k", "1",
+             "--format", "machine"],
+            ["summarize", "--pretagged", rp],
+            ["extract", "--corpus", r, "--no-fallback", "--format", "machine"],
+            ["extract", "--corpus", r],
+            ["summarize", "--pretagged", rp, "--config", str(config)],
+            ["summarize", "--pretagged", rp],
+            ["evaluate", "--corpus", m, "--format", "machine"],
+            ["evaluate", "--corpus", m, "--top-k", "0"],
+            ["mine", "--corpus", r],
+        ]
+        in_process = []
+        for argv in runs:
+            code = main(argv)
+            in_process.append((code, capsys.readouterr().out))
+        assert [code for code, _ in in_process] == [EXIT_OK] * 7 + [EXIT_ERROR, EXIT_OK]
+        assert in_process[0] != in_process[1] and in_process[1] == in_process[5]
+        assert in_process == [run_alone(argv) for argv in runs]
+
+    def test_data_directory_read_on_every_call(
+        self, sample_paths, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.delenv(DATA_ENV_VAR, raising=False)
+        copy = tmp_path / "copy"
+        shutil.copytree(data_dir(), copy)
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        argv = ["extract", "--pretagged", sample_paths["pretagged"], "--format", "machine"]
+
+        assert main(argv) == EXIT_OK
+        bundled = capsys.readouterr().out
+        monkeypatch.setenv(DATA_ENV_VAR, str(empty))
+        assert main(argv) == EXIT_MISSING_FILE
+        assert str(empty) in capsys.readouterr().err
+        monkeypatch.setenv(DATA_ENV_VAR, str(copy))
+        (copy / "patterns.txt").write_text("NN:A VBZ JJ:O  # name=only\n", encoding="utf-8")
+        assert main(argv) == EXIT_OK
+        names = {line.split("\t")[-1] for line in capsys.readouterr().out.splitlines()[1:]}
+        assert names == {"only", "nearest-aspect"}
+        assert "noun-is-adj" in bundled
+
+    @pytest.mark.parametrize(
+        "flag, name, bad, argv",
+        [
+            ("--patterns", "patterns.txt", "NN:A VBZ\n", ["extract", "--pretagged"]),
+            ("--verbs", "verb-categories.txt", "tell\\n", ["summarize", "--pretagged"]),
+            ("--tag-lexicon", "tag-lexicon.txt", "word\tXYZ\n", ["summarize", "--corpus"]),
+        ],
+    )
+    def test_resource_file_read_on_every_call(
+        self, sample_paths, tmp_path, monkeypatch, capsys, flag, name, bad, argv
+    ):
+        monkeypatch.delenv(DATA_ENV_VAR, raising=False)
+        resource = tmp_path / name
+        shutil.copyfile(data_dir() / name, resource)
+        inputs = sample_paths["corpus" if argv[1] == "--corpus" else "pretagged"]
+        argv = [*argv, inputs, flag, str(resource)]
+
+        assert main(argv) == EXIT_OK
+        capsys.readouterr()
+        resource.write_text(bad, encoding="utf-8")
+        assert main(argv) == EXIT_PARSE_ERROR
+        assert f"{resource}: line 1" in capsys.readouterr().err

@@ -11,14 +11,17 @@ nothing (0.7x with the first-tag index, 8.5x with one scan per pattern).
 Per-word work is held to counts: the dictionary is not probed at a word
 that starts no entry, the tagger's rules and the verb base forms run
 once per distinct word, and evaluation compares each (sentence,
-predicted term, gold term) at most once.
+predicted term, gold term) at most once.  Per-process work is held to
+counts too: repeated ``cli.main`` calls build the parser and resolve
+the config schema once.
 """
 
+import argparse
 import random
 import time
 from dataclasses import replace
 
-from aspectminer import evaluation, lexicons, scoring
+from aspectminer import cli, evaluation, lexicons, scoring
 from aspectminer.corpus import parse_corpus_file
 from aspectminer.evaluation import evaluate_extraction_detailed
 from aspectminer.grouping import group_aspects
@@ -247,3 +250,37 @@ def test_mining_of_8k_random_sentences():
 
     assert mined and all(m.support >= 2 for m in mined)
     assert elapsed < 3.0
+
+
+def test_cli_builds_its_parser_once_per_process(sample_dir, monkeypatch, capsys):
+    calls = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(type(self))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    argv = ["summarize", "--pretagged", str(sample_dir / "reviews-pretagged.txt")]
+
+    codes = [cli.main(argv) for _ in range(3)]
+
+    assert codes == [0, 0, 0]
+    assert len(calls) <= 1
+
+
+def test_cli_resolves_the_config_schema_once_per_process(
+    sample_dir, tmp_path, monkeypatch, capsys
+):
+    calls = []
+    resolve = cli.get_type_hints
+    monkeypatch.setattr(cli, "get_type_hints", lambda obj: calls.append(obj) or resolve(obj))
+    config = tmp_path / "run.json"
+    config.write_text('{"top_k": 1, "format": "machine"}', encoding="utf-8")
+    argv = ["summarize", "--pretagged", str(sample_dir / "reviews-pretagged.txt")]
+
+    codes = [cli.main([*argv, "--config", str(config)]) for _ in range(2)]
+
+    assert codes == [0, 0]
+    assert capsys.readouterr().out.startswith("summary\t")
+    assert len(calls) <= 1
