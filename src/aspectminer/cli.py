@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import types
 from dataclasses import dataclass, field, fields
@@ -89,11 +90,11 @@ class RunConfig:
         if self.min_support < 1:
             raise ValueError("min-support must be >= 1")
         for path in list(self.corpus) + list(self.pretagged):
-            if not Path(path).is_file():
+            if not os.path.isfile(path):
                 raise FileNotFoundError(path)
         for name in _PATH_FIELDS:
             value = getattr(self, name)
-            if value is not None and not Path(value).is_file():
+            if value is not None and not os.path.isfile(value):
                 raise FileNotFoundError(value)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lexicons import NEGATIVE, POSITIVE, AspectDictionary
+from .lexicons import AspectDictionary
 from .patterns import AspectOpinionPair
 
 
@@ -32,14 +32,6 @@ class AspectGroup:
     canonical_label: str
     members: frozenset[str]
     pairs: tuple[AspectOpinionPair, ...]
-
-    @property
-    def positive_count(self) -> int:
-        return sum(1 for p in self.pairs if p.orientation == POSITIVE)
-
-    @property
-    def negative_count(self) -> int:
-        return sum(1 for p in self.pairs if p.orientation == NEGATIVE)
 
 
 class _UnionFind:

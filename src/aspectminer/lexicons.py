@@ -1,5 +1,5 @@
-"""Knowledge resources: opinion seed lists, aspect dictionary, verb
-categories, and the adjective/adverb tag weight table.
+"""Knowledge resources: opinion seed lists, aspect dictionary and verb
+categories.
 
 All matching is lowercase; every structure is immutable after loading.
 The verb lexicon remembers the orientation of each verb surface it is
@@ -16,16 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
 
 from .errors import ParseError, read_text
 from .tagger import base_form_candidates
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
-NONE = "none"
-
-DEFAULT_TAG_WEIGHTS = {"JJ": 1, "JJR": 2, "JJS": 3, "RB": 1, "RBR": 2, "RBS": 3}
 
 
 def _read_words(path: str | Path) -> list[str]:
@@ -44,14 +40,6 @@ class OpinionLexicon:
 
     positive: frozenset[str]
     negative: frozenset[str]
-
-    def polarity(self, word: str) -> str:
-        w = word.lower()
-        if w in self.positive:
-            return POSITIVE
-        if w in self.negative:
-            return NEGATIVE
-        return NONE
 
 
 def load_opinion_lexicon(positive_file: str | Path, negative_file: str | Path) -> OpinionLexicon:
@@ -77,10 +65,9 @@ class AspectDictionary:
 
     Canonical terms map to themselves; synonyms map to their canonical.
     Keys are normalized terms: lowercase words joined by single spaces.
-    ``match_at`` matches the longest dictionary term starting at a token
-    position, so multi-word terms win over their prefixes.  ``widest``
-    maps each entry's first word to the word count of the longest entry
-    starting with it, the widest window ``match_at`` tries there.
+    ``widest`` maps each entry's first word to the word count of the
+    longest entry starting with it, the widest window the nearest-aspect
+    search tries there, so multi-word terms win over their prefixes.
     """
 
     entries: dict[str, str] = field(default_factory=dict)
@@ -97,34 +84,6 @@ class AspectDictionary:
 
     def lookup(self, term: str) -> str | None:
         return self.entries.get(_normalize_term(term))
-
-    def match_at(self, words_lower: list[str], start: int) -> tuple[int, str] | None:
-        """Longest entry equal to ``words_lower[start:start+n]``; returns (n, canonical).
-
-        The words hold no whitespace (see :class:`~aspectminer.tagger.TaggedSentence`),
-        so a window joined by single spaces is already a normalized key.
-        """
-        return _longest_entry_at(words_lower, start, self.entries.get, self.widest.get)
-
-
-def _longest_entry_at(
-    words_lower: list[str],
-    start: int,
-    entry: Callable[[str], str | None],
-    widest: Callable[[str], int | None],
-) -> tuple[int, str] | None:
-    """:meth:`AspectDictionary.match_at` given the bound ``get`` of its
-    ``entries`` and ``widest``, so a caller scanning many positions looks
-    them up once."""
-    limit = widest(words_lower[start])
-    if not limit:
-        return None
-    limit = min(limit, len(words_lower) - start)
-    for n in range(limit, 0, -1):
-        canonical = entry(" ".join(words_lower[start : start + n]))
-        if canonical is not None:
-            return n, canonical
-    return None
 
 
 def load_aspect_dictionary(
@@ -180,16 +139,13 @@ class VerbCategoryLexicon:
         default_factory=dict, init=False, repr=False, compare=False
     )
 
-    def orientation_of(self, base_form: str) -> int:
-        return self.orientations.get(base_form.lower(), 0)
-
     def orientation_of_surface(self, surface: str) -> int:
         """Orientation of the first of ``surface``'s base forms that has one, else 0."""
         orientation = self.by_surface.get(surface)
         if orientation is None:
             orientation = 0
             for base in base_form_candidates(surface):
-                orientation = self.orientation_of(base)
+                orientation = self.orientations.get(base, 0)
                 if orientation != 0:
                     break
             self.by_surface[surface] = orientation
@@ -220,18 +176,3 @@ def load_verb_categories(path: str | Path) -> VerbCategoryLexicon:
                     f"verb {v!r} appears in both orientations", path=path, line=lineno
                 )
     return VerbCategoryLexicon(orientations=orientations)
-
-
-@dataclass(frozen=True)
-class TagWeightTable:
-    """Per-tag weights for adjective/adverb strength; unlisted tags weigh 0."""
-
-    weights: dict[str, int] = field(default_factory=lambda: dict(DEFAULT_TAG_WEIGHTS))
-
-    def __post_init__(self):
-        for tag, w in self.weights.items():
-            if not isinstance(w, int) or w < 0:
-                raise ValueError(f"weight for {tag} must be a non-negative integer")
-
-    def weight(self, tag: str) -> int:
-        return self.weights.get(tag, 0)

@@ -2,8 +2,8 @@
 
 A pattern is a short sequence of part-of-speech tags with two marked
 roles: one position holding the opinion word and (usually) one holding
-the aspect noun.  Patterns without an aspect position rely on
-``nearest_aspect_search`` to locate the nearest noun or dictionary term.
+the aspect noun.  Patterns without an aspect position rely on the
+nearest-aspect search to locate the nearest noun or dictionary term.
 
 Pattern file syntax, one pattern per line::
 
@@ -23,17 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Collection, Iterable, NamedTuple
+from typing import Callable, Collection, Iterable
 
 from ._records import slot_setters
 from .errors import ParseError, read_text
-from .lexicons import (
-    NEGATIVE,
-    POSITIVE,
-    AspectDictionary,
-    OpinionLexicon,
-    _longest_entry_at,
-)
+from .lexicons import NEGATIVE, POSITIVE, AspectDictionary, OpinionLexicon
 from .tagger import NOUN_TAGS, PENN_TAGS, TaggedSentence
 
 # Tags a pattern may mark as the opinion role.
@@ -220,27 +214,27 @@ class AspectOpinionPair:
 ) = slot_setters(AspectOpinionPair)
 
 
-class AspectSpan(NamedTuple):
-    start: int
-    end: int
-    surface: str
-
-
 def _aspect_at(
     tags: tuple[str, ...],
     words_lower: list[str],
     index: int,
     entry: Callable[[str], str | None],
 ) -> tuple[int, int, str]:
-    """``(start, end, surface)`` of :func:`resolve_aspect`, given the
-    lowercased words and the bound ``get`` of the dictionary's entries."""
+    """``(start, end, surface)`` of the aspect at the noun ``index``.
+
+    The span is the maximal run of noun-tagged tokens around the noun.
+    The full span is looked up first in the dictionary (``entry`` is the
+    bound ``get`` of its entries); failing that, the anchor token alone.
+    Unknown spans keep their raw lowercase text.  Surfaces hold no
+    whitespace, so the lowercased run joined by single spaces is already
+    a normalized dictionary key and is probed as it is.
+    """
     start = index
     end = index + 1
-    if tags[index] in NOUN_TAGS:
-        while start > 0 and tags[start - 1] in NOUN_TAGS:
-            start -= 1
-        while end < len(tags) and tags[end] in NOUN_TAGS:
-            end += 1
+    while start > 0 and tags[start - 1] in NOUN_TAGS:
+        start -= 1
+    while end < len(tags) and tags[end] in NOUN_TAGS:
+        end += 1
     if end - start == 1:
         surface = words_lower[start]
         return start, end, entry(surface) or surface
@@ -251,6 +245,31 @@ def _aspect_at(
     return start, end, canonical or surface
 
 
+def _longest_entry_at(
+    words_lower: list[str],
+    start: int,
+    entry: Callable[[str], str | None],
+    widest: Callable[[str], int | None],
+) -> tuple[int, str] | None:
+    """``(n, canonical)`` of the longest dictionary entry equal to
+    ``words_lower[start:start+n]``, given the bound ``get`` of the
+    dictionary's ``entries`` and ``widest``; only windows up to the
+    widest entry starting with the first word are tried.
+
+    The words hold no whitespace (see :class:`~aspectminer.tagger.TaggedSentence`),
+    so a window joined by single spaces is already a normalized key.
+    """
+    limit = widest(words_lower[start])
+    if not limit:
+        return None
+    limit = min(limit, len(words_lower) - start)
+    for n in range(limit, 0, -1):
+        canonical = entry(" ".join(words_lower[start : start + n]))
+        if canonical is not None:
+            return n, canonical
+    return None
+
+
 def _nearest_aspect(
     tags: tuple[str, ...],
     words_lower: list[str],
@@ -258,8 +277,12 @@ def _nearest_aspect(
     entry: Callable[[str], str | None],
     widest: Callable[[str], int | None],
 ) -> tuple[int, int, str] | None:
-    """``(start, end, surface)`` of :func:`nearest_aspect_search`, given
-    the bound ``get`` of the dictionary's ``entries`` and ``widest``."""
+    """``(start, end, surface)`` of the nearest noun or dictionary term to
+    the opinion word: backward first, then forward.
+
+    A noun gives its :func:`_aspect_at` span; any other token starting a
+    dictionary term (:func:`_longest_entry_at`) gives the term.
+    """
     backward = range(opinion_index - 1, -1, -1)
     forward = range(opinion_index + 1, len(tags))
     for j in chain(backward, forward):
@@ -269,40 +292,6 @@ def _nearest_aspect(
         if hit is not None:
             return j, j + hit[0], hit[1]
     return None
-
-
-def resolve_aspect(
-    sentence: TaggedSentence, index: int, dictionary: AspectDictionary
-) -> AspectSpan:
-    """Aspect span for the noun at ``index``: maximal noun run, canonicalized.
-
-    A noun's run is the maximal run of noun-tagged tokens around it; any
-    other token is a run of its own.  The full span is looked up first;
-    failing that, the anchor token alone.  Unknown spans keep their raw
-    lowercase text.  Surfaces hold no whitespace, so the lowercased run
-    joined by single spaces is already a normalized dictionary key and is
-    probed as it is.
-    """
-    words_lower = [w.lower() for w in sentence.surfaces]
-    return AspectSpan(*_aspect_at(sentence.tags, words_lower, index, dictionary.entries.get))
-
-
-def nearest_aspect_search(
-    sentence: TaggedSentence,
-    opinion_index: int,
-    dictionary: AspectDictionary,
-    words_lower: list[str],
-) -> AspectSpan | None:
-    """Nearest noun or dictionary term: backward first, then forward.
-
-    ``words_lower`` holds the sentence's surfaces lowercased.  A noun
-    gives its :func:`resolve_aspect` span; any other token starting a
-    dictionary term (:meth:`AspectDictionary.match_at`) gives the term.
-    """
-    span = _nearest_aspect(
-        sentence.tags, words_lower, opinion_index, dictionary.entries.get, dictionary.widest.get
-    )
-    return None if span is None else AspectSpan(*span)
 
 
 def extract_with_options(

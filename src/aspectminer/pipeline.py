@@ -20,7 +20,6 @@ from .grouping import AspectGroup, group_aspects
 from .lexicons import (
     AspectDictionary,
     OpinionLexicon,
-    TagWeightTable,
     VerbCategoryLexicon,
     load_aspect_dictionary,
     load_opinion_lexicon,
@@ -52,10 +51,6 @@ def data_dir() -> Path:
     return Path(__file__).parent / "data"
 
 
-def default_path(resource: str) -> Path:
-    return data_dir() / DEFAULT_FILES[resource]
-
-
 @dataclass(frozen=True)
 class Resources:
     """All loaded knowledge needed to run extraction and summarization.
@@ -69,7 +64,6 @@ class Resources:
     verb_categories: VerbCategoryLexicon
     pattern_set: PatternSet
     tag_lexicon_path: Path
-    tag_weights: TagWeightTable
 
     @cached_property
     def tag_lexicon(self) -> dict[str, str]:
@@ -112,7 +106,6 @@ def load_resources(
         verb_categories=load_verb_categories(path(verbs, "verbs")),
         pattern_set=load_pattern_set(path(patterns, "patterns")),
         tag_lexicon_path=tag_lexicon_path,
-        tag_weights=TagWeightTable(),
     )
 
 
@@ -241,7 +234,7 @@ def summarize_corpus(
     """extract -> group -> score -> summary for one tagged corpus."""
     pairs = extract_corpus(tagged, res, fallback=fallback, conjunction=conjunction)
     groups = group_aspects(pairs, res.aspect_dictionary)
-    scores = score_sentences(tagged, res.tag_weights, res.verb_categories)
+    scores = score_sentences(tagged, res.verb_categories)
     summary = generate_summary(groups, scores, top_k, product_name=product_name)
     return summary, groups, scores
 

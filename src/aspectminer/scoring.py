@@ -1,9 +1,11 @@
 """Sentence weighting and top-sentence selection.
 
-A sentence's weight is the sum of its adjective/adverb tag weights plus
-one point per reinforcing verb and minus one per weakening verb, with
-verbs reduced to base form by the tagger's ``base_form_candidates`` once
-per distinct surface (:meth:`VerbCategoryLexicon.orientation_of_surface`).
+A sentence's weight is the sum of its adjective/adverb tag weights
+(:data:`TAG_WEIGHTS`: plain 1, comparative 2, superlative 3, any other
+tag 0) plus one point per reinforcing verb and minus one per weakening
+verb, with verbs reduced to base form by the tagger's
+``base_form_candidates`` once per distinct surface
+(:meth:`VerbCategoryLexicon.orientation_of_surface`).
 """
 
 from __future__ import annotations
@@ -14,8 +16,10 @@ from itertools import repeat
 from typing import Mapping
 
 from ._records import slot_setters
-from .lexicons import TagWeightTable, VerbCategoryLexicon
+from .lexicons import VerbCategoryLexicon
 from .tagger import VERB_TAGS, TaggedSentence
+
+TAG_WEIGHTS = {"JJ": 1, "JJR": 2, "JJS": 3, "RB": 1, "RBR": 2, "RBS": 3}
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -37,14 +41,10 @@ class SentenceScore:
 _set_sentence, _set_adjective_adverb_points, _set_verb_points = slot_setters(SentenceScore)
 
 
-def weight_sentence(
-    sentence: TaggedSentence,
-    weights: TagWeightTable,
-    verbs: VerbCategoryLexicon,
-) -> SentenceScore:
+def weight_sentence(sentence: TaggedSentence, verbs: VerbCategoryLexicon) -> SentenceScore:
     """Score one sentence from its tags and verb categories."""
     tags = sentence.tags
-    adj_points = sum(map(weights.weights.get, tags, repeat(0)))
+    adj_points = sum(map(TAG_WEIGHTS.get, tags, repeat(0)))
     verb_points = 0
     for surface, tag in zip(sentence.surfaces, tags):
         if tag in VERB_TAGS:
@@ -53,11 +53,9 @@ def weight_sentence(
 
 
 def score_sentences(
-    sentences: list[TaggedSentence],
-    weights: TagWeightTable,
-    verbs: VerbCategoryLexicon,
+    sentences: list[TaggedSentence], verbs: VerbCategoryLexicon
 ) -> dict[TaggedSentence, SentenceScore]:
-    return {s: weight_sentence(s, weights, verbs) for s in sentences}
+    return {s: weight_sentence(s, verbs) for s in sentences}
 
 
 def rank_sentences(

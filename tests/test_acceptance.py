@@ -25,7 +25,6 @@ from aspectminer.evaluation import (
     f_measure,
     paired_t_test,
 )
-from aspectminer.lexicons import TagWeightTable
 from aspectminer.patterns import extract_with_options, mine_frequent_tag_sets
 from aspectminer.pipeline import extract_corpus
 from aspectminer.scoring import weight_sentence
@@ -85,7 +84,7 @@ def test_criterion_01_pattern_fixture_suite(resources):
 
 def test_criterion_02_reference_sentence_weight(resources):
     sentence = parse_pretagged("earpiece/NN is/VBZ very/RB comfortable/JJ")
-    score = weight_sentence(sentence, TagWeightTable(), resources.verb_categories)
+    score = weight_sentence(sentence, resources.verb_categories)
     assert score.total == 2
     _ok(2, "adverb+adjective reference sentence weighs exactly 2")
 

@@ -343,6 +343,12 @@ class TestExitCodes:
         assert code == EXIT_MISSING_FILE
         assert "/nonexistent/patterns.txt" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--pretagged", "--patterns"])
+    def test_directory_is_a_missing_file(self, sample_paths, tmp_path, capsys, flag):
+        argv = ["extract", "--pretagged", sample_paths["pretagged"], flag, str(tmp_path)]
+        assert main(argv) == EXIT_MISSING_FILE
+        assert f"missing file: {tmp_path}" in capsys.readouterr().err
+
     def test_malformed_pretagged(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text("no tags here\n", encoding="utf-8")

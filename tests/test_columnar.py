@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aspectminer.errors import ParseError
-from aspectminer.lexicons import TagWeightTable
 from aspectminer.scoring import weight_sentence
 from aspectminer.tagger import (
     PENN_TAGS,
@@ -50,15 +49,18 @@ def oracle_tag(tagger, words):
     return tuple(Token(w, tagger.tag_word(w, i)) for i, w in enumerate(words))
 
 
-def oracle_weight(tokens, weights, verbs):
+ORACLE_TAG_WEIGHTS = {"JJ": 1, "JJR": 2, "JJS": 3, "RB": 1, "RBR": 2, "RBS": 3}
+
+
+def oracle_weight(tokens, verbs):
     """The row scorer: ``weight_sentence``'s two sums before the columns."""
-    adj_points = sum(weights.weight(token.tag) for token in tokens)
+    adj_points = sum(ORACLE_TAG_WEIGHTS.get(token.tag, 0) for token in tokens)
     verb_points = 0
     for token in tokens:
         if token.tag not in VERB_TAGS:
             continue
         for base in base_form_candidates(token.surface):
-            orientation = verbs.orientation_of(base)
+            orientation = verbs.orientations.get(base, 0)
             if orientation != 0:
                 verb_points += orientation
                 break
@@ -154,22 +156,19 @@ class TestScoresAgainstRowOracle:
         sentence = TaggedSentence(
             surfaces=tuple(w for w, _ in drawn), tags=tuple(t for _, t in drawn)
         )
-        weights = TagWeightTable()
-        score = weight_sentence(sentence, weights, resources.verb_categories)
-        expected = oracle_weight(
-            [Token(w, t) for w, t in drawn], weights, resources.verb_categories
-        )
+        score = weight_sentence(sentence, resources.verb_categories)
+        expected = oracle_weight([Token(w, t) for w, t in drawn], resources.verb_categories)
         assert (score.adjective_adverb_points, score.verb_points) == expected
 
     def test_sample_scores_equal(self, resources, sample_tagged):
-        weights, verbs = resources.tag_weights, resources.verb_categories
+        verbs = resources.verb_categories
         sentences = list(sample_tagged) + [
             parse_pretagged("they/PRP warned/VBD us/PRP ./."),
             parse_pretagged("it/PRP tells/VBZ and/CC advises/VBZ well/RB ./."),
         ]
-        scores = [weight_sentence(tagged, weights, verbs) for tagged in sentences]
+        scores = [weight_sentence(tagged, verbs) for tagged in sentences]
         assert [(s.adjective_adverb_points, s.verb_points) for s in scores] == [
-            oracle_weight(tagged.tokens, weights, verbs) for tagged in sentences
+            oracle_weight(tagged.tokens, verbs) for tagged in sentences
         ]
         assert [s.verb_points for s in scores[-2:]] == [-1, 2]
 

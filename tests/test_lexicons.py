@@ -1,5 +1,4 @@
-"""Tests for opinion lexicons, the aspect dictionary, verb categories,
-and the tag weight table."""
+"""Tests for opinion lexicons, the aspect dictionary and verb categories."""
 
 import pytest
 from hypothesis import example, given, settings
@@ -7,20 +6,18 @@ from hypothesis import strategies as st
 
 from aspectminer.errors import ParseError
 from aspectminer.lexicons import (
-    DEFAULT_TAG_WEIGHTS,
     NEGATIVE,
-    NONE,
     POSITIVE,
     AspectDictionary,
     OpinionLexicon,
-    TagWeightTable,
     VerbCategoryLexicon,
     load_aspect_dictionary,
     load_opinion_lexicon,
     load_verb_categories,
 )
-from aspectminer.pipeline import default_path
-from aspectminer.tagger import base_form_candidates
+from aspectminer.patterns import PatternSet, _longest_entry_at, extract_with_options
+from aspectminer.pipeline import DEFAULT_FILES, data_dir
+from aspectminer.tagger import base_form_candidates, parse_pretagged
 
 
 def write(path, text):
@@ -28,22 +25,29 @@ def write(path, text):
     return path
 
 
+def polarity(lex, word):
+    """The orientation extraction gives ``word`` as an opinion, or None."""
+    sentence = parse_pretagged(f"screen/NN is/VBZ {word}/JJ")
+    pairs = extract_with_options(sentence, AspectDictionary(), lex, PatternSet(patterns=()))
+    return pairs[0].orientation if pairs else None
+
+
 class TestOpinionLexicon:
     def test_polarity_classes(self):
         lex = OpinionLexicon(positive=frozenset({"good"}), negative=frozenset({"bad"}))
-        assert lex.polarity("good") == POSITIVE
-        assert lex.polarity("bad") == NEGATIVE
-        assert lex.polarity("table") == NONE
+        assert polarity(lex, "good") == POSITIVE
+        assert polarity(lex, "bad") == NEGATIVE
+        assert polarity(lex, "table") is None
 
     def test_polarity_case_insensitive(self):
         lex = OpinionLexicon(positive=frozenset({"good"}), negative=frozenset())
-        assert lex.polarity("Good") == POSITIVE
-        assert lex.polarity("GOOD") == POSITIVE
+        assert polarity(lex, "Good") == POSITIVE
+        assert polarity(lex, "GOOD") == POSITIVE
 
     def test_unlisted_word_has_no_polarity(self):
         lex = OpinionLexicon(positive=frozenset({"fine"}), negative=frozenset())
-        assert lex.polarity("fine") == POSITIVE
-        assert lex.polarity("poor") == NONE
+        assert polarity(lex, "fine") == POSITIVE
+        assert polarity(lex, "poor") is None
 
     def test_load_from_files(self, tmp_path):
         pos = write(tmp_path / "pos.txt", "; header comment\ngood\nGreat\n\nnice\n")
@@ -78,8 +82,12 @@ class TestOpinionLexicon:
     def test_bundled_lists_disjoint(self, resources):
         lex = resources.opinion_lexicon
         assert not (lex.positive & lex.negative)
-        assert lex.polarity("great") == POSITIVE
-        assert lex.polarity("poor") == NEGATIVE
+        assert polarity(lex, "great") == POSITIVE
+        assert polarity(lex, "poor") == NEGATIVE
+
+
+def longest_entry_at(dictionary, words_lower, start):
+    return _longest_entry_at(words_lower, start, dictionary.entries.get, dictionary.widest.get)
 
 
 class TestAspectDictionary:
@@ -98,17 +106,17 @@ class TestAspectDictionary:
         assert max(d.widest.values()) == 3
         assert AspectDictionary().widest == {}
 
-    def test_match_at_prefers_longest(self):
+    def test_longest_entry_at_prefers_longest(self):
         d = AspectDictionary(
             entries={"battery": "battery", "battery life": "battery life"}
         )
         words = ["the", "battery", "life", "rocks"]
-        assert d.match_at(words, 1) == (2, "battery life")
-        assert d.match_at(words, 0) is None
+        assert longest_entry_at(d, words, 1) == (2, "battery life")
+        assert longest_entry_at(d, words, 0) is None
 
-    def test_match_at_respects_sentence_end(self):
+    def test_longest_entry_at_respects_sentence_end(self):
         d = AspectDictionary(entries={"battery life": "battery life"})
-        assert d.match_at(["battery"], 0) is None
+        assert longest_entry_at(d, ["battery"], 0) is None
 
     def test_load_canonical_terms(self, tmp_path):
         f = write(tmp_path / "aspects.txt", "battery\nsound quality\n")
@@ -168,12 +176,11 @@ class TestAspectDictionary:
 
 
 class TestVerbCategories:
-    def test_orientation_of(self):
+    def test_orientation_of_surface(self):
         lex = VerbCategoryLexicon(orientations={"love": 1, "hate": -1})
-        assert lex.orientation_of("love") == 1
-        assert lex.orientation_of("hate") == -1
-        assert lex.orientation_of("walk") == 0
-        assert lex.orientation_of("love") != 0
+        assert lex.orientation_of_surface("love") == 1
+        assert lex.orientation_of_surface("hate") == -1
+        assert lex.orientation_of_surface("walk") == 0
 
     def test_load(self, tmp_path):
         f = write(
@@ -181,8 +188,8 @@ class TestVerbCategories:
             "praise\tpositive\tlove, adore\ncriticise\tnegative\thate\n",
         )
         lex = load_verb_categories(f)
-        assert lex.orientation_of("adore") == 1
-        assert lex.orientation_of("hate") == -1
+        assert lex.orientation_of_surface("adore") == 1
+        assert lex.orientation_of_surface("hate") == -1
 
     def test_load_rejects_bad_column_count(self, tmp_path):
         f = write(tmp_path / "verbs.txt", "praise\tpositive\n")
@@ -206,13 +213,13 @@ class TestVerbCategories:
 
     def test_bundled_categories(self, resources):
         lex = resources.verb_categories
-        assert lex.orientation_of("advise") == 1
-        assert lex.orientation_of("warn") == -1
+        assert lex.orientation_of_surface("advise") == 1
+        assert lex.orientation_of_surface("warn") == -1
 
     def test_bundled_map_matches_a_category_scan(self, resources):
         """The loaded map answers as a scan of the file's categories does."""
         categories = []  # (orientation, verbs) per category line, in file order
-        for line in default_path("verbs").read_text(encoding="utf-8").splitlines():
+        for line in (data_dir() / DEFAULT_FILES["verbs"]).read_text(encoding="utf-8").splitlines():
             if line.strip() and not line.startswith((";", "#")):
                 _, orientation, verbs = (p.strip() for p in line.split("\t"))
                 categories.append((orientation, {v.strip().lower() for v in verbs.split(",")}))
@@ -227,49 +234,12 @@ class TestVerbCategories:
         every_verb = set().union(*(verbs for _, verbs in categories)) - {""}
         assert len(every_verb) == len(lex.orientations) > 0
         for verb in sorted(every_verb) + ["walk", "ADVISE"]:
-            assert lex.orientation_of(verb) == scanned(verb.lower()), verb
-
-
-class TestTagWeightTable:
-    def test_default_weights(self):
-        t = TagWeightTable()
-        assert t.weight("JJ") == 1
-        assert t.weight("JJR") == 2
-        assert t.weight("JJS") == 3
-        assert t.weight("RB") == 1
-        assert t.weight("RBR") == 2
-        assert t.weight("RBS") == 3
-        assert t.weight("NN") == 0
-        assert t.weight("VBD") == 0
-
-    def test_defaults_match_expected_table(self):
-        assert DEFAULT_TAG_WEIGHTS == {
-            "JJ": 1,
-            "JJR": 2,
-            "JJS": 3,
-            "RB": 1,
-            "RBR": 2,
-            "RBS": 3,
-        }
-
-    def test_defaults_with_overrides(self):
-        t = TagWeightTable(weights={**DEFAULT_TAG_WEIGHTS, "JJ": 5, "NN": 1})
-        assert t.weight("JJ") == 5
-        assert t.weight("NN") == 1
-        assert t.weight("JJS") == 3
-
-    def test_rejects_negative_weight(self):
-        with pytest.raises(ValueError):
-            TagWeightTable(weights={"JJ": -1})
-
-    def test_rejects_non_integer_weight(self):
-        with pytest.raises(ValueError):
-            TagWeightTable(weights={"JJ": 1.5})
+            assert lex.orientation_of_surface(verb) == scanned(verb.lower()), verb
 
 
 def scanned_match(entries, words_lower, start):
-    """match_at before the first-word index: every width up to the
-    longest entry's, longest first."""
+    """_longest_entry_at before the first-word index: every width up to
+    the longest entry's, longest first."""
     max_words = max((term.count(" ") + 1 for term in entries), default=0)
     for n in range(min(max_words, len(words_lower) - start), 0, -1):
         canonical = entries.get(" ".join(words_lower[start : start + n]))
@@ -284,7 +254,7 @@ MATCH_WORDS = ["a", "b", "c", "d"]
 entry_terms = st.lists(st.sampled_from(MATCH_WORDS), min_size=1, max_size=6).map(" ".join)
 
 
-class TestMatchAtAgainstScan:
+class TestLongestEntryAtAgainstScan:
     @given(
         st.dictionaries(entry_terms, entry_terms, max_size=12),
         st.lists(st.sampled_from(MATCH_WORDS + ["x"]), min_size=1, max_size=10),
@@ -295,7 +265,7 @@ class TestMatchAtAgainstScan:
     def test_every_start_matches_as_the_scan_does(self, entries, words):
         d = AspectDictionary(entries=entries)
         for start in range(len(words)):
-            assert d.match_at(words, start) == scanned_match(entries, words, start)
+            assert longest_entry_at(d, words, start) == scanned_match(entries, words, start)
 
     def test_equality_and_repr_ignore_the_index(self):
         a = AspectDictionary(entries={"battery life": "battery life"})
@@ -308,7 +278,7 @@ class TestMatchAtAgainstScan:
 def candidate_loop(lex, surface):
     """weight_sentence's verb lookup before the per-surface memo."""
     for base in base_form_candidates(surface):
-        orientation = lex.orientation_of(base)
+        orientation = lex.orientations.get(base, 0)
         if orientation != 0:
             return orientation
     return 0

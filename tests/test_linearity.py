@@ -30,6 +30,7 @@ from aspectminer.patterns import (
     AspectOpinionPair,
     PatternSet,
     TagPattern,
+    _longest_entry_at,
     mine_frequent_tag_sets,
 )
 from aspectminer.pipeline import extract_corpus, load_pretagged_file, tag_corpus
@@ -139,7 +140,7 @@ class CountingDict(dict):
         return super().get(*args)
 
 
-def test_match_at_never_iterates_the_dictionary():
+def test_longest_entry_at_never_iterates_the_dictionary():
     entries = CountingDict(
         {"battery": "battery", "battery life": "battery life", "sound": "sound"}
     )
@@ -147,21 +148,24 @@ def test_match_at_never_iterates_the_dictionary():
     words = "the battery life and the sound are great".split()
     entries.iterations = 0
 
-    hits = [d.match_at(words, i % len(words)) for i in range(1_000)]
+    hits = [
+        _longest_entry_at(words, i % len(words), d.entries.get, d.widest.get)
+        for i in range(1_000)
+    ]
 
     assert entries.iterations == 0
     assert hits[1] == (2, "battery life")
     assert hits[5] == (1, "sound")
 
 
-def test_match_at_skips_positions_whose_word_starts_no_entry():
+def test_longest_entry_at_skips_positions_whose_word_starts_no_entry():
     entries = CountingDict(
         {"a b c d e f": "a b c d e f", "battery": "battery", "sound": "sound"}
     )
     d = AspectDictionary(entries=entries)
     words = "the price is right and the screen is great".split()
 
-    hits = [d.match_at(words, i) for i in range(len(words))]
+    hits = [_longest_entry_at(words, i, d.entries.get, d.widest.get) for i in range(len(words))]
 
     assert hits == [None] * len(words)
     assert entries.gets == 0
@@ -203,7 +207,7 @@ def test_scoring_reduces_each_verb_surface_once(resources, sample_corpus, monkey
             monkeypatch.setattr(module, "base_form_candidates", counted)
     verbs = VerbCategoryLexicon(orientations=resources.verb_categories.orientations)
 
-    score_sentences(tagged, resources.tag_weights, verbs)
+    score_sentences(tagged, verbs)
 
     verb_surfaces = {
         w for s in tagged for w, tag in zip(s.surfaces, s.tags) if tag in VERB_TAGS

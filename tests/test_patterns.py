@@ -2,20 +2,20 @@
 
 import random
 from dataclasses import fields, replace
+from typing import NamedTuple
 
 import pytest
 from hypothesis import Phase, example, find, given, settings
 from hypothesis import strategies as st
 
 from aspectminer.errors import ParseError
-from aspectminer.lexicons import NONE, AspectDictionary, OpinionLexicon
+from aspectminer.lexicons import AspectDictionary, OpinionLexicon
 from aspectminer.patterns import (
     FALLBACK_PATTERN_NAME,
     MAX_PATTERN_LEN,
     MIN_PATTERN_LEN,
     OPINION_ROLE_TAGS,
     AspectOpinionPair,
-    AspectSpan,
     MinedPattern,
     PatternSet,
     TagPattern,
@@ -23,9 +23,7 @@ from aspectminer.patterns import (
     extract_with_options,
     load_pattern_set,
     mine_frequent_tag_sets,
-    nearest_aspect_search,
     parse_pattern_line,
-    resolve_aspect,
 )
 from aspectminer.pipeline import data_dir, extract_corpus, load_resources
 from aspectminer.tagger import NOUN_TAGS, TaggedSentence, parse_pretagged
@@ -33,10 +31,6 @@ from aspectminer.tagger import NOUN_TAGS, TaggedSentence, parse_pretagged
 
 def sent(pretagged: str, position: int = 0) -> TaggedSentence:
     return parse_pretagged(pretagged, position=position)
-
-
-def lower(sentence):
-    return [w.lower() for w in sentence.surfaces]
 
 
 def sent_from_tags(tags, position=0) -> TaggedSentence:
@@ -217,58 +211,84 @@ class TestPatternWindows:
         assert window_starts(["NN", "VBZ"], p) == []
 
 
-class TestResolveAspect:
+SPAN_LEXICON = OpinionLexicon(
+    positive=frozenset({"excellent", "nice", "great", "fast", "good"}),
+    negative=frozenset({"poor", "broke"}),
+)
+
+
+def aspect_span(pretagged, dictionary, pattern_line=None):
+    """``(aspect_index, aspect_end, aspect_surface)`` of the one pair that
+    ``pattern_line`` yields, or without it the nearest-aspect fallback."""
+    if pattern_line is None:
+        pattern_set, fallback = PatternSet(patterns=()), True
+    else:
+        pattern_set, fallback = PatternSet(patterns=(parse_pattern_line(pattern_line),)), False
+    pairs = extract_with_options(
+        sent(pretagged), dictionary, SPAN_LEXICON, pattern_set,
+        fallback=fallback, conjunction=False,
+    )
+    if not pairs:
+        return None
+    pair = only(pairs)
+    return pair.aspect_index, pair.aspect_end, pair.aspect_surface
+
+
+class TestAspectSpan:
     def test_maximal_noun_run(self):
-        s = sent("battery/NN life/NN is/VBZ excellent/JJ ./.")
+        s = "battery/NN life/NN is/VBZ excellent/JJ ./."
         d = AspectDictionary(entries={"battery life": "battery life"})
-        span = resolve_aspect(s, 1, d)
-        assert span == AspectSpan(0, 2, "battery life")
+        span = aspect_span(s, d, "NN:A VBZ JJ:O")
+        assert span == (0, 2, "battery life")
         # anchoring on the first token of the run gives the same span
-        assert resolve_aspect(s, 0, d) == span
+        assert aspect_span(s, d, "NN:A NN VBZ JJ:O") == span
 
     def test_anchor_token_lookup_when_span_unknown(self):
-        s = sent("the/DT sound/NN quality/NN is/VBZ poor/JJ ./.")
+        s = "the/DT sound/NN quality/NN is/VBZ poor/JJ ./."
         d = AspectDictionary(entries={"sound": "sound"})
-        span = resolve_aspect(s, 1, d)
-        assert span.start == 1 and span.end == 3
-        assert span.surface == "sound"
+        assert aspect_span(s, d, "NN:A NN VBZ JJ:O") == (1, 3, "sound")
 
     def test_unknown_span_keeps_raw_text(self):
-        s = sent("the/DT strap/NN broke/VBD ./.")
-        span = resolve_aspect(s, 1, AspectDictionary())
-        assert span == AspectSpan(1, 2, "strap")
-
-    def test_non_noun_index_is_single_token(self):
-        s = sent("very/RB nice/JJ ./.")
-        span = resolve_aspect(s, 1, AspectDictionary())
-        assert span == AspectSpan(1, 2, "nice")
+        s = "the/DT strap/NN broke/VBD ./."
+        assert aspect_span(s, AspectDictionary(), "NN:A VBD:O") == (1, 2, "strap")
 
 
 class TestNearestAspectSearch:
     def test_backward_before_forward(self):
-        s = sent("the/DT player/NN looks/VBZ nice/JJ ./.")
-        span = nearest_aspect_search(s, 3, AspectDictionary(), lower(s))
-        assert span == AspectSpan(1, 2, "player")
+        s = "the/DT player/NN looks/VBZ nice/JJ ./."
+        assert aspect_span(s, AspectDictionary()) == (1, 2, "player")
 
     def test_forward_when_nothing_behind(self):
-        s = sent("great/JJ looking/VBG camera/NN ./.")
-        span = nearest_aspect_search(s, 0, AspectDictionary(), lower(s))
-        assert span == AspectSpan(2, 3, "camera")
+        s = "great/JJ looking/VBG camera/NN ./."
+        assert aspect_span(s, AspectDictionary()) == (2, 3, "camera")
 
     def test_dictionary_term_without_noun_tag(self):
-        s = sent("truly/RB great/JJ zoom/VB ./.")
+        s = "truly/RB great/JJ zoom/VB ./."
         d = AspectDictionary(entries={"zoom": "zoom"})
-        span = nearest_aspect_search(s, 1, d, lower(s))
-        assert span == AspectSpan(2, 3, "zoom")
+        assert aspect_span(s, d) == (2, 3, "zoom")
 
     def test_none_when_no_candidate(self):
-        s = sent("very/RB fast/RB ./.")
-        assert nearest_aspect_search(s, 1, AspectDictionary(), lower(s)) is None
+        assert aspect_span("very/RB fast/RB ./.", AspectDictionary()) is None
 
     def test_nearest_wins(self):
-        s = sent("the/DT screen/NN and/CC sound/NN are/VBP good/JJ ./.")
-        span = nearest_aspect_search(s, 5, AspectDictionary(), lower(s))
-        assert span.surface == "sound"
+        s = "the/DT screen/NN and/CC sound/NN are/VBP good/JJ ./."
+        assert aspect_span(s, AspectDictionary()) == (3, 4, "sound")
+
+    def test_nearest_noun_takes_its_whole_run(self):
+        s = "the/DT sound/NN quality/NN is/VBZ poor/JJ ./."
+        assert aspect_span(s, AspectDictionary()) == (1, 3, "sound quality")
+
+
+def test_conjunction_copy_takes_the_whole_noun_run():
+    d = AspectDictionary(entries={"battery life": "battery life"})
+    pairs = extract_with_options(
+        sent("nice/JJ size/NN and/CC battery/NN life/NN ./."), d, SPAN_LEXICON,
+        PatternSet(patterns=(parse_pattern_line("JJ:O NN:A"),)), fallback=False,
+    )
+    assert [(p.aspect_index, p.aspect_end, p.aspect_surface) for p in pairs] == [
+        (1, 2, "size"),
+        (3, 5, "battery life"),
+    ]
 
 
 def only(pairs):
@@ -532,8 +552,24 @@ class TestExtractWithOptions:
 # loops, each with its own set of claimed positions.  Kept verbatim as the
 # oracle of the differential test below, together with frozen copies of
 # the aspect search it called (noun runs, span resolution, the nearest
-# search, the normalizing dictionary lookup and the longest-entry scan),
-# so that the oracle calls no code under test.
+# search, the normalizing dictionary lookup and the longest-entry scan)
+# and of the polarity lookup, so that the oracle calls no code under test.
+
+
+class AspectSpan(NamedTuple):
+    start: int
+    end: int
+    surface: str
+
+
+def oracle_polarity(lexicon, word):
+    """The seed-list class of ``word`` in any case, or None."""
+    w = word.lower()
+    if w in lexicon.positive:
+        return "positive"
+    if w in lexicon.negative:
+        return "negative"
+    return None
 
 
 def staged_lookup(dictionary, term):
@@ -616,8 +652,8 @@ def staged_extract_pairs(sentence, dictionary, lexicon, pattern_set):
     for pattern in pattern_set.patterns:
         for start in staged_match_pattern(sentence, pattern):
             oi = start + pattern.opinion_offset
-            orientation = lexicon.polarity(tokens[oi].surface)
-            if orientation == NONE:
+            orientation = oracle_polarity(lexicon, tokens[oi].surface)
+            if orientation is None:
                 continue
             if pattern.aspect_offset is not None:
                 aspect = start + pattern.aspect_offset
@@ -672,8 +708,8 @@ def staged_extract(
         for i, token in enumerate(sentence.tokens):
             if i in claimed or token.tag not in OPINION_ROLE_TAGS:
                 continue
-            orientation = lexicon.polarity(token.surface)
-            if orientation == NONE:
+            orientation = oracle_polarity(lexicon, token.surface)
+            if orientation is None:
                 continue
             span = staged_nearest_aspect_search(sentence, i, dictionary)
             if span is None or (span.start, i) in keys:

@@ -1,11 +1,16 @@
-"""The README's "Library use" snippet runs as printed, and the package
-root exports exactly the names that snippet imports from it."""
+"""The README's "Library use" snippet runs as printed, the package root
+exports exactly the names that snippet imports from it, and the output
+its Quick start prints is what the commands print."""
 
 import ast
 import re
+import shlex
 from pathlib import Path
 
+import pytest
+
 import aspectminer
+from aspectminer import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -35,3 +40,31 @@ def test_package_root_exports_what_the_snippet_imports():
     }
     assert all(hasattr(aspectminer, name) for name in aspectminer.__all__)
     assert set(aspectminer.__all__) == imported
+
+
+def quick_start_runs() -> dict[str, tuple[list[str], list[str]]]:
+    """Each Quick start command that shows its output, by command name:
+    its argv and the printed lines, with the ``# `` comment prefix taken off."""
+    text = README.read_text(encoding="utf-8").split("\n## Quick start\n")[1]
+    block = re.search(r"^```sh\n(.*?)^```", text, re.MULTILINE | re.DOTALL).group(1)
+    runs: dict[str, tuple[list[str], list[str]]] = {}
+    argv: list[str] = []
+    for line in block.splitlines():
+        if line.startswith("aspectminer "):
+            argv = shlex.split(line.partition("|")[0])[1:]
+            runs[argv[0]] = (argv, [])
+        elif line.startswith("# ") and argv:
+            runs[argv[0]][1].append(line[2:])
+        else:
+            argv = []
+    return runs
+
+
+@pytest.mark.parametrize("command", ["extract", "evaluate"])
+def test_quick_start_output_is_what_the_command_prints(sample_dir, capsys, command):
+    argv, shown = quick_start_runs()[command]
+    assert len(shown) >= 3
+    argv = [arg.replace("$SAMPLE", str(sample_dir)) for arg in argv]
+    assert cli.main(argv) == 0
+    printed = capsys.readouterr().out.splitlines()[: len(shown)]
+    assert [line.split() for line in printed] == [line.split() for line in shown]

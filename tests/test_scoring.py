@@ -5,13 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aspectminer.grouping import AspectGroup
-from aspectminer.lexicons import (
-    DEFAULT_TAG_WEIGHTS,
-    TagWeightTable,
-    VerbCategoryLexicon,
-)
+from aspectminer.lexicons import VerbCategoryLexicon
 from aspectminer.patterns import AspectOpinionPair
 from aspectminer.scoring import (
+    TAG_WEIGHTS,
     SentenceScore,
     rank_sentences,
     score_sentences,
@@ -20,7 +17,6 @@ from aspectminer.scoring import (
 from aspectminer.tagger import TaggedSentence, base_form_candidates, parse_pretagged
 
 NO_VERBS = VerbCategoryLexicon()
-WEIGHTS = TagWeightTable()
 
 
 def sent(pretagged, position=0):
@@ -67,9 +63,14 @@ class TestBaseFormCandidates:
 
 
 class TestWeightSentence:
+    def test_tag_weights(self):
+        assert TAG_WEIGHTS == {"JJ": 1, "JJR": 2, "JJS": 3, "RB": 1, "RBR": 2, "RBS": 3}
+        for tag in ("NN", "VBD"):
+            assert weight_sentence(sent(f"x/{tag}"), NO_VERBS).total == 0
+
     def test_adjective_counts_one(self):
         score = weight_sentence(
-            sent("the/DT sound/NN is/VBZ wonderful/JJ ./."), WEIGHTS, NO_VERBS
+            sent("the/DT sound/NN is/VBZ wonderful/JJ ./."), NO_VERBS
         )
         assert score.adjective_adverb_points == 1
         assert score.verb_points == 0
@@ -77,25 +78,24 @@ class TestWeightSentence:
 
     def test_comparative_and_superlative(self):
         assert weight_sentence(
-            sent("this/DT is/VBZ better/JJR ./."), WEIGHTS, NO_VERBS
+            sent("this/DT is/VBZ better/JJR ./."), NO_VERBS
         ).total == 2
         assert weight_sentence(
-            sent("this/DT is/VBZ the/DT best/JJS one/CD ./."), WEIGHTS, NO_VERBS
+            sent("this/DT is/VBZ the/DT best/JJS one/CD ./."), NO_VERBS
         ).total == 3
 
     def test_adverb_scale(self):
         assert weight_sentence(
-            sent("it/PRP runs/VBZ smoothly/RB ./."), WEIGHTS, NO_VERBS
+            sent("it/PRP runs/VBZ smoothly/RB ./."), NO_VERBS
         ).total == 1
         assert weight_sentence(
-            sent("it/PRP runs/VBZ more/RBR smoothly/RB ./."), WEIGHTS, NO_VERBS
+            sent("it/PRP runs/VBZ more/RBR smoothly/RB ./."), NO_VERBS
         ).total == 3
 
     def test_points_add_up(self):
         # two JJ at 1 plus one RB at 1
         score = weight_sentence(
             sent("a/DT really/RB nice/JJ little/JJ player/NN ./."),
-            WEIGHTS,
             NO_VERBS,
         )
         assert score.adjective_adverb_points == 3
@@ -104,7 +104,6 @@ class TestWeightSentence:
         # "very" (RB) and "comfortable" (JJ) contribute one point each
         score = weight_sentence(
             sent("the/DT earpiece/NN is/VBZ very/RB comfortable/JJ ./."),
-            WEIGHTS,
             NO_VERBS,
         )
         assert score.total == 2
@@ -112,7 +111,7 @@ class TestWeightSentence:
     def test_reinforcing_verb_adds_one(self):
         verbs = VerbCategoryLexicon(orientations={"recommend": 1})
         score = weight_sentence(
-            sent("i/PRP recommend/VBP it/PRP ./."), WEIGHTS, verbs
+            sent("i/PRP recommend/VBP it/PRP ./."), verbs
         )
         assert score.verb_points == 1
         assert score.adjective_adverb_points == 0
@@ -120,7 +119,7 @@ class TestWeightSentence:
     def test_weakening_verb_subtracts_one(self):
         verbs = VerbCategoryLexicon(orientations={"warn": -1})
         score = weight_sentence(
-            sent("i/PRP must/MD warn/VB you/PRP ./."), WEIGHTS, verbs
+            sent("i/PRP must/MD warn/VB you/PRP ./."), verbs
         )
         assert score.verb_points == -1
 
@@ -128,14 +127,14 @@ class TestWeightSentence:
         verbs = VerbCategoryLexicon(orientations={"warn": -1})
         for form, tag in (("warns", "VBZ"), ("warned", "VBD"), ("warning", "VBG")):
             score = weight_sentence(
-                sent(f"he/PRP {form}/{tag} us/PRP ./."), WEIGHTS, verbs
+                sent(f"he/PRP {form}/{tag} us/PRP ./."), verbs
             )
             assert score.verb_points == -1, form
 
     def test_category_word_outside_verb_tag_ignored(self):
         verbs = VerbCategoryLexicon(orientations={"warning": -1})
         score = weight_sentence(
-            sent("a/DT warning/NN label/NN ./."), WEIGHTS, verbs
+            sent("a/DT warning/NN label/NN ./."), verbs
         )
         assert score.verb_points == 0
 
@@ -143,22 +142,14 @@ class TestWeightSentence:
         verbs = VerbCategoryLexicon(orientations={"recommend": 1, "advise": 1})
         score = weight_sentence(
             sent("i/PRP recommend/VBP and/CC advise/VBP it/PRP ./."),
-            WEIGHTS,
             verbs,
         )
         assert score.verb_points == 2
 
-    def test_custom_weights(self):
-        table = TagWeightTable(weights={**DEFAULT_TAG_WEIGHTS, "JJ": 5})
-        score = weight_sentence(
-            sent("nice/JJ player/NN ./."), table, NO_VERBS
-        )
-        assert score.total == 5
-
     def test_empty_sentence(self):
         from aspectminer.tagger import TaggedSentence
 
-        score = weight_sentence(TaggedSentence(), WEIGHTS, NO_VERBS)
+        score = weight_sentence(TaggedSentence(), NO_VERBS)
         assert score.total == 0
 
 
@@ -170,7 +161,7 @@ class TestRanking:
             sent("a/DT better/JJR price/NN ./.", position=2),       # 2
             sent("it/PRP works/VBZ ./.", position=3),               # 0
         ]
-        scores = score_sentences(sentences, WEIGHTS, NO_VERBS)
+        scores = score_sentences(sentences, NO_VERBS)
         return sentences, scores
 
     def test_orders_by_total_descending(self):
@@ -196,13 +187,13 @@ class TestRanking:
     def test_ties_broken_by_position(self):
         a = sent("nice/JJ sound/NN ./.", position=5)
         b = sent("good/JJ price/NN ./.", position=2)
-        scores = score_sentences([a, b], WEIGHTS, NO_VERBS)
+        scores = score_sentences([a, b], NO_VERBS)
         top = rank_sentences([a, b], scores, k=2)
         assert top == [b, a]
 
     def test_duplicates_collapsed(self):
         a = sent("nice/JJ sound/NN ./.", position=0)
-        scores = score_sentences([a], WEIGHTS, NO_VERBS)
+        scores = score_sentences([a], NO_VERBS)
         assert rank_sentences([a, a, a], scores, k=3) == [a]
 
     @given(
@@ -223,7 +214,7 @@ class TestRanking:
     def test_rank_sentences_of_group(self):
         strong = sent("the/DT best/JJS sound/NN ./.", position=0)
         weak = sent("nice/JJ sound/NN ./.", position=1)
-        scores = score_sentences([strong, weak], WEIGHTS, NO_VERBS)
+        scores = score_sentences([strong, weak], NO_VERBS)
 
         def mk(sentence):
             return AspectOpinionPair(

@@ -3,7 +3,7 @@
 import pytest
 
 from aspectminer.grouping import AspectGroup
-from aspectminer.lexicons import TagWeightTable, VerbCategoryLexicon
+from aspectminer.lexicons import VerbCategoryLexicon
 from aspectminer.patterns import AspectOpinionPair
 from aspectminer.scoring import score_sentences
 from aspectminer.summary import (
@@ -18,7 +18,6 @@ from aspectminer.summary import (
 )
 from aspectminer.tagger import parse_pretagged
 
-WEIGHTS = TagWeightTable()
 NO_VERBS = VerbCategoryLexicon()
 
 
@@ -91,7 +90,7 @@ class TestGenerateSummary:
                 ],
             ),
         ]
-        scores = score_sentences([s_pos, s_neg, s_scr], WEIGHTS, NO_VERBS)
+        scores = score_sentences([s_pos, s_neg, s_scr], NO_VERBS)
         return groups, scores, (s_pos, s_neg, s_scr)
 
     def test_totals_and_percentages(self):
@@ -114,7 +113,7 @@ class TestGenerateSummary:
             group_of("zoom", [pair("zoom", "positive", s)]),
             group_of("battery", [pair("battery", "positive", s)]),
         ]
-        scores = score_sentences([s], WEIGHTS, NO_VERBS)
+        scores = score_sentences([s], NO_VERBS)
         summary = generate_summary(groups, scores, top_k=1)
         assert [g.label for g in summary.groups] == ["battery", "zoom"]
 
@@ -139,7 +138,7 @@ class TestGenerateSummary:
             sent("nice/JJ sound/NN ./.", position=i) for i in range(5)
         ]
         groups = [group_of("sound", [pair("sound", "positive", s) for s in sents])]
-        scores = score_sentences(sents, WEIGHTS, NO_VERBS)
+        scores = score_sentences(sents, NO_VERBS)
         summary = generate_summary(groups, scores, top_k=2)
         assert len(summary.groups[0].pros) == 2
 
@@ -151,7 +150,7 @@ class TestGenerateSummary:
                 [pair("sound", "positive", s), pair("sound", "negative", s)],
             )
         ]
-        scores = score_sentences([s], WEIGHTS, NO_VERBS)
+        scores = score_sentences([s], NO_VERBS)
         summary = generate_summary(groups, scores, top_k=3)
         g = summary.groups[0]
         assert [e.sentence for e in g.pros] == [s]

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from aspectminer.corpus import GoldAnnotation, ReviewSentence
 from aspectminer.errors import ParseError
-from aspectminer.pipeline import default_path
+from aspectminer.pipeline import DEFAULT_FILES, data_dir
 from aspectminer.tagger import (
     NOUN_TAGS,
     PENN_TAGS,
@@ -255,7 +255,7 @@ def s_form(stem: str, suffix: str) -> str:
     return stem + suffix
 
 
-BUNDLED = load_tag_lexicon(default_path("tag_lexicon"))
+BUNDLED = load_tag_lexicon(data_dir() / DEFAULT_FILES["tag_lexicon"])
 BUNDLED_VERBS = sorted(w for w, tag in BUNDLED.items() if tag in ("VB", "VBP"))
 
 
