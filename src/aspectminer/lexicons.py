@@ -96,19 +96,20 @@ def load_aspect_dictionary(
         key = _normalize_term(term)
         entries[key] = key
     if synonym_file is not None:
-        path = Path(synonym_file)
-        for lineno, line in enumerate(read_text(path).splitlines(), 1):
+        for lineno, line in enumerate(read_text(synonym_file).splitlines(), 1):
             line = line.strip()
             if not line or line.startswith((";", "#")):
                 continue
             canonical_part, sep, syn_part = line.partition(":")
             if not sep:
-                raise ParseError("expected 'canonical: syn, ...'", path=path, line=lineno)
+                raise ParseError(
+                    "expected 'canonical: syn, ...'", path=synonym_file, line=lineno
+                )
             canonical = _normalize_term(canonical_part)
             if entries.get(canonical) != canonical:
                 raise ParseError(
                     f"synonyms reference unknown canonical term {canonical!r}",
-                    path=path,
+                    path=synonym_file,
                     line=lineno,
                 )
             for raw in syn_part.split(","):
@@ -119,7 +120,7 @@ def load_aspect_dictionary(
                 if existing is not None and existing != canonical:
                     raise ParseError(
                         f"synonym {syn!r} maps to both {existing!r} and {canonical!r}",
-                        path=path,
+                        path=synonym_file,
                         line=lineno,
                     )
                 entries[syn] = canonical
@@ -154,7 +155,6 @@ class VerbCategoryLexicon:
 
 def load_verb_categories(path: str | Path) -> VerbCategoryLexicon:
     """Read ``category<TAB>orientation<TAB>verbs`` lines; the name is not kept."""
-    path = Path(path)
     orientations: dict[str, int] = {}
     for lineno, line in enumerate(read_text(path).splitlines(), 1):
         line = line.rstrip()

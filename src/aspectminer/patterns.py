@@ -149,7 +149,6 @@ def parse_pattern_line(line: str) -> TagPattern | None:
 
 
 def load_pattern_set(path: str | Path) -> PatternSet:
-    path = Path(path)
     patterns = []
     for lineno, line in enumerate(read_text(path).splitlines(), 1):
         try:

@@ -63,7 +63,7 @@ class Resources:
     aspect_dictionary: AspectDictionary
     verb_categories: VerbCategoryLexicon
     pattern_set: PatternSet
-    tag_lexicon_path: Path
+    tag_lexicon_path: str | Path
 
     @cached_property
     def tag_lexicon(self) -> dict[str, str]:
@@ -91,10 +91,10 @@ def load_resources(
     data = data_dir()
 
     def path(given: str | Path | None, resource: str) -> str | Path:
-        return given or data / DEFAULT_FILES[resource]
+        return given or os.path.join(data, DEFAULT_FILES[resource])
 
-    tag_lexicon_path = Path(path(tag_lexicon, "tag_lexicon"))
-    if not tag_lexicon_path.is_file():
+    tag_lexicon_path = path(tag_lexicon, "tag_lexicon")
+    if not os.path.isfile(tag_lexicon_path):
         raise FileNotFoundError(str(tag_lexicon_path))
     return Resources(
         opinion_lexicon=load_opinion_lexicon(
@@ -165,7 +165,6 @@ def load_pretagged_file(
     gets an empty :class:`TaggedSentence`.  Positions count up from
     ``start`` by corpus sentence, as in :func:`tag_corpus`.
     """
-    path = Path(path)
     lines = [
         (lineno, line)
         for lineno, line in enumerate(read_text(path).splitlines(), 1)

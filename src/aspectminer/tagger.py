@@ -129,7 +129,6 @@ def render_pretagged(sentence: TaggedSentence) -> str:
 
 def load_tag_lexicon(path: str | Path) -> dict[str, str]:
     """Load a ``word<TAB>TAG`` lexicon; first entry wins for duplicates."""
-    path = Path(path)
     lexicon: dict[str, str] = {}
     for lineno, line in enumerate(read_text(path).splitlines(), 1):
         line = line.rstrip()

@@ -312,6 +312,35 @@ class TestEvaluateCommand:
         # single product: not enough data for t-tests
         assert "skipped" in out
 
+    def test_baseline_naming_a_product_twice_is_a_parse_error(
+        self, sample_paths, tmp_path, monkeypatch, capsys
+    ):
+        golden = Path(__file__).parent / "golden" / "cli" / "baseline-report.tsv"
+        lines = golden.read_text(encoding="utf-8").splitlines(keepends=True)
+        (tmp_path / "dup.tsv").write_text("".join(lines[:3] + lines[1:]), encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        code = main(
+            ["evaluate", "--corpus", sample_paths["eval_corpus"],
+             "--corpus", sample_paths["corpus"], "--baseline", "./dup.tsv"]
+        )
+        assert code == EXIT_PARSE_ERROR
+        # the file is named as typed, leading ./ included
+        assert capsys.readouterr().err == (
+            "error: ./dup.tsv: line 4: repeated row 'minieval'\n"
+        )
+
+    def test_report_naming_a_product_twice_is_an_error(self, sample_paths, tmp_path, capsys):
+        other = tmp_path / "other"
+        other.mkdir()
+        shutil.copy(sample_paths["eval_corpus"], other)
+        golden = Path(__file__).parent / "golden" / "cli" / "baseline-report.tsv"
+        code = main(
+            ["evaluate", "--corpus", sample_paths["eval_corpus"],
+             "--corpus", str(other / "minieval.txt"), "--baseline", str(golden)]
+        )
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == "error: report names product 'minieval' twice\n"
+
     def test_needs_gold_corpus(self, sample_paths, capsys):
         code = main(["evaluate", "--pretagged", sample_paths["eval_pretagged"]])
         assert code == EXIT_ERROR

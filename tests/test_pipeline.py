@@ -1,5 +1,6 @@
 """Tests for resource resolution and corpus-level processing."""
 
+import os
 import shutil
 
 import pytest
@@ -70,10 +71,10 @@ class TestLazyTagLexicon:
         res = load_resources()
         assert calls == []
         first, second = res.tagger(), res.tagger()
-        assert calls == [data_dir() / DEFAULT_FILES["tag_lexicon"]]
+        assert calls == [os.path.join(data_dir(), DEFAULT_FILES["tag_lexicon"])]
         assert first.lexicon == second.lexicon == res.tag_lexicon
         assert res.tag_lexicon["the"] == "DT"
-        assert calls == [data_dir() / DEFAULT_FILES["tag_lexicon"]]
+        assert calls == [os.path.join(data_dir(), DEFAULT_FILES["tag_lexicon"])]
 
     def test_missing_lexicon_fails_at_load(self, tmp_path):
         with pytest.raises(FileNotFoundError) as exc:
