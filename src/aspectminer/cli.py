@@ -16,7 +16,9 @@ explicit command-line flags win.
 
 ``main`` may be called many times in one process.  The parser and the
 config schema depend only on this module, so each is built once, on
-first use; every input, config and resource file is read on each call.
+first use.  Every input, config and resource file is read on each call;
+a resource file whose text is unchanged since the last call reuses that
+call's parse, which depends only on the text.
 """
 
 from __future__ import annotations

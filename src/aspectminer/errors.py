@@ -1,10 +1,19 @@
-"""Exception types shared across the package, and the file reader that
-raises them."""
+"""Exception types shared across the package, the file reader that
+raises them, and the memo that parses a resource file's text once.
+
+Each resource loader reads its files on every call and hands their
+texts to ``_parse_files``, which reuses the loader's last parse while
+the texts are unchanged.  A reused parse is shared by every call that
+got it, so nothing may write to it.
+"""
 
 from __future__ import annotations
 
 import os
 from pathlib import Path
+from typing import Callable, TypeVar
+
+_T = TypeVar("_T")
 
 
 class AspectMinerError(Exception):
@@ -48,3 +57,27 @@ def read_text(path: str | Path) -> str:
         raise ParseError(
             f"not UTF-8 text (byte 0x{data[exc.start]:02x})", path=path, line=line
         ) from None
+
+
+# parse function -> (texts of its last successful parse, the result)
+_last_parse: dict[Callable, tuple[tuple[str, ...], object]] = {}
+
+
+def _parse_files(
+    parse: Callable[[tuple[str, ...], tuple[str | Path, ...]], _T], *paths: str | Path
+) -> _T:
+    """``parse(texts, paths)`` of the files' texts, each read with
+    :func:`read_text`; the result of ``parse``'s last call when the
+    texts equal that call's.
+
+    A parse that raises is not kept, so its error always names the
+    paths of the current call.  Threads that load at once can at worst
+    each parse the same texts.
+    """
+    texts = tuple(read_text(path) for path in paths)
+    last = _last_parse.get(parse)
+    if last is not None and last[0] == texts:
+        return last[1]
+    result = parse(texts, paths)
+    _last_parse[parse] = (texts, result)
+    return result

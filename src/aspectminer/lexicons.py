@@ -2,8 +2,12 @@
 categories.
 
 All matching is lowercase; every structure is immutable after loading.
+Each loader reads its files on every call and parses them again only
+when their text has changed, so a later call on unchanged files gets
+the very object an earlier call got (see ``errors._parse_files``).
 The verb lexicon remembers the orientation of each verb surface it is
-asked about; the answer depends only on its immutable map.
+asked about; the answer depends only on its immutable map, so the memo
+holds for every call that shares it.
 File formats (all UTF-8, ``;`` and ``#`` start comment lines):
 
 * opinion seed lists: one word per line, one file per polarity
@@ -17,16 +21,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ParseError, read_text
+from .errors import ParseError, _parse_files
 from .tagger import base_form_candidates
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
 
 
-def _read_words(path: str | Path) -> list[str]:
+def _words(text: str) -> list[str]:
     words = []
-    for line in read_text(path).splitlines():
+    for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith((";", "#")):
             continue
@@ -43,14 +47,18 @@ class OpinionLexicon:
 
 
 def load_opinion_lexicon(positive_file: str | Path, negative_file: str | Path) -> OpinionLexicon:
-    pos = frozenset(_read_words(positive_file))
-    neg = frozenset(_read_words(negative_file))
+    return _parse_files(_parse_opinion_lexicon, positive_file, negative_file)
+
+
+def _parse_opinion_lexicon(texts, paths) -> OpinionLexicon:
+    pos = frozenset(_words(texts[0]))
+    neg = frozenset(_words(texts[1]))
     both = pos & neg
     if both:
         listing = ", ".join(sorted(both)[:20])
         raise ParseError(
             f"{len(both)} word(s) present in both seed lists: {listing}",
-            path=negative_file,
+            path=paths[1],
         )
     return OpinionLexicon(positive=pos, negative=neg)
 
@@ -91,12 +99,19 @@ def load_aspect_dictionary(
     synonym_file: str | Path | None = None,
 ) -> AspectDictionary:
     """Build the dictionary from canonical terms plus optional synonyms."""
+    if synonym_file is None:
+        return _parse_files(_parse_aspect_dictionary, spec_file)
+    return _parse_files(_parse_aspect_dictionary, spec_file, synonym_file)
+
+
+def _parse_aspect_dictionary(texts, paths) -> AspectDictionary:
     entries: dict[str, str] = {}
-    for term in _read_words(spec_file):
+    for term in _words(texts[0]):
         key = _normalize_term(term)
         entries[key] = key
-    if synonym_file is not None:
-        for lineno, line in enumerate(read_text(synonym_file).splitlines(), 1):
+    if len(texts) == 2:
+        synonym_file = paths[1]
+        for lineno, line in enumerate(texts[1].splitlines(), 1):
             line = line.strip()
             if not line or line.startswith((";", "#")):
                 continue
@@ -155,8 +170,13 @@ class VerbCategoryLexicon:
 
 def load_verb_categories(path: str | Path) -> VerbCategoryLexicon:
     """Read ``category<TAB>orientation<TAB>verbs`` lines; the name is not kept."""
+    return _parse_files(_parse_verb_categories, path)
+
+
+def _parse_verb_categories(texts, paths) -> VerbCategoryLexicon:
+    (path,) = paths
     orientations: dict[str, int] = {}
-    for lineno, line in enumerate(read_text(path).splitlines(), 1):
+    for lineno, line in enumerate(texts[0].splitlines(), 1):
         line = line.rstrip()
         if not line.strip() or line.startswith((";", "#")):
             continue

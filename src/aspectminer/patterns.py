@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Callable, Collection, Iterable
 
 from ._records import slot_setters
-from .errors import ParseError, read_text
+from .errors import ParseError, _parse_files
 from .lexicons import NEGATIVE, POSITIVE, AspectDictionary, OpinionLexicon
 from .tagger import NOUN_TAGS, PENN_TAGS, TaggedSentence
 
@@ -149,8 +149,13 @@ def parse_pattern_line(line: str) -> TagPattern | None:
 
 
 def load_pattern_set(path: str | Path) -> PatternSet:
+    return _parse_files(_parse_pattern_set, path)
+
+
+def _parse_pattern_set(texts, paths) -> PatternSet:
+    (path,) = paths
     patterns = []
-    for lineno, line in enumerate(read_text(path).splitlines(), 1):
+    for lineno, line in enumerate(texts[0].splitlines(), 1):
         try:
             pattern = parse_pattern_line(line)
         except ValueError as exc:

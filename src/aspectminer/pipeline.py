@@ -11,7 +11,7 @@ import os
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .corpus import Corpus, ReviewSentence, tokenize
 from .errors import ParseError, read_text
@@ -66,7 +66,7 @@ class Resources:
     tag_lexicon_path: str | Path
 
     @cached_property
-    def tag_lexicon(self) -> dict[str, str]:
+    def tag_lexicon(self) -> Mapping[str, str]:
         return load_tag_lexicon(self.tag_lexicon_path)
 
     def tagger(self) -> BaselineTagger:

@@ -19,11 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from ._records import slot_setters
 from .corpus import ReviewSentence
-from .errors import ParseError, read_text
+from .errors import ParseError, _parse_files
 
 # Penn Treebank word-level tags plus the punctuation tags.
 PENN_TAGS = frozenset(
@@ -127,10 +128,16 @@ def render_pretagged(sentence: TaggedSentence) -> str:
     return " ".join(map("{}/{}".format, sentence.surfaces, sentence.tags))
 
 
-def load_tag_lexicon(path: str | Path) -> dict[str, str]:
-    """Load a ``word<TAB>TAG`` lexicon; first entry wins for duplicates."""
+def load_tag_lexicon(path: str | Path) -> Mapping[str, str]:
+    """Load a ``word<TAB>TAG`` lexicon, read-only; first entry wins for
+    duplicates."""
+    return _parse_files(_parse_tag_lexicon, path)
+
+
+def _parse_tag_lexicon(texts, paths) -> Mapping[str, str]:
+    (path,) = paths
     lexicon: dict[str, str] = {}
-    for lineno, line in enumerate(read_text(path).splitlines(), 1):
+    for lineno, line in enumerate(texts[0].splitlines(), 1):
         line = line.rstrip()
         if not line or line.startswith("#"):
             continue
@@ -140,7 +147,7 @@ def load_tag_lexicon(path: str | Path) -> dict[str, str]:
         if tag not in PENN_TAGS:
             raise ParseError(f"unknown tag {tag!r} for {word!r}", path=path, line=lineno)
         lexicon.setdefault(word, tag)
-    return lexicon
+    return MappingProxyType(lexicon)
 
 
 def base_form_candidates(word: str) -> list[str]:
@@ -188,11 +195,15 @@ class BaselineTagger:
     :meth:`tag` remembers each word's tag in two memos, one for
     sentence-initial words and one for the rest, and applies the rules
     once per distinct (word, initial) pair over the tagger's life.  The
-    lexicon must not change after construction.
+    tagger copies the lexicon it is given, unless it is a read-only
+    ``MappingProxyType`` such as :func:`load_tag_lexicon` returns; the
+    mapping behind such a view must not change.
     """
 
-    def __init__(self, lexicon: dict[str, str] | None = None):
-        self.lexicon = dict(lexicon) if lexicon else {}
+    def __init__(self, lexicon: Mapping[str, str] | None = None):
+        if not isinstance(lexicon, MappingProxyType):
+            lexicon = dict(lexicon) if lexicon else {}
+        self.lexicon = lexicon
         self._initial_tags: dict[str, str] = {}
         self._later_tags: dict[str, str] = {}
 

@@ -23,7 +23,15 @@ from aspectminer.cli import (
     build_parser,
     main,
 )
+from aspectminer.errors import read_text
+from aspectminer.lexicons import (
+    _parse_aspect_dictionary,
+    _parse_opinion_lexicon,
+    _parse_verb_categories,
+)
+from aspectminer.patterns import _parse_pattern_set
 from aspectminer.pipeline import DATA_ENV_VAR, DEFAULT_FILES, data_dir, load_resources
+from aspectminer.tagger import _parse_tag_lexicon
 
 
 @pytest.fixture()
@@ -837,3 +845,130 @@ class TestRepeatedCalls:
         resource.write_text(bad, encoding="utf-8")
         assert main(argv) == EXIT_PARSE_ERROR
         assert f"{resource}: line 1" in capsys.readouterr().err
+
+
+class TestUnchangedResourcesReuseTheirParse:
+    """A resource file is read on every call and parsed again only when its
+    text changed; a reused parse answers, and fails, as a fresh one would."""
+
+    @staticmethod
+    def resource_argv(sample_paths, resource, path):
+        flag = "--" + resource.replace("_", "-")
+        return ["summarize", "--corpus", sample_paths["corpus"], flag, str(path)]
+
+    def test_changed_text_at_the_same_path_changes_the_output(
+        self, sample_paths, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.delenv(DATA_ENV_VAR, raising=False)
+        lexicon = tmp_path / "tag-lexicon.txt"
+        bundled = (data_dir() / DEFAULT_FILES["tag_lexicon"]).read_text(encoding="utf-8")
+        lexicon.write_text(bundled, encoding="utf-8")
+        argv = ["tag", "--corpus", sample_paths["corpus"], "--tag-lexicon", str(lexicon)]
+
+        assert main(argv) == EXIT_OK
+        before = capsys.readouterr().out
+        lexicon.write_text("the\tNN\n" + bundled, encoding="utf-8")
+        assert main(argv) == EXIT_OK
+        after = capsys.readouterr().out
+
+        assert "the/DT" in before and "the/DT" not in after and "the/NN" in after
+        assert after.replace("the/NN", "the/DT") == before
+
+    def test_same_bad_text_at_two_paths_names_each_path(
+        self, sample_paths, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.delenv(DATA_ENV_VAR, raising=False)
+        first, second = tmp_path / "a" / "verbs.txt", tmp_path / "b" / "verbs.txt"
+        for path in (first, second):
+            path.parent.mkdir()
+            path.write_text("tell\n", encoding="utf-8")
+
+        errors = []
+        for path in (first, second):
+            assert main(self.resource_argv(sample_paths, "verbs", path)) == EXIT_PARSE_ERROR
+            errors.append(capsys.readouterr().err)
+
+        assert f"{first}: line 1" in errors[0] and str(second) not in errors[0]
+        assert f"{second}: line 1" in errors[1] and str(first) not in errors[1]
+
+    @pytest.mark.parametrize("resource", sorted(DEFAULT_FILES))
+    def test_file_deleted_after_a_warm_call_is_missing(
+        self, sample_paths, tmp_path, monkeypatch, capsys, resource
+    ):
+        monkeypatch.delenv(DATA_ENV_VAR, raising=False)
+        path = tmp_path / DEFAULT_FILES[resource]
+        shutil.copyfile(data_dir() / DEFAULT_FILES[resource], path)
+        argv = self.resource_argv(sample_paths, resource, path)
+
+        assert main(argv) == EXIT_OK
+        capsys.readouterr()
+        path.unlink()
+        assert main(argv) == EXIT_MISSING_FILE
+        assert str(path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("resource", sorted(DEFAULT_FILES))
+    def test_bad_bytes_after_a_warm_call_name_the_line(
+        self, sample_paths, tmp_path, monkeypatch, capsys, resource
+    ):
+        monkeypatch.delenv(DATA_ENV_VAR, raising=False)
+        path = tmp_path / DEFAULT_FILES[resource]
+        shutil.copyfile(data_dir() / DEFAULT_FILES[resource], path)
+        argv = self.resource_argv(sample_paths, resource, path)
+
+        assert main(argv) == EXIT_OK
+        capsys.readouterr()
+        good = path.read_bytes()
+        path.write_bytes(good + b"\xff\n")
+        assert main(argv) == EXIT_PARSE_ERROR
+        line = good.count(b"\n") + 1
+        assert f"{path}: line {line}: not UTF-8" in capsys.readouterr().err
+
+    def test_no_command_writes_into_a_shared_parse(
+        self, sample_paths, tmp_path, monkeypatch, capsys
+    ):
+        """After the commands of ``TestRepeatedCalls``, each object a fresh
+        ``load_resources`` returns equals a direct parse of the same text."""
+        monkeypatch.delenv(DATA_ENV_VAR, raising=False)
+        config = tmp_path / "run.json"
+        config.write_text('{"top_k": 1, "format": "histogram"}', encoding="utf-8")
+        rp, r, m = sample_paths["pretagged"], sample_paths["corpus"], sample_paths["eval_corpus"]
+        runs = [
+            ["summarize", "--pretagged", rp, "--no-fallback", "--top-k", "1",
+             "--format", "machine"],
+            ["summarize", "--pretagged", rp],
+            ["extract", "--corpus", r, "--no-fallback", "--format", "machine"],
+            ["extract", "--corpus", r],
+            ["summarize", "--pretagged", rp, "--config", str(config)],
+            ["summarize", "--pretagged", rp],
+            ["evaluate", "--corpus", m, "--format", "machine"],
+            ["evaluate", "--corpus", m, "--top-k", "0"],
+            ["mine", "--corpus", r],
+        ]
+        before = load_resources()
+        for argv in runs:
+            main(argv)
+        capsys.readouterr()
+
+        res = load_resources()
+        shared = ("opinion_lexicon", "aspect_dictionary", "verb_categories", "pattern_set")
+        assert all(getattr(res, name) is getattr(before, name) for name in shared)
+        assert res.tag_lexicon is before.tag_lexicon
+
+        def parse(fn, *resources):
+            paths = tuple(data_dir() / DEFAULT_FILES[name] for name in resources)
+            return fn(tuple(read_text(path) for path in paths), paths)
+
+        opinions = parse(_parse_opinion_lexicon, "pos_lex", "neg_lex")
+        assert res.opinion_lexicon == opinions
+        dictionary = parse(_parse_aspect_dictionary, "aspects", "synonyms")
+        assert res.aspect_dictionary.entries == dictionary.entries
+        assert res.aspect_dictionary.widest == dictionary.widest
+        patterns = parse(_parse_pattern_set, "patterns")
+        assert res.pattern_set.patterns == patterns.patterns
+        assert res.pattern_set.by_first_tag == patterns.by_first_tag
+        assert res.tag_lexicon == parse(_parse_tag_lexicon, "tag_lexicon")
+        verbs = parse(_parse_verb_categories, "verbs")
+        assert res.verb_categories.orientations == verbs.orientations
+        remembered = res.verb_categories.by_surface
+        assert remembered
+        assert remembered == {s: verbs.orientation_of_surface(s) for s in remembered}

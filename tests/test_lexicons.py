@@ -1,4 +1,7 @@
-"""Tests for opinion lexicons, the aspect dictionary and verb categories."""
+"""Tests for opinion lexicons, the aspect dictionary and verb categories,
+and for the memo every resource loader parses through."""
+
+import shutil
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,9 +18,14 @@ from aspectminer.lexicons import (
     load_opinion_lexicon,
     load_verb_categories,
 )
-from aspectminer.patterns import PatternSet, _longest_entry_at, extract_with_options
+from aspectminer.patterns import (
+    PatternSet,
+    _longest_entry_at,
+    extract_with_options,
+    load_pattern_set,
+)
 from aspectminer.pipeline import DEFAULT_FILES, data_dir
-from aspectminer.tagger import base_form_candidates, parse_pretagged
+from aspectminer.tagger import base_form_candidates, load_tag_lexicon, parse_pretagged
 
 
 def write(path, text):
@@ -320,3 +328,60 @@ class TestOrientationOfSurface:
         assert a.by_surface == {"loves": 1}
         assert a == b
         assert "by_surface" not in repr(a)
+
+
+# loader, its resources, and a line that makes the last file malformed
+# (an aspect list alone has no malformed line)
+LOADERS = {
+    "opinion lexicon": (load_opinion_lexicon, ("pos_lex", "neg_lex"), "good\n"),
+    "dictionary": (load_aspect_dictionary, ("aspects",), None),
+    "dictionary with synonyms": (load_aspect_dictionary, ("aspects", "synonyms"), "sound\n"),
+    "verb categories": (load_verb_categories, ("verbs",), "tell\n"),
+    "pattern set": (load_pattern_set, ("patterns",), "NN:A VBZ\n"),
+    "tag lexicon": (load_tag_lexicon, ("tag_lexicon",), "word\tXYZ\n"),
+}
+FAILING = {name: loader for name, loader in LOADERS.items() if loader[2] is not None}
+
+
+def copies(directory, resources):
+    directory.mkdir()
+    return [
+        shutil.copyfile(data_dir() / DEFAULT_FILES[name], directory / DEFAULT_FILES[name])
+        for name in resources
+    ]
+
+
+class TestParsedOncePerText:
+    """Each loader reads its files on every call and reuses its last parse
+    while their texts are unchanged, wherever the files are."""
+
+    @pytest.mark.parametrize("loader, resources, bad", LOADERS.values(), ids=LOADERS)
+    def test_same_text_at_another_path_is_the_same_object(self, tmp_path, loader, resources, bad):
+        first = loader(*copies(tmp_path / "a", resources))
+        assert loader(*copies(tmp_path / "b", resources)) is first
+
+    @pytest.mark.parametrize("loader, resources, bad", LOADERS.values(), ids=LOADERS)
+    def test_changed_text_is_parsed_again(self, tmp_path, loader, resources, bad):
+        paths = copies(tmp_path / "a", resources)
+        first = loader(*paths)
+        lines = paths[-1].read_text(encoding="utf-8").splitlines(keepends=True)
+        paths[-1].write_text("".join(lines[:-1]), encoding="utf-8")
+
+        changed = loader(*paths)
+
+        assert changed != first
+        assert loader(*copies(tmp_path / "b", resources)) == first
+
+    @pytest.mark.parametrize("loader, resources, bad", FAILING.values(), ids=FAILING)
+    def test_failed_parse_names_its_own_path_and_keeps_the_last(
+        self, tmp_path, loader, resources, bad
+    ):
+        good = loader(*copies(tmp_path / "good", resources))
+        for name in ("a", "b"):
+            paths = copies(tmp_path / name, resources)
+            with open(paths[-1], "a", encoding="utf-8") as f:
+                f.write(bad)
+            with pytest.raises(ParseError) as exc:
+                loader(*paths)
+            assert exc.value.path == paths[-1]
+        assert loader(*copies(tmp_path / "again", resources)) is good

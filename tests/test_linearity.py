@@ -13,7 +13,8 @@ that starts no entry, the tagger's rules and the verb base forms run
 once per distinct word, and evaluation compares each (sentence,
 predicted term, gold term) at most once.  Per-process work is held to
 counts too: repeated ``cli.main`` calls build the parser and resolve
-the config schema once.
+the config schema once, and parse an unchanged resource file once
+while reading it on every call.
 """
 
 import argparse
@@ -21,7 +22,7 @@ import random
 import time
 from dataclasses import replace
 
-from aspectminer import cli, evaluation, lexicons, scoring
+from aspectminer import cli, errors, evaluation, lexicons, scoring, tagger
 from aspectminer.corpus import parse_corpus_file
 from aspectminer.evaluation import evaluate_extraction_detailed
 from aspectminer.grouping import group_aspects
@@ -33,7 +34,13 @@ from aspectminer.patterns import (
     _longest_entry_at,
     mine_frequent_tag_sets,
 )
-from aspectminer.pipeline import extract_corpus, load_pretagged_file, tag_corpus
+from aspectminer.pipeline import (
+    DEFAULT_FILES,
+    data_dir,
+    extract_corpus,
+    load_pretagged_file,
+    tag_corpus,
+)
 from aspectminer.scoring import score_sentences
 from aspectminer.tagger import (
     PENN_TAGS,
@@ -288,3 +295,21 @@ def test_cli_resolves_the_config_schema_once_per_process(
     assert codes == [0, 0]
     assert capsys.readouterr().out.startswith("summary\t")
     assert len(calls) <= 1
+
+
+def test_cli_parses_an_unchanged_tag_lexicon_once(sample_dir, monkeypatch, capsys):
+    parses, reads = [], []
+    parse, read = tagger._parse_tag_lexicon, errors.read_text
+    monkeypatch.setattr(
+        tagger, "_parse_tag_lexicon", lambda *args: parses.append(args) or parse(*args)
+    )
+    monkeypatch.setattr(errors, "read_text", lambda path: reads.append(path) or read(path))
+    lexicon = str(data_dir() / DEFAULT_FILES["tag_lexicon"])
+    argv = ["evaluate", "--corpus", str(sample_dir / "minieval.txt"), "--format", "machine"]
+
+    codes = [cli.main(argv) for _ in range(4)]
+
+    assert codes == [0] * 4
+    assert capsys.readouterr().out.count("\naverage\t") == 4
+    assert len(parses) == 1
+    assert [str(path) for path in reads].count(lexicon) == 4

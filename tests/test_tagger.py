@@ -142,6 +142,16 @@ class TestTagLexicon:
         with pytest.raises(FileNotFoundError):
             load_tag_lexicon(tmp_path / "nope.txt")
 
+    def test_read_only(self, tmp_path):
+        path = tmp_path / "lex.txt"
+        path.write_text("sound\tNN\n", encoding="utf-8")
+        lex = load_tag_lexicon(path)
+        with pytest.raises(TypeError):
+            lex["sound"] = "VB"
+        with pytest.raises(TypeError):
+            del lex["sound"]
+        assert dict(lex) == {"sound": "NN"}
+
 
 class TestBaselineTagger:
     @pytest.fixture()
