@@ -65,8 +65,8 @@ def group_aspects(
     """
     # distinct surfaces in first-seen order, each with its canonical
     canonical_of: dict[str, str | None] = {}
-    for p in pairs:
-        s = p.aspect_surface.lower()
+    lowered = [p.aspect_surface.lower() for p in pairs]
+    for s in lowered:
         if s not in canonical_of:
             canonical_of[s] = dictionary.lookup(s)
 
@@ -88,23 +88,25 @@ def group_aspects(
     for surface, root in root_of.items():
         clusters.setdefault(root, []).append(surface)
     cluster_pairs: dict[str, list[AspectOpinionPair]] = {root: [] for root in clusters}
-    for p in pairs:
-        cluster_pairs[root_of[p.aspect_surface.lower()]].append(p)
+    for p, s in zip(pairs, lowered):
+        cluster_pairs[root_of[s]].append(p)
 
     groups = []
     for root, members in clusters.items():
-        member_set = frozenset(members)
-        canonicals = sorted(
-            {c for m in members if (c := canonical_of[m]) is not None},
-            key=lambda c: (len(c), c),
-        )
-        if canonicals:
-            label = canonicals[0]
+        if len(members) == 1:
+            member = members[0]
+            label = canonical_of[member]
+            if label is None:
+                label = member
         else:
-            label = min(members, key=lambda m: (len(m), m))
+            # the shortest canonical, else the shortest member; ties alphabetical
+            canonicals = {c for m in members if (c := canonical_of[m]) is not None}
+            label = min(canonicals or members, key=lambda t: (len(t), t))
         groups.append(
             AspectGroup(
-                canonical_label=label, members=member_set, pairs=tuple(cluster_pairs[root])
+                canonical_label=label,
+                members=frozenset(members),
+                pairs=tuple(cluster_pairs[root]),
             )
         )
     groups.sort(key=lambda g: (g.canonical_label, sorted(g.members)))

@@ -67,6 +67,17 @@ def _percentages(positive: int, negative: int) -> tuple[int, int]:
     return pos, 100 - pos
 
 
+def _top_entries(
+    sentences: list[TaggedSentence],
+    scores: Mapping[TaggedSentence, SentenceScore],
+    top_k: int,
+) -> tuple[SummaryEntry, ...]:
+    """A nonempty side's entries; one sentence needs no ranking."""
+    if len(sentences) > 1:
+        sentences = rank_sentences(sentences, scores, top_k)
+    return tuple([SummaryEntry(s, scores[s].total) for s in sentences])
+
+
 def generate_summary(
     groups: list[AspectGroup],
     scores: Mapping[TaggedSentence, SentenceScore],
@@ -95,21 +106,13 @@ def generate_summary(
         split.append((group, pos_sents, neg_sents))
     split.sort(key=lambda c: (-(len(c[1]) + len(c[2])), c[0].canonical_label))
     for group, pos_sents, neg_sents in split:
-        pros = tuple(
-            SummaryEntry(sentence=s, weight=scores[s].total)
-            for s in rank_sentences(pos_sents, scores, top_k)
-        )
-        cons = tuple(
-            SummaryEntry(sentence=s, weight=scores[s].total)
-            for s in rank_sentences(neg_sents, scores, top_k)
-        )
         rendered.append(
             SummaryGroup(
                 label=group.canonical_label,
                 positive_count=len(pos_sents),
                 negative_count=len(neg_sents),
-                pros=pros,
-                cons=cons,
+                pros=_top_entries(pos_sents, scores, top_k) if pos_sents else (),
+                cons=_top_entries(neg_sents, scores, top_k) if neg_sents else (),
             )
         )
     positive_total = sum(g.positive_count for g in rendered)
@@ -176,8 +179,9 @@ def _render_machine(summary: Summary) -> str:
 
 
 def _bar_pair(label: str, pos_pct: int, neg_pct: int, width: int) -> list[str]:
-    pos_bar = "+" * _half_up(pos_pct / 2)
-    neg_bar = "-" * _half_up(neg_pct / 2)
+    # (pct + 1) // 2 is pct / 2 rounded half up, for integer pct
+    pos_bar = "+" * ((pos_pct + 1) // 2)
+    neg_bar = "-" * ((neg_pct + 1) // 2)
     return [
         f"{label:<{width}} + [{pos_bar:<{HISTOGRAM_SCALE}}] {pos_pct:>3}%",
         f"{'':<{width}} - [{neg_bar:<{HISTOGRAM_SCALE}}] {neg_pct:>3}%",

@@ -772,7 +772,9 @@ def run_alone(argv: list[str]) -> tuple[int, str]:
 
 
 class TestRepeatedCalls:
-    """main keeps nothing between calls but what depends only on the code."""
+    """main keeps nothing between calls but what depends only on the code,
+    and each resource loader's last parse, which depends only on the
+    file's text."""
 
     def test_each_call_answers_as_if_run_alone(
         self, sample_paths, tmp_path, monkeypatch, capsys

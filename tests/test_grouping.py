@@ -116,6 +116,15 @@ class TestGroupAspects:
         labels = [g.canonical_label for g in groups]
         assert labels == sorted(labels)
 
+    def test_groups_sharing_a_label_ordered_by_members(self):
+        # both canonicals are "", so only the sorted members order the groups
+        d = AspectDictionary(entries={"x": "", "y": ""})
+        groups = group_aspects([pair("y", position=0), pair("x", position=1)], d)
+        assert [(g.canonical_label, g.members) for g in groups] == [
+            ("", frozenset({"x"})),
+            ("", frozenset({"y"})),
+        ]
+
     def test_empty_input(self):
         assert group_aspects([], AspectDictionary()) == []
 

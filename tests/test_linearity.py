@@ -11,10 +11,12 @@ nothing (0.7x with the first-tag index, 8.5x with one scan per pattern).
 Per-word work is held to counts: the dictionary is not probed at a word
 that starts no entry, the tagger's rules and the verb base forms run
 once per distinct word, and evaluation compares each (sentence,
-predicted term, gold term) at most once.  Per-process work is held to
-counts too: repeated ``cli.main`` calls build the parser and resolve
-the config schema once, and parse an unchanged resource file once
-while reading it on every call.
+predicted term, gold term) at most once.  Per-group work is held to a
+count: the summary ranks no pros or cons list of fewer than two
+sentences.  Per-process work is held to counts too: repeated
+``cli.main`` calls build the parser and resolve the config schema once,
+and parse an unchanged resource file once while reading it on every
+call.
 """
 
 import argparse
@@ -22,7 +24,7 @@ import random
 import time
 from dataclasses import replace
 
-from aspectminer import cli, errors, evaluation, lexicons, scoring, tagger
+from aspectminer import cli, errors, evaluation, lexicons, scoring, summary, tagger
 from aspectminer.corpus import parse_corpus_file
 from aspectminer.evaluation import evaluate_extraction_detailed
 from aspectminer.grouping import group_aspects
@@ -42,6 +44,7 @@ from aspectminer.pipeline import (
     tag_corpus,
 )
 from aspectminer.scoring import score_sentences
+from aspectminer.summary import FORMATS, generate_summary, render
 from aspectminer.tagger import (
     PENN_TAGS,
     VERB_TAGS,
@@ -111,8 +114,9 @@ def test_evaluation_compares_each_sentence_term_pair_at_most_once(
     assert 0 < len(calls) <= distinct
 
 
-def test_grouping_of_8k_distinct_surfaces():
-    pairs = [
+def distinct_surface_pairs(n):
+    """One positive pair per sentence, each on its own aspect surface."""
+    return [
         AspectOpinionPair(
             aspect_surface=f"part{i} cover",
             opinion_surface="good",
@@ -123,12 +127,38 @@ def test_grouping_of_8k_distinct_surfaces():
             pattern_name="test",
             aspect_end=1,
         )
-        for i in range(8_000)
+        for i in range(n)
     ]
+
+
+def test_grouping_of_8k_distinct_surfaces():
+    pairs = distinct_surface_pairs(8_000)
 
     groups, elapsed = timed(group_aspects, pairs, AspectDictionary())
 
     assert len(groups) == 8_000
+    assert elapsed < 1.0
+
+
+def test_summary_of_8k_one_member_groups_ranks_nothing(monkeypatch):
+    pairs = distinct_surface_pairs(8_000)
+    groups = group_aspects(pairs, AspectDictionary())
+    scores = score_sentences([p.sentence for p in pairs], VerbCategoryLexicon())
+    calls = []
+    rank = summary.rank_sentences
+    monkeypatch.setattr(
+        summary, "rank_sentences", lambda *args: calls.append(args) or rank(*args)
+    )
+
+    def summarize_and_render():
+        result = generate_summary(groups, scores, 3)
+        return [render(result, fmt) for fmt in FORMATS]
+
+    outputs, elapsed = timed(summarize_and_render)
+
+    assert len(groups) == 8_000
+    assert outputs[1].count("\nsentence\t") == 8_000
+    assert calls == []
     assert elapsed < 1.0
 
 

@@ -1,22 +1,26 @@
 """Tests for summary assembly and the three output formats."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aspectminer.grouping import AspectGroup
-from aspectminer.lexicons import VerbCategoryLexicon
+from aspectminer.lexicons import NEGATIVE, POSITIVE, VerbCategoryLexicon
 from aspectminer.patterns import AspectOpinionPair
-from aspectminer.scoring import score_sentences
+from aspectminer.scoring import SentenceScore, rank_sentences, score_sentences
 from aspectminer.summary import (
     FORMATS,
     HISTOGRAM_SCALE,
     Summary,
     SummaryEntry,
     SummaryGroup,
+    _bar_pair,
+    _half_up,
     _percentages,
     generate_summary,
     render,
 )
-from aspectminer.tagger import parse_pretagged
+from aspectminer.tagger import TaggedSentence, parse_pretagged
 
 NO_VERBS = VerbCategoryLexicon()
 
@@ -370,3 +374,109 @@ class TestRenderDispatch:
             out = render(summary, fmt)
             assert out.endswith("\n")
             assert not out.endswith("\n\n")
+
+
+def ranked_summary(groups, scores, top_k, product_name=""):
+    """Reference summary that sends every pros/cons list through ranking.
+
+    This is ``generate_summary`` as it was before lists of 0 or 1
+    sentences skipped ``rank_sentences``; it is kept here only to check
+    that the shortcut gives the same summary.
+    """
+    if top_k < 1:
+        raise ValueError("top_k must be >= 1")
+    split = []
+    for group in groups:
+        pos_sents = [p.sentence for p in group.pairs if p.orientation == POSITIVE]
+        neg_sents = [p.sentence for p in group.pairs if p.orientation == NEGATIVE]
+        split.append((group, pos_sents, neg_sents))
+    split.sort(key=lambda c: (-(len(c[1]) + len(c[2])), c[0].canonical_label))
+    rendered = tuple(
+        SummaryGroup(
+            label=group.canonical_label,
+            positive_count=len(pos_sents),
+            negative_count=len(neg_sents),
+            pros=tuple(
+                SummaryEntry(sentence=s, weight=scores[s].total)
+                for s in rank_sentences(pos_sents, scores, top_k)
+            ),
+            cons=tuple(
+                SummaryEntry(sentence=s, weight=scores[s].total)
+                for s in rank_sentences(neg_sents, scores, top_k)
+            ),
+        )
+        for group, pos_sents, neg_sents in split
+    )
+    positive_total = sum(g.positive_count for g in rendered)
+    negative_total = sum(g.negative_count for g in rendered)
+    pos_pct, neg_pct = _percentages(positive_total, negative_total)
+    return Summary(
+        product_name=product_name,
+        groups=rendered,
+        positive_total=positive_total,
+        negative_total=negative_total,
+        positive_pct=pos_pct,
+        negative_pct=neg_pct,
+    )
+
+
+# Weights from a range of three, so that many sentences tie and rank by position.
+WEIGHTS = st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=6)
+# Each group's pairs as (sentence index, orientation); drawing one index
+# twice under one orientation repeats a sentence within one side.
+GROUPS = st.lists(
+    st.tuples(
+        st.sampled_from(["battery", "price", "screen", "sound"]),
+        st.lists(
+            st.tuples(st.integers(min_value=0, max_value=5), st.sampled_from([POSITIVE, NEGATIVE])),
+            max_size=6,
+        ),
+    ),
+    max_size=6,
+)
+
+
+class TestShortListsAgainstRankingOracle:
+    @given(WEIGHTS, GROUPS, st.integers(min_value=1, max_value=4))
+    @settings(max_examples=400, deadline=None)
+    def test_summary_equals_oracle(self, weights, drawn, top_k):
+        sentences = [
+            TaggedSentence(surfaces=(f"s{i}",), tags=("NN",), position=i)
+            for i in range(len(weights))
+        ]
+        scores = {s: SentenceScore(s, w, 0) for s, w in zip(sentences, weights)}
+        groups = [
+            group_of(
+                label,
+                [
+                    pair(label, orientation, sentences[i % len(sentences)])
+                    for i, orientation in pairs
+                ],
+            )
+            for label, pairs in drawn
+        ]
+        assert generate_summary(groups, scores, top_k, "p") == ranked_summary(
+            groups, scores, top_k, "p"
+        )
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_unscored_sentence_raises_key_error(self, count):
+        s = sent("nice/JJ sound/NN ./.")
+        groups = [group_of("sound", [pair("sound", "positive", s)] * count)]
+        for build in (generate_summary, ranked_summary):
+            with pytest.raises(KeyError):
+                build(groups, {}, top_k=3)
+
+    def test_bar_pair_equals_float_halving(self):
+        def float_halving(label, pos_pct, neg_pct, width):
+            pos_bar = "+" * _half_up(pos_pct / 2)
+            neg_bar = "-" * _half_up(neg_pct / 2)
+            return [
+                f"{label:<{width}} + [{pos_bar:<{HISTOGRAM_SCALE}}] {pos_pct:>3}%",
+                f"{'':<{width}} - [{neg_bar:<{HISTOGRAM_SCALE}}] {neg_pct:>3}%",
+            ]
+
+        for pos in range(101):
+            assert _bar_pair("sound", pos, 100 - pos, 7) == float_halving(
+                "sound", pos, 100 - pos, 7
+            )
