@@ -1,41 +1,42 @@
-"""Hand-written constructors for the frozen slotted per-sentence records.
+"""The ``@record`` decorator of the frozen slotted per-sentence records.
 
-A record is declared ``@dataclass(frozen=True, slots=True, init=False)``
-with an ``__init__`` that takes the fields in order, with their
-defaults, and stores each argument through its slot's own setter::
+``@record`` declares a class ``@dataclass(frozen=True, slots=True)``
+whose ``__init__`` is compiled from the field list, as the generated
+one is, but stores each argument through its slot's own setter::
 
     def __init__(self, aspect_term, strength, flags=frozenset()):
         _set_aspect_term(self, aspect_term)
         ...
 
-    _set_aspect_term, ... = slot_setters(GoldAnnotation)
-
 A slot setter skips the frozen ``__setattr__`` as the generated
 ``__init__``'s ``object.__setattr__(self, name, value)`` does, without
 looking the name up, so a record built positionally costs about half
-as much.
+as much.  The parameters, their defaults and annotations, and the
+qualname are the generated ``__init__``'s, so the signature and the
+``TypeError`` of a bad call are unchanged.
 """
 
 from __future__ import annotations
 
-from dataclasses import MISSING, fields
-from typing import Any, Callable
+import inspect
+from dataclasses import MISSING, dataclass, fields
 
 
-def slot_setters(cls: type) -> tuple[Callable[[Any, Any], None], ...]:
-    """The ``__set__`` of each field's slot of ``cls``, in field order.
-
-    Also gives ``cls.__init__`` the annotations the generated one would
-    carry, so ``inspect.signature(cls)`` is unchanged.  Raises TypeError
-    when the ``__init__`` parameters are not the fields, in order, with
-    their defaults.
-    """
-    init = cls.__init__
-    code = init.__code__
-    params = code.co_varnames[1 : code.co_argcount]
-    defaults = tuple(f.default for f in fields(cls) if f.default is not MISSING)
-    if params != tuple(f.name for f in fields(cls)) or (init.__defaults__ or ()) != defaults:
-        raise TypeError(f"{cls.__qualname__}.__init__ does not take the fields in order")
-    init.__annotations__ = {f.name: f.type for f in fields(cls)}
-    init.__annotations__["return"] = None
-    return tuple(cls.__dict__[f.name].__set__ for f in fields(cls))
+def record(cls: type) -> type:
+    """``cls`` as a frozen slotted dataclass with the slot-setter ``__init__``."""
+    undocumented = cls.__doc__ is None
+    cls = dataclass(frozen=True, slots=True, init=False)(cls)
+    declared = fields(cls)
+    names = [f.name for f in declared]
+    namespace = {f"_set_{name}": cls.__dict__[name].__set__ for name in names}
+    body = "".join(f"    _set_{name}(self, {name})\n" for name in names)
+    exec(f"def __init__(self, {', '.join(names)}):\n{body}", namespace)
+    init = namespace.pop("__init__")
+    init.__defaults__ = tuple(f.default for f in declared if f.default is not MISSING) or None
+    init.__annotations__ = {f.name: f.type for f in declared} | {"return": None}
+    init.__module__ = cls.__module__
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__init__ = init
+    if undocumented:  # as dataclass documents a class, from the new signature
+        cls.__doc__ = cls.__name__ + str(inspect.signature(cls)).replace(" -> None", "")
+    return cls

@@ -41,7 +41,7 @@ from .evaluation import (
     make_report,
     render_report,
 )
-from .patterns import mine_frequent_tag_sets
+from .patterns import MAX_PATTERN_LEN, MIN_PATTERN_LEN, mine_frequent_tag_sets
 from .pipeline import (
     DEFAULT_FILES,
     Resources,
@@ -91,6 +91,10 @@ class RunConfig:
             raise ValueError("top-k must be >= 1")
         if self.min_support < 1:
             raise ValueError("min-support must be >= 1")
+        if not MIN_PATTERN_LEN <= self.max_len <= MAX_PATTERN_LEN:
+            raise ValueError(
+                f"max-len must be {MIN_PATTERN_LEN}..{MAX_PATTERN_LEN}, got {self.max_len}"
+            )
         for path in list(self.corpus) + list(self.pretagged):
             if not os.path.isfile(path):
                 raise FileNotFoundError(path)

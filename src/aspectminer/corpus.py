@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from ._records import slot_setters
+from ._records import record
 from .errors import read_text
 
 log = logging.getLogger(__name__)
@@ -34,7 +34,7 @@ _ANNOT_RE = re.compile(
 _FLAG_RE = re.compile(r"\[([^\[\]]+)\]")
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@record
 class GoldAnnotation:
     """One human label: an aspect term with a signed opinion strength."""
 
@@ -42,38 +42,14 @@ class GoldAnnotation:
     strength: int  # in -3..3, never 0
     flags: frozenset[str] = frozenset()
 
-    def __init__(self, aspect_term, strength, flags=frozenset()):
-        _set_aspect_term(self, aspect_term)
-        _set_strength(self, strength)
-        _set_flags(self, flags)
 
-
-_set_aspect_term, _set_strength, _set_flags = slot_setters(GoldAnnotation)
-
-
-@dataclass(frozen=True, slots=True, init=False)
+@record
 class ReviewSentence:
     review_id: str
     sentence_index: int
     raw_text: str
     gold: tuple[GoldAnnotation, ...] = ()
     is_title: bool = False
-
-    def __init__(self, review_id, sentence_index, raw_text, gold=(), is_title=False):
-        _set_review_id(self, review_id)
-        _set_sentence_index(self, sentence_index)
-        _set_raw_text(self, raw_text)
-        _set_gold(self, gold)
-        _set_is_title(self, is_title)
-
-
-(
-    _set_review_id,
-    _set_sentence_index,
-    _set_raw_text,
-    _set_gold,
-    _set_is_title,
-) = slot_setters(ReviewSentence)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Callable, Collection, Iterable
 
-from ._records import slot_setters
+from ._records import record
 from .errors import ParseError, _parse_files
 from .lexicons import NEGATIVE, POSITIVE, AspectDictionary, OpinionLexicon
 from .tagger import NOUN_TAGS, PENN_TAGS, TaggedSentence
@@ -168,7 +168,7 @@ def _parse_pattern_set(texts, paths) -> PatternSet:
         raise ParseError(str(exc), path=path) from exc
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@record
 class AspectOpinionPair:
     """One extracted (aspect, opinion) pair anchored in its sentence.
 
@@ -184,38 +184,6 @@ class AspectOpinionPair:
     opinion_index: int
     pattern_name: str
     aspect_end: int  # one past the last aspect token
-
-    def __init__(
-        self,
-        aspect_surface,
-        opinion_surface,
-        orientation,
-        sentence,
-        aspect_index,
-        opinion_index,
-        pattern_name,
-        aspect_end,
-    ):
-        _set_aspect_surface(self, aspect_surface)
-        _set_opinion_surface(self, opinion_surface)
-        _set_orientation(self, orientation)
-        _set_sentence(self, sentence)
-        _set_aspect_index(self, aspect_index)
-        _set_opinion_index(self, opinion_index)
-        _set_pattern_name(self, pattern_name)
-        _set_aspect_end(self, aspect_end)
-
-
-(
-    _set_aspect_surface,
-    _set_opinion_surface,
-    _set_orientation,
-    _set_sentence,
-    _set_aspect_index,
-    _set_opinion_index,
-    _set_pattern_name,
-    _set_aspect_end,
-) = slot_setters(AspectOpinionPair)
 
 
 def _aspect_at(

@@ -10,35 +10,26 @@ verb, with verbs reduced to base form by the tagger's
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import nsmallest
 from itertools import repeat
 from typing import Mapping
 
-from ._records import slot_setters
+from ._records import record
 from .lexicons import VerbCategoryLexicon
 from .tagger import VERB_TAGS, TaggedSentence
 
 TAG_WEIGHTS = {"JJ": 1, "JJR": 2, "JJS": 3, "RB": 1, "RBR": 2, "RBS": 3}
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@record
 class SentenceScore:
     sentence: TaggedSentence
     adjective_adverb_points: int
     verb_points: int
 
-    def __init__(self, sentence, adjective_adverb_points, verb_points):
-        _set_sentence(self, sentence)
-        _set_adjective_adverb_points(self, adjective_adverb_points)
-        _set_verb_points(self, verb_points)
-
     @property
     def total(self) -> int:
         return self.adjective_adverb_points + self.verb_points
-
-
-_set_sentence, _set_adjective_adverb_points, _set_verb_points = slot_setters(SentenceScore)
 
 
 def weight_sentence(sentence: TaggedSentence, verbs: VerbCategoryLexicon) -> SentenceScore:

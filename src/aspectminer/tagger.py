@@ -17,12 +17,11 @@ surfaces by single spaces to probe the aspect dictionary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
-from ._records import slot_setters
+from ._records import record
 from .corpus import ReviewSentence
 from .errors import ParseError, _parse_files
 
@@ -59,7 +58,7 @@ class Token(NamedTuple):
     tag: str
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@record
 class TaggedSentence:
     """A sentence as two parallel columns: ``surfaces[i]`` carries ``tags[i]``.
 
@@ -70,12 +69,6 @@ class TaggedSentence:
     tags: tuple[str, ...] = ()
     source: ReviewSentence | None = None
     position: int = 0  # ordinal within the corpus, used for tie-breaking
-
-    def __init__(self, surfaces=(), tags=(), source=None, position=0):
-        _set_surfaces(self, surfaces)
-        _set_tags(self, tags)
-        _set_source(self, source)
-        _set_position(self, position)
 
     def __hash__(self) -> int:
         # Equal sentences have equal positions and surfaces, so this agrees
@@ -92,9 +85,6 @@ class TaggedSentence:
         if self.source is not None:
             return self.source.raw_text
         return " ".join(self.surfaces)
-
-
-_set_surfaces, _set_tags, _set_source, _set_position = slot_setters(TaggedSentence)
 
 
 def parse_pretagged(

@@ -127,6 +127,11 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(min_support=0).validate()
 
+    @pytest.mark.parametrize("max_len", [1, 7, 99])
+    def test_validate_rejects_max_len_outside_pattern_lengths(self, max_len):
+        with pytest.raises(ValueError, match=f"max-len must be 2..6, got {max_len}"):
+            RunConfig(max_len=max_len).validate()
+
     def test_validate_checks_input_paths(self):
         with pytest.raises(FileNotFoundError):
             RunConfig(corpus=["/nonexistent/reviews.txt"]).validate()
@@ -184,6 +189,11 @@ class TestMineCommand:
         assert main(["mine"]) == EXIT_ERROR
         assert "no input" in capsys.readouterr().err
 
+    def test_max_len_out_of_range_names_the_flag(self, sample_paths, capsys):
+        code = main(["mine", "--pretagged", sample_paths["pretagged"], "--max-len", "99"])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == "error: max-len must be 2..6, got 99\n"
+
 
 class TestExtractCommand:
     def test_machine_census(self, sample_paths, capsys):
@@ -216,6 +226,13 @@ class TestExtractCommand:
         assert code == EXIT_OK
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) > 10  # baseline tagger finds most of the pairs
+
+    def test_max_len_out_of_range_is_rejected(self, sample_paths, capsys):
+        code = main(["extract", "--pretagged", sample_paths["pretagged"], "--max-len", "99"])
+        assert code == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.err == "error: max-len must be 2..6, got 99\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize("kind", ["pretagged", "corpus"])
     def test_second_file_continues_sentence_ids(self, sample_paths, capsys, kind):

@@ -1,11 +1,13 @@
 """The per-sentence records against plain generated-dataclass twins.
 
 ``ReviewSentence``, ``GoldAnnotation``, ``TaggedSentence``,
-``AspectOpinionPair`` and ``SentenceScore`` are frozen slotted
-dataclasses with a hand-written ``__init__``.  Each twin below is the
-plain ``@dataclass(frozen=True, slots=True)`` declaration of the same
-fields under the same name, so constructors, errors, signatures,
-equality, hashing and reprs can be compared one to one.
+``AspectOpinionPair`` and ``SentenceScore`` are declared ``@record``
+(:func:`aspectminer._records.record`): frozen slotted dataclasses whose
+``__init__`` is compiled from the field list to store each argument
+through its slot's setter.  Each twin below is the plain
+``@dataclass(frozen=True, slots=True)`` declaration of the same fields
+under the same name, so constructors, errors, signatures, equality,
+hashing and reprs can be compared one to one.
 """
 
 from __future__ import annotations
@@ -212,3 +214,19 @@ class TestRecordMatchesTwin:
             errors.append(info.type)
         assert errors[0] is errors[1]
 
+
+@pytest.mark.parametrize("record_cls", RECORDS, ids=lambda r: r.__name__)
+def test_init_stores_each_field_through_its_slot_setter(record_cls):
+    # The generated dataclass __init__ looks up object.__setattr__ and
+    # the field names; the slot-setter one names only its setters.
+    code = record_cls.__init__.__code__
+    assert code.co_names == tuple(f"_set_{f.name}" for f in fields(record_cls))
+
+
+@pytest.mark.parametrize(
+    "record_cls", [corpus.ReviewSentence, scoring.SentenceScore], ids=lambda r: r.__name__
+)
+def test_record_without_docstring_is_documented_by_its_signature(record_cls):
+    # dataclass writes the class doc from the signature before @record
+    # gives the class its __init__; @record writes it again after
+    assert record_cls.__doc__ == TWINS[record_cls].__doc__
