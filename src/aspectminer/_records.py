@@ -1,4 +1,4 @@
-"""The ``@record`` decorator of the frozen slotted per-sentence records.
+"""The ``@record`` decorator of the frozen slotted records.
 
 ``@record`` declares a class ``@dataclass(frozen=True, slots=True)``
 whose ``__init__`` is compiled from the field list, as the generated
@@ -14,12 +14,19 @@ looking the name up, so a record built positionally costs about half
 as much.  The parameters, their defaults and annotations, and the
 qualname are the generated ``__init__``'s, so the signature and the
 ``TypeError`` of a bad call are unchanged.
+
+``dataclass(slots=True)`` builds a new class, but the frozen
+``__setattr__`` and ``__delattr__`` it generates name the first one,
+which the instances do not belong to, so for a name that is not a field
+their ``super()`` call raises ``TypeError``.  ``@record`` installs both
+again, bound to the class it returns, so that every assignment and
+deletion raises ``FrozenInstanceError``.
 """
 
 from __future__ import annotations
 
 import inspect
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 
 
 def record(cls: type) -> type:
@@ -37,6 +44,21 @@ def record(cls: type) -> type:
     init.__module__ = cls.__module__
     init.__qualname__ = f"{cls.__qualname__}.__init__"
     cls.__init__ = init
+    frozen = frozenset(names)
+
+    def __setattr__(self, name, value):
+        if type(self) is cls or name in frozen:
+            raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        super(cls, self).__setattr__(name, value)
+
+    def __delattr__(self, name):
+        if type(self) is cls or name in frozen:
+            raise FrozenInstanceError(f"cannot delete field {name!r}")
+        super(cls, self).__delattr__(name)
+
+    for method in (__setattr__, __delattr__):
+        method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
+        setattr(cls, method.__name__, method)
     if undocumented:  # as dataclass documents a class, from the new signature
         cls.__doc__ = cls.__name__ + str(inspect.signature(cls)).replace(" -> None", "")
     return cls

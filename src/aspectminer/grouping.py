@@ -8,8 +8,7 @@ charger" pull "batteries" into the same group via the shared head.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._records import record
 from .lexicons import AspectDictionary
 from .patterns import AspectOpinionPair
 
@@ -25,32 +24,13 @@ def head_key(term: str) -> str:
     return word
 
 
-@dataclass(frozen=True)
+@record
 class AspectGroup:
     """One group of co-referring aspect surfaces and their pairs."""
 
     canonical_label: str
     members: frozenset[str]
     pairs: tuple[AspectOpinionPair, ...]
-
-
-class _UnionFind:
-    def __init__(self):
-        self.parent: dict[str, str] = {}
-
-    def find(self, item: str) -> str:
-        self.parent.setdefault(item, item)
-        root = item
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[item] != root:  # path compression
-            self.parent[item], item = root, self.parent[item]
-        return root
-
-    def union(self, a: str, b: str) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
 
 
 def group_aspects(
@@ -70,44 +50,55 @@ def group_aspects(
         if s not in canonical_of:
             canonical_of[s] = dictionary.lookup(s)
 
-    uf = _UnionFind()
+    # union-find over the surfaces that share a key with an earlier one;
+    # a surface absent from parent is its own root
+    parent: dict[str, str] = {}
+
+    def find(item: str) -> str:
+        root = item
+        while root in parent:
+            root = parent[root]
+        while item != root:  # path compression
+            parent[item], item = root, parent[item]
+        return root
+
     key_owner: dict[str, str] = {}
     for surface, canonical in canonical_of.items():
-        uf.find(surface)
-        keys = {head_key(surface)}
+        key = head_key(surface)
+        keys = (key,) if key else ()
         if canonical is not None:
-            keys.add(head_key(canonical))
-        keys.discard("")
+            other = head_key(canonical)
+            if other and other != key:
+                keys += (other,)
         for k in keys:
             owner = key_owner.setdefault(k, surface)
             if owner != surface:
-                uf.union(owner, surface)
+                ra, rb = find(owner), find(surface)
+                if ra != rb:
+                    parent[rb] = ra
 
-    root_of = {surface: uf.find(surface) for surface in canonical_of}
+    root_of = {s: find(s) for s in parent}
     clusters: dict[str, list[str]] = {}
-    for surface, root in root_of.items():
-        clusters.setdefault(root, []).append(surface)
+    for surface in canonical_of:
+        clusters.setdefault(root_of.get(surface, surface), []).append(surface)
     cluster_pairs: dict[str, list[AspectOpinionPair]] = {root: [] for root in clusters}
     for p, s in zip(pairs, lowered):
-        cluster_pairs[root_of[s]].append(p)
+        cluster_pairs[root_of.get(s, s)].append(p)
 
-    groups = []
+    keyed = []
     for root, members in clusters.items():
         if len(members) == 1:
             member = members[0]
             label = canonical_of[member]
             if label is None:
                 label = member
+            key = (label, members)
         else:
             # the shortest canonical, else the shortest member; ties alphabetical
             canonicals = {c for m in members if (c := canonical_of[m]) is not None}
             label = min(canonicals or members, key=lambda t: (len(t), t))
-        groups.append(
-            AspectGroup(
-                canonical_label=label,
-                members=frozenset(members),
-                pairs=tuple(cluster_pairs[root]),
-            )
-        )
-    groups.sort(key=lambda g: (g.canonical_label, sorted(g.members)))
-    return groups
+            key = (label, sorted(members))
+        keyed.append((key, AspectGroup(label, frozenset(members), tuple(cluster_pairs[root]))))
+    # keys are distinct (clusters are disjoint), so no two groups are compared
+    keyed.sort()
+    return [group for _, group in keyed]

@@ -7,10 +7,10 @@ histogram of positive versus negative opinion shares.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Mapping
 
+from ._records import record
 from .grouping import AspectGroup
 from .lexicons import NEGATIVE, POSITIVE
 from .scoring import SentenceScore, rank_sentences
@@ -21,11 +21,7 @@ FORMATS = ("text", "machine", "histogram")
 HISTOGRAM_SCALE = 50  # columns for a 100% bar
 
 
-def _half_up(x: float) -> int:
-    return int(math.floor(x + 0.5))
-
-
-@dataclass(frozen=True)
+@record
 class SummaryEntry:
     sentence: TaggedSentence
     weight: int
@@ -35,7 +31,7 @@ class SummaryEntry:
         return self.sentence.text()
 
 
-@dataclass(frozen=True)
+@record
 class SummaryGroup:
     label: str
     positive_count: int
@@ -59,11 +55,15 @@ class Summary:
 
 
 def _percentages(positive: int, negative: int) -> tuple[int, int]:
-    """Integer percents; negative is the complement so they sum to 100."""
+    """Integer percents; negative is the complement so they sum to 100.
+
+    ``(200 * positive + total) // (2 * total)`` is ``100 * positive /
+    total`` rounded half up, in integers.
+    """
     total = positive + negative
     if total == 0:
         return 0, 0
-    pos = _half_up(100.0 * positive / total)
+    pos = (200 * positive + total) // (2 * total)
     return pos, 100 - pos
 
 
@@ -72,10 +72,14 @@ def _top_entries(
     scores: Mapping[TaggedSentence, SentenceScore],
     top_k: int,
 ) -> tuple[SummaryEntry, ...]:
-    """A nonempty side's entries; one sentence needs no ranking."""
+    """A side's entries; a list of fewer than two sentences needs no ranking."""
     if len(sentences) > 1:
-        sentences = rank_sentences(sentences, scores, top_k)
-    return tuple([SummaryEntry(s, scores[s].total) for s in sentences])
+        ranked = rank_sentences(sentences, scores, top_k)
+        return tuple([SummaryEntry(s, scores[s].total) for s in ranked])
+    if sentences:
+        s = sentences[0]
+        return (SummaryEntry(s, scores[s].total),)
+    return ()
 
 
 def generate_summary(
@@ -92,10 +96,10 @@ def generate_summary(
     """
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
-    rendered: list[SummaryGroup] = []
-    # one walk per group: each pair's sentence, listed under its polarity
+    # one walk per group: each pair's sentence, listed under its polarity,
+    # behind the group's (-count, label, input index) sort key
     split = []
-    for group in groups:
+    for index, group in enumerate(groups):
         pos_sents: list[TaggedSentence] = []
         neg_sents: list[TaggedSentence] = []
         for p in group.pairs:
@@ -103,24 +107,25 @@ def generate_summary(
                 pos_sents.append(p.sentence)
             elif p.orientation == NEGATIVE:
                 neg_sents.append(p.sentence)
-        split.append((group, pos_sents, neg_sents))
-    split.sort(key=lambda c: (-(len(c[1]) + len(c[2])), c[0].canonical_label))
-    for group, pos_sents, neg_sents in split:
-        rendered.append(
-            SummaryGroup(
-                label=group.canonical_label,
-                positive_count=len(pos_sents),
-                negative_count=len(neg_sents),
-                pros=_top_entries(pos_sents, scores, top_k) if pos_sents else (),
-                cons=_top_entries(neg_sents, scores, top_k) if neg_sents else (),
-            )
+        label = group.canonical_label
+        split.append((-len(pos_sents) - len(neg_sents), label, index, pos_sents, neg_sents))
+    split.sort()
+    rendered = tuple([
+        SummaryGroup(
+            label,
+            len(pos_sents),
+            len(neg_sents),
+            _top_entries(pos_sents, scores, top_k),
+            _top_entries(neg_sents, scores, top_k),
         )
+        for _, label, _, pos_sents, neg_sents in split
+    ])
     positive_total = sum(g.positive_count for g in rendered)
     negative_total = sum(g.negative_count for g in rendered)
     pos_pct, neg_pct = _percentages(positive_total, negative_total)
     return Summary(
         product_name=product_name,
-        groups=tuple(rendered),
+        groups=rendered,
         positive_total=positive_total,
         negative_total=negative_total,
         positive_pct=pos_pct,
@@ -128,73 +133,69 @@ def generate_summary(
     )
 
 
+def _entry_lines(entries: tuple[SummaryEntry, ...]) -> str:
+    if len(entries) == 1:  # most lists of an open vocabulary
+        e = entries[0]
+        return f"    [{e.weight}] {e.text}\n"
+    return "".join([f"    [{e.weight}] {e.text}\n" for e in entries]) or "    (none)\n"
+
+
 def _render_text(summary: Summary) -> str:
-    lines = [f"pros and cons: {summary.product_name or 'reviews'}"]
-    lines.append(
+    parts = [
+        f"pros and cons: {summary.product_name or 'reviews'}\n"
         f"opinions: {summary.total} "
-        f"({summary.positive_pct}% positive, {summary.negative_pct}% negative)"
-    )
+        f"({summary.positive_pct}% positive, {summary.negative_pct}% negative)\n"
+    ]
     for group in summary.groups:
-        lines.append("")
-        lines.append(
-            f"{group.label} "
-            f"({group.positive_count} positive, {group.negative_count} negative)"
+        parts.append(
+            f"\n{group.label} ({group.positive_count} positive, "
+            f"{group.negative_count} negative)\n"
+            f"  pros:\n{_entry_lines(group.pros)}  cons:\n{_entry_lines(group.cons)}"
         )
-        lines.append("  pros:")
-        if group.pros:
-            lines.extend(f"    [{e.weight}] {e.text}" for e in group.pros)
-        else:
-            lines.append("    (none)")
-        lines.append("  cons:")
-        if group.cons:
-            lines.extend(f"    [{e.weight}] {e.text}" for e in group.cons)
-        else:
-            lines.append("    (none)")
-    return "\n".join(lines) + "\n"
+    return "".join(parts)
 
 
 def _render_machine(summary: Summary) -> str:
-    lines = [
-        "summary\t{}\t{}\t{}\t{}".format(
-            summary.product_name or "reviews",
-            summary.total,
-            summary.positive_pct,
-            summary.negative_pct,
-        )
+    parts = [
+        f"summary\t{summary.product_name or 'reviews'}\t{summary.total}\t"
+        f"{summary.positive_pct}\t{summary.negative_pct}\n"
+    ]
+    parts += [
+        f"group\t{group.label}\t{group.positive_count}\t{group.negative_count}\n"
+        for group in summary.groups
     ]
     for group in summary.groups:
-        lines.append(
-            f"group\t{group.label}\t{group.positive_count}\t{group.negative_count}"
-        )
-    for group in summary.groups:
-        for entry in group.pros:
-            lines.append(
-                f"sentence\t{group.label}\tpositive\t{entry.weight}\t{entry.text}"
-            )
-        for entry in group.cons:
-            lines.append(
-                f"sentence\t{group.label}\tnegative\t{entry.weight}\t{entry.text}"
-            )
-    return "\n".join(lines) + "\n"
+        label = group.label
+        for e in group.pros:
+            parts.append(f"sentence\t{label}\tpositive\t{e.weight}\t{e.text}\n")
+        for e in group.cons:
+            parts.append(f"sentence\t{label}\tnegative\t{e.weight}\t{e.text}\n")
+    return "".join(parts)
 
 
-def _bar_pair(label: str, pos_pct: int, neg_pct: int, width: int) -> list[str]:
-    # (pct + 1) // 2 is pct / 2 rounded half up, for integer pct
-    pos_bar = "+" * ((pos_pct + 1) // 2)
-    neg_bar = "-" * ((neg_pct + 1) // 2)
-    return [
-        f"{label:<{width}} + [{pos_bar:<{HISTOGRAM_SCALE}}] {pos_pct:>3}%",
-        f"{'':<{width}} - [{neg_bar:<{HISTOGRAM_SCALE}}] {neg_pct:>3}%",
-    ]
+# A histogram row after its label column, by percent: the bar is
+# pct / 2 columns, rounded half up, in a HISTOGRAM_SCALE-wide frame.
+# Dicts, not tuples, so that a percent outside 0..100 raises KeyError.
+_POS_BARS = {
+    pct: f" + [{'+' * ((pct + 1) // 2):<{HISTOGRAM_SCALE}}] {pct:>3}%\n" for pct in range(101)
+}
+_NEG_BARS = {
+    pct: f" - [{'-' * ((pct + 1) // 2):<{HISTOGRAM_SCALE}}] {pct:>3}%\n" for pct in range(101)
+}
 
 
 def _render_histogram(summary: Summary) -> str:
+    """Two rows per group; a percent outside 0..100 raises KeyError."""
     width = max([len("overall")] + [len(g.label) for g in summary.groups])
-    lines = _bar_pair("overall", summary.positive_pct, summary.negative_pct, width)
+    pad = " " * width
+    parts = [
+        f"{'overall'.ljust(width)}{_POS_BARS[summary.positive_pct]}"
+        f"{pad}{_NEG_BARS[summary.negative_pct]}"
+    ]
     for group in summary.groups:
         pos_pct, neg_pct = _percentages(group.positive_count, group.negative_count)
-        lines.extend(_bar_pair(group.label, pos_pct, neg_pct, width))
-    return "\n".join(lines) + "\n"
+        parts.append(f"{group.label.ljust(width)}{_POS_BARS[pos_pct]}{pad}{_NEG_BARS[neg_pct]}")
+    return "".join(parts)
 
 
 def render(summary: Summary, format: str = "text") -> str:

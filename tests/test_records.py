@@ -1,7 +1,8 @@
-"""The per-sentence records against plain generated-dataclass twins.
+"""The records against plain generated-dataclass twins.
 
 ``ReviewSentence``, ``GoldAnnotation``, ``TaggedSentence``,
-``AspectOpinionPair`` and ``SentenceScore`` are declared ``@record``
+``AspectOpinionPair``, ``SentenceScore``, ``AspectGroup``,
+``SummaryGroup`` and ``SummaryEntry`` are declared ``@record``
 (:func:`aspectminer._records.record`): frozen slotted dataclasses whose
 ``__init__`` is compiled from the field list to store each argument
 through its slot's setter.  Each twin below is the plain
@@ -21,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aspectminer import corpus, patterns, scoring, tagger
+from aspectminer import corpus, grouping, patterns, scoring, summary, tagger
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,12 +71,39 @@ class SentenceScore:
     verb_points: int
 
 
+@dataclass(frozen=True, slots=True)
+class AspectGroup:
+    """One group of co-referring aspect surfaces and their pairs."""
+
+    canonical_label: str
+    members: frozenset[str]
+    pairs: tuple[AspectOpinionPair, ...]
+
+
+@dataclass(frozen=True, slots=True)
+class SummaryEntry:
+    sentence: TaggedSentence
+    weight: int
+
+
+@dataclass(frozen=True, slots=True)
+class SummaryGroup:
+    label: str
+    positive_count: int
+    negative_count: int
+    pros: tuple[SummaryEntry, ...]
+    cons: tuple[SummaryEntry, ...]
+
+
 TWINS = {
     corpus.GoldAnnotation: GoldAnnotation,
     corpus.ReviewSentence: ReviewSentence,
     tagger.TaggedSentence: TaggedSentence,
     patterns.AspectOpinionPair: AspectOpinionPair,
     scoring.SentenceScore: SentenceScore,
+    grouping.AspectGroup: AspectGroup,
+    summary.SummaryEntry: SummaryEntry,
+    summary.SummaryGroup: SummaryGroup,
 }
 RECORDS = list(TWINS)
 
@@ -92,6 +120,10 @@ tagged = st.builds(
     tagger.TaggedSentence, st.lists(words, max_size=3).map(tuple),
     st.lists(words, max_size=3).map(tuple), st.none() | source, small,
 )
+pair = st.builds(
+    patterns.AspectOpinionPair, words, words, words, tagged, small, small, words, small
+)
+entry = st.builds(summary.SummaryEntry, tagged, small)
 # One strategy per field type; the records share values, so equal draws
 # are common enough to test equality both ways.
 FIELD_VALUES = {
@@ -103,6 +135,8 @@ FIELD_VALUES = {
     "tuple[GoldAnnotation, ...]": st.lists(gold, max_size=2).map(tuple),
     "ReviewSentence | None": st.none() | source,
     "TaggedSentence": tagged,
+    "tuple[AspectOpinionPair, ...]": st.lists(pair, max_size=2).map(tuple),
+    "tuple[SummaryEntry, ...]": st.lists(entry, max_size=2).map(tuple),
 }
 
 
@@ -206,13 +240,11 @@ class TestRecordMatchesTwin:
             with pytest.raises(FrozenInstanceError):
                 delattr(rec, f.name)
             assert getattr(rec, f.name) == 0
-        # a name that is not a field fails as it does on the twin
-        errors = []
-        for obj in (rec, TWINS[record](*([0] * len(fields(record))))):
-            with pytest.raises(Exception) as info:
-                obj.extra = 1
-            errors.append(info.type)
-        assert errors[0] is errors[1]
+        # a name that is not a field is refused the same way
+        with pytest.raises(FrozenInstanceError, match="cannot assign to field 'extra'"):
+            rec.extra = 1
+        with pytest.raises(FrozenInstanceError, match="cannot delete field 'extra'"):
+            del rec.extra
 
 
 @pytest.mark.parametrize("record_cls", RECORDS, ids=lambda r: r.__name__)
@@ -224,7 +256,9 @@ def test_init_stores_each_field_through_its_slot_setter(record_cls):
 
 
 @pytest.mark.parametrize(
-    "record_cls", [corpus.ReviewSentence, scoring.SentenceScore], ids=lambda r: r.__name__
+    "record_cls",
+    [corpus.ReviewSentence, scoring.SentenceScore, summary.SummaryEntry, summary.SummaryGroup],
+    ids=lambda r: r.__name__,
 )
 def test_record_without_docstring_is_documented_by_its_signature(record_cls):
     # dataclass writes the class doc from the signature before @record

@@ -1,5 +1,7 @@
 """Tests for summary assembly and the three output formats."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,8 +16,6 @@ from aspectminer.summary import (
     Summary,
     SummaryEntry,
     SummaryGroup,
-    _bar_pair,
-    _half_up,
     _percentages,
     generate_summary,
     render,
@@ -323,6 +323,12 @@ class TestHistogramFormat:
         assert len(bar) == HISTOGRAM_SCALE
         assert bar == "+" * 50
 
+    @pytest.mark.parametrize("pct", [-1, 101])
+    def test_percent_outside_0_to_100_is_refused(self, pct):
+        summary = Summary("", (), 1, 0, pct, 0)
+        with pytest.raises(KeyError):
+            render(summary, "histogram")
+
     def test_label_column_width_follows_longest_label(self):
         summary = Summary(
             product_name="",
@@ -480,3 +486,148 @@ class TestShortListsAgainstRankingOracle:
             assert _bar_pair("sound", pos, 100 - pos, 7) == float_halving(
                 "sound", pos, 100 - pos, 7
             )
+            # the group's counts give it the same share as the overall row
+            group = SummaryGroup("sound", pos, 100 - pos, (), ())
+            summary = Summary("", (group,), 0, 0, pos, 100 - pos)
+            assert render(summary, "histogram").splitlines() == float_halving(
+                "overall", pos, 100 - pos, 7
+            ) + float_halving("sound", pos, 100 - pos, 7)
+
+
+# The renders and percentages as they were before the bar tables and
+# one-string-per-group renders; kept here only as oracles for ``render``
+# and ``_percentages``.
+
+
+def _half_up(x):
+    return int(math.floor(x + 0.5))
+
+
+def _float_percentages(positive, negative):
+    total = positive + negative
+    if total == 0:
+        return 0, 0
+    pos = _half_up(100.0 * positive / total)
+    return pos, 100 - pos
+
+
+def _render_text(summary):
+    lines = [f"pros and cons: {summary.product_name or 'reviews'}"]
+    lines.append(
+        f"opinions: {summary.total} "
+        f"({summary.positive_pct}% positive, {summary.negative_pct}% negative)"
+    )
+    for group in summary.groups:
+        lines.append("")
+        lines.append(
+            f"{group.label} "
+            f"({group.positive_count} positive, {group.negative_count} negative)"
+        )
+        lines.append("  pros:")
+        if group.pros:
+            lines.extend(f"    [{e.weight}] {e.text}" for e in group.pros)
+        else:
+            lines.append("    (none)")
+        lines.append("  cons:")
+        if group.cons:
+            lines.extend(f"    [{e.weight}] {e.text}" for e in group.cons)
+        else:
+            lines.append("    (none)")
+    return "\n".join(lines) + "\n"
+
+
+def _render_machine(summary):
+    lines = [
+        "summary\t{}\t{}\t{}\t{}".format(
+            summary.product_name or "reviews",
+            summary.total,
+            summary.positive_pct,
+            summary.negative_pct,
+        )
+    ]
+    for group in summary.groups:
+        lines.append(
+            f"group\t{group.label}\t{group.positive_count}\t{group.negative_count}"
+        )
+    for group in summary.groups:
+        for entry in group.pros:
+            lines.append(
+                f"sentence\t{group.label}\tpositive\t{entry.weight}\t{entry.text}"
+            )
+        for entry in group.cons:
+            lines.append(
+                f"sentence\t{group.label}\tnegative\t{entry.weight}\t{entry.text}"
+            )
+    return "\n".join(lines) + "\n"
+
+
+def _bar_pair(label, pos_pct, neg_pct, width):
+    # (pct + 1) // 2 is pct / 2 rounded half up, for integer pct
+    pos_bar = "+" * ((pos_pct + 1) // 2)
+    neg_bar = "-" * ((neg_pct + 1) // 2)
+    return [
+        f"{label:<{width}} + [{pos_bar:<{HISTOGRAM_SCALE}}] {pos_pct:>3}%",
+        f"{'':<{width}} - [{neg_bar:<{HISTOGRAM_SCALE}}] {neg_pct:>3}%",
+    ]
+
+
+def _render_histogram(summary):
+    width = max([len("overall")] + [len(g.label) for g in summary.groups])
+    lines = _bar_pair("overall", summary.positive_pct, summary.negative_pct, width)
+    for group in summary.groups:
+        pos_pct, neg_pct = _float_percentages(group.positive_count, group.negative_count)
+        lines.extend(_bar_pair(group.label, pos_pct, neg_pct, width))
+    return "\n".join(lines) + "\n"
+
+
+ORACLES = {"text": _render_text, "machine": _render_machine, "histogram": _render_histogram}
+
+# Empty, one-character and very wide labels and names
+LABELS = st.sampled_from(["", "x", "sound", "w" * 120]) | st.text(max_size=12)
+PERCENTS = st.sampled_from([0, 50, 100]) | st.integers(min_value=0, max_value=100)
+COUNTS = st.sampled_from([0, 1, 2]) | st.integers(min_value=0, max_value=500)
+ENTRIES = st.lists(
+    st.builds(
+        SummaryEntry,
+        st.builds(
+            TaggedSentence,
+            st.lists(st.text(max_size=6), max_size=4).map(tuple),
+            st.just(()),
+        ),
+        st.integers(min_value=-20, max_value=20),
+    ),
+    max_size=3,
+).map(tuple)
+SUMMARIES = st.builds(
+    Summary,
+    LABELS,
+    st.lists(
+        st.builds(SummaryGroup, LABELS, COUNTS, COUNTS, ENTRIES, ENTRIES), max_size=5
+    ).map(tuple),
+    COUNTS,
+    COUNTS,
+    PERCENTS,
+    PERCENTS,
+)
+
+
+class TestRendersAgainstOracles:
+    @given(SUMMARIES)
+    @settings(max_examples=300, deadline=None)
+    def test_render_equals_oracle(self, summary):
+        for fmt in FORMATS:
+            assert render(summary, fmt) == ORACLES[fmt](summary)
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_no_groups(self, fmt):
+        for pos, neg in ((0, 0), (0, 100), (50, 50), (100, 0)):
+            summary = Summary("", (), pos + neg, 0, pos, neg)
+            assert render(summary, fmt) == ORACLES[fmt](summary)
+
+    def test_integer_percentages_equal_float_half_up(self):
+        for total in range(1, 1_001):
+            for positive in range(total + 1):
+                assert _percentages(positive, total - positive) == _float_percentages(
+                    positive, total - positive
+                )
+        assert _percentages(0, 0) == _float_percentages(0, 0)
