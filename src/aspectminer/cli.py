@@ -14,24 +14,21 @@ value), an input file without sentences or an output path that cannot
 be written.  A JSON config file can seed any flag;
 explicit command-line flags win.
 
-``main`` may be called many times in one process.  The parser and the
-config schema depend only on this module, so each is built once, on
-first use.  Every input, config and resource file is read on each call;
-a resource file whose text is unchanged since the last call reuses that
-call's parse, which depends only on the text.
+``main`` may be called many times in one process.  The parser depends
+only on this module, so it is built once, on first use.  Every input,
+config and resource file is read on each call; a resource file whose
+text is unchanged since the last call reuses that call's parse, which
+depends only on the text.
 """
-
-from __future__ import annotations
 
 import argparse
 import functools
 import json
 import os
 import sys
-import types
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Callable, NamedTuple, get_args, get_origin, get_type_hints
+from typing import Callable, NamedTuple
 
 from .corpus import Corpus, load_corpus
 from .errors import AspectMinerError, ParseError, read_text
@@ -63,28 +60,45 @@ EXIT_PARSE_ERROR = 3
 _PATH_FIELDS = (*DEFAULT_FILES, "baseline")
 
 
+def _option(help: str, default=None, flag: str | None = None):
+    """A ``RunConfig`` field with its default and its flag's help line;
+    ``flag`` names the flag when it is not the field name with dashes."""
+    metadata = {"help": help, "flag": flag}
+    if isinstance(default, list):
+        return field(default_factory=list, metadata=metadata)
+    return field(default=default, metadata=metadata)
+
+
 @dataclass
 class RunConfig:
-    """Everything one command invocation needs."""
+    """Everything one command invocation needs.
 
-    corpus: list[str] = field(default_factory=list)
-    pretagged: list[str] = field(default_factory=list)
-    patterns: str | None = None
-    pos_lex: str | None = None
-    neg_lex: str | None = None
-    aspects: str | None = None
-    synonyms: str | None = None
-    verbs: str | None = None
-    tag_lexicon: str | None = None
-    baseline: str | None = None
-    product: str | None = None
-    top_k: int = 3
-    min_support: int = 2
-    max_len: int = 6
-    format: str = "text"
-    out: str = "stdout"
-    enable_fallback_search: bool = True
-    enable_conjunction_expand: bool = True
+    Each field is one flag and one config key, in ``--help`` order; its
+    type sets how the flag parses and which JSON values the key takes.
+    """
+
+    corpus: list[str] = _option("review corpus file (repeatable)", [])
+    pretagged: list[str] = _option("pretagged word/TAG file (repeatable)", [])
+    patterns: str | None = _option("tag pattern file")
+    pos_lex: str | None = _option("positive opinion word list")
+    neg_lex: str | None = _option("negative opinion word list")
+    aspects: str | None = _option("aspect dictionary file")
+    synonyms: str | None = _option("aspect synonym file")
+    verbs: str | None = _option("verb category file")
+    tag_lexicon: str | None = _option("word/TAG lexicon")
+    product: str | None = _option("product name used in reports")
+    top_k: int = _option("sentences per pros/cons list", 3)
+    min_support: int = _option("mining support", 2)
+    max_len: int = _option("longest mined tag sequence", 6)
+    format: str = _option("output format; the command must render it", "text")
+    out: str = _option("output path, or 'stdout'", "stdout")
+    baseline: str | None = _option("machine-format report to compare against")
+    enable_fallback_search: bool = _option(
+        "nearest-aspect fallback for unclaimed opinion words", True, "--fallback"
+    )
+    enable_conjunction_expand: bool = _option(
+        "copy pairs across coordinating conjunctions", True, "--conjunction"
+    )
 
     def validate(self) -> None:
         if self.top_k < 1:
@@ -104,28 +118,20 @@ class RunConfig:
                 raise FileNotFoundError(value)
 
 
-@functools.cache
-def _config_schema() -> dict:
-    """``RunConfig``'s field annotations, resolved on the first ``--config`` run."""
-    return get_type_hints(RunConfig)
+_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
 def _is_instance(value, hint) -> bool:
-    """isinstance against a field annotation; a bool is no int here."""
-    if isinstance(hint, types.UnionType):
-        return any(_is_instance(value, h) for h in get_args(hint))
-    if get_origin(hint) is list:
-        (item,) = get_args(hint)
-        return isinstance(value, list) and all(_is_instance(v, item) for v in value)
-    if hint is type(None):
-        return value is None
-    if hint is int and isinstance(value, bool):
-        return False
+    """isinstance against a field's type; a bool is no int here."""
+    if hint == list[str]:
+        return isinstance(value, list) and all(isinstance(v, str) for v in value)
+    if hint is int:
+        return isinstance(value, int) and not isinstance(value, bool)
     return isinstance(value, hint)
 
 
 def _load_config_file(path: str, formats: tuple[str, ...]) -> dict:
-    """Config values checked against the ``RunConfig`` annotations and
+    """Config values checked against the ``RunConfig`` field types and
     ``format`` against the ``formats`` the command renders."""
     raw = read_text(path)
     try:
@@ -136,8 +142,7 @@ def _load_config_file(path: str, formats: tuple[str, ...]) -> dict:
         raise ParseError(f"invalid JSON: {exc}", path=path) from exc
     if not isinstance(data, dict):
         raise ParseError("config must be a JSON object", path=path)
-    hints = _config_schema()
-    unknown = data.keys() - hints.keys()
+    unknown = data.keys() - _FIELD_TYPES.keys()
     if unknown:
         raise ParseError(
             f"unknown config key(s): {', '.join(sorted(unknown))}", path=path
@@ -146,9 +151,11 @@ def _load_config_file(path: str, formats: tuple[str, ...]) -> dict:
         if key in data and isinstance(data[key], str):
             data[key] = [data[key]]
     for key, value in data.items():
-        hint = hints[key]
+        hint = _FIELD_TYPES[key]
         if not _is_instance(value, hint):
-            expected = hint.__name__ if isinstance(hint, type) else str(hint)
+            # Python 3.10 counts list[str] as an instance of type; only a class
+            # has type as its type
+            expected = hint.__name__ if type(hint) is type else str(hint)
             raise ParseError(
                 f"config key {key!r} must be {expected}, got {json.dumps(value)}",
                 path=path,
@@ -167,10 +174,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     values: dict = {}
     if args.config:
         values.update(_load_config_file(args.config, _COMMANDS[args.command].formats))
-    for f in fields(RunConfig):
-        flag_value = getattr(args, f.name)
+    for name in _FIELD_TYPES:
+        flag_value = getattr(args, name)
         if flag_value is not None:
-            values[f.name] = flag_value
+            values[name] = flag_value
     return RunConfig(**values)
 
 
@@ -380,49 +387,23 @@ _COMMANDS = {
 }
 
 
+# how a field of each type parses as a flag; every flag defaults to None,
+# so build_config can tell a flag given from one left out
+_FLAG_KINDS = {
+    int: {"type": int},
+    bool: {"action": argparse.BooleanOptionalAction},
+    list[str]: {"action": "append", "metavar": "PATH"},
+}
+
+
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file seeding any flag")
-    parser.add_argument(
-        "--corpus", action="append", metavar="PATH", help="review corpus file (repeatable)"
-    )
-    parser.add_argument(
-        "--pretagged",
-        action="append",
-        metavar="PATH",
-        help="pretagged word/TAG file (repeatable)",
-    )
-    parser.add_argument("--patterns", help="tag pattern file")
-    parser.add_argument("--pos-lex", dest="pos_lex", help="positive opinion word list")
-    parser.add_argument("--neg-lex", dest="neg_lex", help="negative opinion word list")
-    parser.add_argument("--aspects", help="aspect dictionary file")
-    parser.add_argument("--synonyms", help="aspect synonym file")
-    parser.add_argument("--verbs", help="verb category file")
-    parser.add_argument("--tag-lexicon", dest="tag_lexicon", help="word/TAG lexicon")
-    parser.add_argument("--product", help="product name used in reports")
-    parser.add_argument("--top-k", dest="top_k", type=int, help="sentences per pros/cons list")
-    parser.add_argument("--min-support", dest="min_support", type=int, help="mining support")
-    parser.add_argument(
-        "--max-len", dest="max_len", type=int, help="longest mined tag sequence"
-    )
-    parser.add_argument(
-        "--format", choices=FORMATS, help="output format; the command must render it"
-    )
-    parser.add_argument("--out", help="output path, or 'stdout'")
-    parser.add_argument("--baseline", help="machine-format report to compare against")
-    parser.add_argument(
-        "--fallback",
-        dest="enable_fallback_search",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="nearest-aspect fallback for unclaimed opinion words",
-    )
-    parser.add_argument(
-        "--conjunction",
-        dest="enable_conjunction_expand",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="copy pairs across coordinating conjunctions",
-    )
+    for f in fields(RunConfig):
+        flag = f.metadata["flag"] or "--" + f.name.replace("_", "-")
+        kind = _FLAG_KINDS.get(f.type, {})
+        if f.name == "format":
+            kind = {"choices": FORMATS}
+        parser.add_argument(flag, dest=f.name, help=f.metadata["help"], **kind)
 
 
 class _ArgumentParser(argparse.ArgumentParser):

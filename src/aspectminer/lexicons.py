@@ -95,12 +95,9 @@ class AspectDictionary:
 
 
 def load_aspect_dictionary(
-    spec_file: str | Path,
-    synonym_file: str | Path | None = None,
+    spec_file: str | Path, synonym_file: str | Path
 ) -> AspectDictionary:
-    """Build the dictionary from canonical terms plus optional synonyms."""
-    if synonym_file is None:
-        return _parse_files(_parse_aspect_dictionary, spec_file)
+    """Build the dictionary from canonical terms plus their synonyms."""
     return _parse_files(_parse_aspect_dictionary, spec_file, synonym_file)
 
 
@@ -109,36 +106,35 @@ def _parse_aspect_dictionary(texts, paths) -> AspectDictionary:
     for term in _words(texts[0]):
         key = _normalize_term(term)
         entries[key] = key
-    if len(texts) == 2:
-        synonym_file = paths[1]
-        for lineno, line in enumerate(texts[1].splitlines(), 1):
-            line = line.strip()
-            if not line or line.startswith((";", "#")):
+    _, synonym_file = paths
+    for lineno, line in enumerate(texts[1].splitlines(), 1):
+        line = line.strip()
+        if not line or line.startswith((";", "#")):
+            continue
+        canonical_part, sep, syn_part = line.partition(":")
+        if not sep:
+            raise ParseError(
+                "expected 'canonical: syn, ...'", path=synonym_file, line=lineno
+            )
+        canonical = _normalize_term(canonical_part)
+        if entries.get(canonical) != canonical:
+            raise ParseError(
+                f"synonyms reference unknown canonical term {canonical!r}",
+                path=synonym_file,
+                line=lineno,
+            )
+        for raw in syn_part.split(","):
+            syn = _normalize_term(raw)
+            if not syn:
                 continue
-            canonical_part, sep, syn_part = line.partition(":")
-            if not sep:
+            existing = entries.get(syn)
+            if existing is not None and existing != canonical:
                 raise ParseError(
-                    "expected 'canonical: syn, ...'", path=synonym_file, line=lineno
-                )
-            canonical = _normalize_term(canonical_part)
-            if entries.get(canonical) != canonical:
-                raise ParseError(
-                    f"synonyms reference unknown canonical term {canonical!r}",
+                    f"synonym {syn!r} maps to both {existing!r} and {canonical!r}",
                     path=synonym_file,
                     line=lineno,
                 )
-            for raw in syn_part.split(","):
-                syn = _normalize_term(raw)
-                if not syn:
-                    continue
-                existing = entries.get(syn)
-                if existing is not None and existing != canonical:
-                    raise ParseError(
-                        f"synonym {syn!r} maps to both {existing!r} and {canonical!r}",
-                        path=synonym_file,
-                        line=lineno,
-                    )
-                entries[syn] = canonical
+            entries[syn] = canonical
     return AspectDictionary(entries=entries)
 
 

@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import get_type_hints
 
@@ -574,7 +575,9 @@ class TestConfigFile:
         assert code == EXIT_PARSE_ERROR
         err = capsys.readouterr().err
         assert str(config) in err
-        assert repr(key) in err
+        expected = {"top_k": "int", "product": "str | None", "corpus": "list[str]",
+                    "enable_fallback_search": "bool"}[key]
+        assert f"config key {key!r} must be {expected}, got " in err
         assert "Traceback" not in err
 
     def test_values_of_field_types_accepted(self, sample_paths, tmp_path, capsys):
@@ -588,6 +591,12 @@ class TestConfigFile:
         )
         code = main(["summarize", "--config", str(config)])
         assert code == EXIT_OK
+
+    def test_a_config_of_every_default_is_accepted_as_the_defaults(self, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(asdict(RunConfig())), encoding="utf-8")
+        args = build_parser().parse_args(["summarize", "--config", str(config)])
+        assert cli.build_config(args) == RunConfig()
 
 
 class TestDataEnvOverride:

@@ -4,11 +4,13 @@ Each case runs ``python -m aspectminer`` in a directory holding copies
 of the bundled sample files, and compares its exit code, stdout and
 stderr with ``tests/golden/cli/<case>.txt``.  ``evaluate-baseline``
 compares against ``tests/golden/cli/baseline-report.tsv``, the machine
-report of the pretagged sample.
+report of the pretagged sample.  ``tests/golden/cli/help.txt`` is the
+``--help`` text at an 80-column terminal.
 
 Regenerate (only after an intentional behavior change) with:
 
     PYTHONPATH=src python tests/test_cli_golden.py
+    COLUMNS=80 PYTHONPATH=src python -m aspectminer --help > tests/golden/cli/help.txt
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from pathlib import Path
 import pytest
 
 import aspectminer
+from aspectminer.cli import EXIT_OK, main
 from aspectminer.pipeline import DATA_ENV_VAR, data_dir
 
 GOLDEN_DIR = Path(__file__).parent / "golden" / "cli"
@@ -120,9 +123,18 @@ def test_cli_run_matches_golden(case, workdir):
     assert record(CASES[case], workdir) == golden
 
 
+def test_help_matches_golden(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal width
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == EXIT_OK
+    golden = (GOLDEN_DIR / "help.txt").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == golden
+
+
 def test_every_golden_file_has_a_case():
     names = {p.stem for p in GOLDEN_DIR.glob("*.txt")}
-    assert names == set(CASES)
+    assert names == set(CASES) | {"help"}
 
 
 if __name__ == "__main__":

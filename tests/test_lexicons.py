@@ -128,9 +128,19 @@ class TestAspectDictionary:
 
     def test_load_canonical_terms(self, tmp_path):
         f = write(tmp_path / "aspects.txt", "battery\nsound quality\n")
-        d = load_aspect_dictionary(f)
+        s = write(tmp_path / "syn.txt", "")
+        d = load_aspect_dictionary(f, s)
         assert d.lookup("battery") == "battery"
         assert d.lookup("sound quality") == "sound quality"
+
+    def test_changed_term_file_is_parsed_again(self, tmp_path):
+        f = tmp_path / "aspects.txt"
+        s = write(tmp_path / "syn.txt", "battery: cell\n")
+        first = load_aspect_dictionary(write(f, "battery\n"), s)
+        changed = load_aspect_dictionary(write(f, "battery\nzoom\n"), s)
+        assert first.lookup("zoom") is None
+        assert changed.lookup("zoom") == "zoom"
+        assert changed.lookup("cell") == "battery"
 
     def test_load_synonyms(self, tmp_path):
         f = write(tmp_path / "aspects.txt", "battery\n")
@@ -331,16 +341,13 @@ class TestOrientationOfSurface:
 
 
 # loader, its resources, and a line that makes the last file malformed
-# (an aspect list alone has no malformed line)
 LOADERS = {
     "opinion lexicon": (load_opinion_lexicon, ("pos_lex", "neg_lex"), "good\n"),
-    "dictionary": (load_aspect_dictionary, ("aspects",), None),
     "dictionary with synonyms": (load_aspect_dictionary, ("aspects", "synonyms"), "sound\n"),
     "verb categories": (load_verb_categories, ("verbs",), "tell\n"),
     "pattern set": (load_pattern_set, ("patterns",), "NN:A VBZ\n"),
     "tag lexicon": (load_tag_lexicon, ("tag_lexicon",), "word\tXYZ\n"),
 }
-FAILING = {name: loader for name, loader in LOADERS.items() if loader[2] is not None}
 
 
 def copies(directory, resources):
@@ -372,7 +379,7 @@ class TestParsedOncePerText:
         assert changed != first
         assert loader(*copies(tmp_path / "b", resources)) == first
 
-    @pytest.mark.parametrize("loader, resources, bad", FAILING.values(), ids=FAILING)
+    @pytest.mark.parametrize("loader, resources, bad", LOADERS.values(), ids=LOADERS)
     def test_failed_parse_names_its_own_path_and_keeps_the_last(
         self, tmp_path, loader, resources, bad
     ):

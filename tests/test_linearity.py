@@ -15,9 +15,8 @@ once per distinct word, and evaluation compares each (sentence,
 predicted term, gold term) at most once.  Per-group work is held to a
 count: the summary ranks no pros or cons list of fewer than two
 sentences.  Per-process work is held to counts too: repeated
-``cli.main`` calls build the parser and resolve the config schema once,
-and parse an unchanged resource file once while reading it on every
-call.
+``cli.main`` calls build the parser once, and parse an unchanged
+resource file once while reading it on every call.
 """
 
 import argparse
@@ -330,23 +329,6 @@ def test_cli_builds_its_parser_once_per_process(sample_dir, monkeypatch, capsys)
     codes = [cli.main(argv) for _ in range(3)]
 
     assert codes == [0, 0, 0]
-    assert len(calls) <= 1
-
-
-def test_cli_resolves_the_config_schema_once_per_process(
-    sample_dir, tmp_path, monkeypatch, capsys
-):
-    calls = []
-    resolve = cli.get_type_hints
-    monkeypatch.setattr(cli, "get_type_hints", lambda obj: calls.append(obj) or resolve(obj))
-    config = tmp_path / "run.json"
-    config.write_text('{"top_k": 1, "format": "machine"}', encoding="utf-8")
-    argv = ["summarize", "--pretagged", str(sample_dir / "reviews-pretagged.txt")]
-
-    codes = [cli.main([*argv, "--config", str(config)]) for _ in range(2)]
-
-    assert codes == [0, 0]
-    assert capsys.readouterr().out.startswith("summary\t")
     assert len(calls) <= 1
 
 

@@ -1,6 +1,7 @@
 """The README's "Library use" snippet runs as printed, the package root
-exports exactly the names that snippet imports from it, and the output
-its Quick start prints is what the commands print."""
+exports exactly the names that snippet imports from it, the output
+its Quick start prints is what the commands print, and its CLI
+conventions name each config key that is not spelled like its flag."""
 
 import ast
 import re
@@ -68,3 +69,13 @@ def test_quick_start_output_is_what_the_command_prints(sample_dir, capsys, comma
     assert cli.main(argv) == 0
     printed = capsys.readouterr().out.splitlines()[: len(shown)]
     assert [line.split() for line in printed] == [line.split() for line in shown]
+
+
+def test_cli_conventions_name_each_config_key_not_spelled_like_its_flag():
+    text = README.read_text(encoding="utf-8").split("\n## CLI conventions\n")[1]
+    text = text.split("\n## ")[0]
+    flags = {a.dest: a.option_strings[:1] for a in cli.build_parser()._actions}
+    renamed = {key for key in cli._FIELD_TYPES if flags[key] != ["--" + key]}
+    assert {"top_k", "enable_fallback_search", "enable_conjunction_expand"} <= renamed
+    for key in renamed:
+        assert f"`{key}`" in text
