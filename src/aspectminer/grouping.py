@@ -1,9 +1,11 @@
 """Grouping of extracted aspect surfaces into aspect groups.
 
-Two surfaces land in the same group when they share a dictionary
-canonical or when their head words match after a light plural strip.
-Merging is transitive (union-find), so "battery life" and "battery
-charger" pull "batteries" into the same group via the shared head.
+Extraction writes each dictionary term as its canonical, so synonyms
+("audio" and "sound") already arrive as one surface.  Grouping then
+partitions the surfaces by head key, their first word after a light
+plural strip: "battery", "battery life" and "battery charger" share the
+key "battery" and form one group, while "batteries" keys as "batterie"
+and stays apart.
 """
 
 from __future__ import annotations
@@ -37,68 +39,35 @@ def group_aspects(
     pairs: list[AspectOpinionPair],
     dictionary: AspectDictionary,
 ) -> list[AspectGroup]:
-    """Partition pairs into groups by canonical identity and head words.
+    """Partition pairs into groups by the head key of their aspect surface.
 
-    Keys for a surface are its own head word plus, when the dictionary
-    knows it, the head word of its canonical form, making the grouping
-    stable when re-applied to already-canonicalized labels.
+    Surfaces must be as extraction writes them: lowercase words joined
+    by single spaces, and canonical when they are dictionary terms.
+    Synonyms then already share a surface, so the head key alone decides
+    the group.  One member labels its group; a larger group takes its
+    shortest member that is a dictionary term, else its shortest member,
+    ties alphabetical.  Groups are ordered by label, then members.
     """
-    # distinct surfaces in first-seen order, each with its canonical
-    canonical_of: dict[str, str | None] = {}
-    lowered = [p.aspect_surface.lower() for p in pairs]
-    for s in lowered:
-        if s not in canonical_of:
-            canonical_of[s] = dictionary.lookup(s)
-
-    # union-find over the surfaces that share a key with an earlier one;
-    # a surface absent from parent is its own root
-    parent: dict[str, str] = {}
-
-    def find(item: str) -> str:
-        root = item
-        while root in parent:
-            root = parent[root]
-        while item != root:  # path compression
-            parent[item], item = root, parent[item]
-        return root
-
-    key_owner: dict[str, str] = {}
-    for surface, canonical in canonical_of.items():
-        key = head_key(surface)
-        keys = (key,) if key else ()
-        if canonical is not None:
-            other = head_key(canonical)
-            if other and other != key:
-                keys += (other,)
-        for k in keys:
-            owner = key_owner.setdefault(k, surface)
-            if owner != surface:
-                ra, rb = find(owner), find(surface)
-                if ra != rb:
-                    parent[rb] = ra
-
-    root_of = {s: find(s) for s in parent}
+    # distinct surfaces in first-seen order, each with its head key
+    key_of = {s: head_key(s) for s in dict.fromkeys(p.aspect_surface for p in pairs)}
     clusters: dict[str, list[str]] = {}
-    for surface in canonical_of:
-        clusters.setdefault(root_of.get(surface, surface), []).append(surface)
-    cluster_pairs: dict[str, list[AspectOpinionPair]] = {root: [] for root in clusters}
-    for p, s in zip(pairs, lowered):
-        cluster_pairs[root_of.get(s, s)].append(p)
+    for surface, key in key_of.items():
+        clusters.setdefault(key, []).append(surface)
+    cluster_pairs: dict[str, list[AspectOpinionPair]] = {key: [] for key in clusters}
+    for p in pairs:
+        cluster_pairs[key_of[p.aspect_surface]].append(p)
 
+    entries = dictionary.entries
     keyed = []
-    for root, members in clusters.items():
+    for key, members in clusters.items():
         if len(members) == 1:
-            member = members[0]
-            label = canonical_of[member]
-            if label is None:
-                label = member
-            key = (label, members)
+            label = members[0]
+            order = (label, members)
         else:
-            # the shortest canonical, else the shortest member; ties alphabetical
-            canonicals = {c for m in members if (c := canonical_of[m]) is not None}
-            label = min(canonicals or members, key=lambda t: (len(t), t))
-            key = (label, sorted(members))
-        keyed.append((key, AspectGroup(label, frozenset(members), tuple(cluster_pairs[root]))))
-    # keys are distinct (clusters are disjoint), so no two groups are compared
+            terms = [m for m in members if m in entries]
+            label = min(terms or members, key=lambda t: (len(t), t))
+            order = (label, sorted(members))
+        keyed.append((order, AspectGroup(label, frozenset(members), tuple(cluster_pairs[key]))))
+    # orders are distinct (clusters are disjoint), so no two groups are compared
     keyed.sort()
     return [group for _, group in keyed]

@@ -73,6 +73,9 @@ class AspectDictionary:
 
     Canonical terms map to themselves; synonyms map to their canonical.
     Keys are normalized terms: lowercase words joined by single spaces.
+    The loader makes every value a key that maps to itself, so a
+    canonical written by extraction is its own entry; grouping relies on
+    that.
     ``widest`` maps each entry's first word to the word count of the
     longest entry starting with it, the widest window the nearest-aspect
     search tries there, so multi-word terms win over their prefixes.
@@ -89,9 +92,6 @@ class AspectDictionary:
             if words > widest.get(first, 0):
                 widest[first] = words
         object.__setattr__(self, "widest", widest)
-
-    def lookup(self, term: str) -> str | None:
-        return self.entries.get(_normalize_term(term))
 
 
 def load_aspect_dictionary(

@@ -173,7 +173,10 @@ class AspectOpinionPair:
     """One extracted (aspect, opinion) pair anchored in its sentence.
 
     ``aspect_surface`` is the canonical dictionary form when the matched
-    noun span is a known term, otherwise the raw lowercase span text.
+    noun span is a known term, otherwise the raw lowercase span text;
+    either way lowercase words joined by single spaces.  Under a
+    dictionary whose canonicals map to themselves, it is no entry or an
+    entry mapping to itself, which grouping takes as given.
     """
 
     aspect_surface: str

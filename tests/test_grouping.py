@@ -1,11 +1,13 @@
-"""Tests for aspect grouping by canonical identity and head words."""
+"""Tests for aspect grouping by head key."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aspectminer.grouping import AspectGroup, group_aspects, head_key
 from aspectminer.lexicons import AspectDictionary
 from aspectminer.patterns import AspectOpinionPair
+from aspectminer.pipeline import extract_corpus, tag_corpus
 from aspectminer.tagger import TaggedSentence
 
 
@@ -62,14 +64,6 @@ class TestGroupAspects:
         groups = group_aspects(pairs, AspectDictionary())
         assert len(groups) == 2
 
-    def test_canonical_key_bridges_synonyms(self):
-        # "audio" and "sound" share no head word; the dictionary links them
-        d = AspectDictionary(entries={"sound": "sound", "audio": "sound"})
-        pairs = [pair("audio"), pair("sound")]
-        groups = group_aspects(pairs, d)
-        assert len(groups) == 1
-        assert groups[0].canonical_label == "sound"
-
     def test_label_prefers_shortest_canonical(self):
         d = AspectDictionary(
             entries={"battery": "battery", "battery life": "battery life"}
@@ -80,10 +74,19 @@ class TestGroupAspects:
         assert groups[0].canonical_label == "battery"
 
     def test_label_falls_back_to_shortest_member(self):
-        pairs = [pair("carrying strap"), pair("strap")]
+        pairs = [pair("straps"), pair("strap pad"), pair("strap")]
         groups = group_aspects(pairs, AspectDictionary())
-        # "strap" vs "carrying strap": no dictionary entry, shortest member wins
-        assert len(groups) == 2 or groups[0].canonical_label == "strap"
+        assert [(g.canonical_label, g.members) for g in groups] == [
+            ("strap", {"strap", "straps", "strap pad"})
+        ]
+
+    def test_label_prefers_a_dictionary_term_over_a_shorter_member(self):
+        pairs = [pair("straps"), pair("strap pad"), pair("strap")]
+        d = AspectDictionary(entries={"strap pad": "strap pad"})
+        groups = group_aspects(pairs, d)
+        assert [(g.canonical_label, g.members) for g in groups] == [
+            ("strap pad", {"strap", "straps", "strap pad"})
+        ]
 
     def test_pairs_preserved_and_counted(self):
         pairs = [
@@ -116,33 +119,21 @@ class TestGroupAspects:
         labels = [g.canonical_label for g in groups]
         assert labels == sorted(labels)
 
-    def test_groups_sharing_a_label_ordered_by_members(self):
-        # both canonicals are "", so only the sorted members order the groups
-        d = AspectDictionary(entries={"x": "", "y": ""})
-        groups = group_aspects([pair("y", position=0), pair("x", position=1)], d)
-        assert [(g.canonical_label, g.members) for g in groups] == [
-            ("", frozenset({"x"})),
-            ("", frozenset({"y"})),
-        ]
-
     def test_empty_input(self):
         assert group_aspects([], AspectDictionary()) == []
 
-    def test_case_folding(self):
-        pairs = [pair("Screen"), pair("screen")]
-        groups = group_aspects(pairs, AspectDictionary())
-        assert len(groups) == 1
-        assert groups[0].members == {"screen"}
-        assert len(groups[0].pairs) == 2
-
     def test_idempotent_on_labels(self):
-        # regrouping the produced labels must not split or merge anything
-        d = AspectDictionary(entries={"sound": "sound", "audio": "sound"})
-        pairs = [pair("audio"), pair("sound"), pair("screen")]
+        # regrouping the produced labels must not split or merge anything;
+        # "audio" reaches grouping as its canonical "sound"
+        d = AspectDictionary(
+            entries={"sound": "sound", "audio": "sound", "screen": "screen"}
+        )
+        pairs = [pair("sound"), pair("sound quality"), pair("screens"), pair("screen")]
         first = group_aspects(pairs, d)
+        assert [g.canonical_label for g in first] == ["screen", "sound"]
         relabeled = [pair(g.canonical_label) for g in first]
         second = group_aspects(relabeled, d)
-        assert len(second) == len(first)
+        assert [g.canonical_label for g in second] == ["screen", "sound"]
 
     def test_group_is_value_object(self):
         g = AspectGroup(
@@ -155,9 +146,15 @@ def per_cluster_scan_groups(pairs, dictionary):
     """Reference grouping that rebuilds each group by scanning all pairs.
 
     This is the per-cluster pair filter ``group_aspects`` used before it
-    assigned pairs to clusters in one pass; it is kept here only to check
-    that the one-pass grouping gives the same groups.
+    assigned pairs to clusters in one pass, and its union-find over the
+    head keys of each surface and of its canonical, from before surfaces
+    arrived canonical from extraction; it is kept here only to check that
+    the one-pass partition by head key gives the same groups.
     """
+
+    def lookup(term):
+        return dictionary.entries.get(" ".join(term.split()))
+
     surfaces = []
     seen = set()
     for p in pairs:
@@ -178,7 +175,7 @@ def per_cluster_scan_groups(pairs, dictionary):
     for surface in surfaces:
         find(surface)
         keys = {head_key(surface)}
-        canonical = dictionary.lookup(surface)
+        canonical = lookup(surface)
         if canonical is not None:
             keys.add(head_key(canonical))
         keys.discard("")
@@ -196,7 +193,7 @@ def per_cluster_scan_groups(pairs, dictionary):
     for members in clusters.values():
         member_set = frozenset(members)
         canonicals = sorted(
-            {c for m in members if (c := dictionary.lookup(m)) is not None},
+            {c for m in members if (c := lookup(m)) is not None},
             key=lambda c: (len(c), c),
         )
         if canonicals:
@@ -211,8 +208,9 @@ def per_cluster_scan_groups(pairs, dictionary):
     return groups
 
 
-# Surfaces that merge by plural strip, by shared head word, by case and
-# through dictionary canonicals; the entries map synonyms to canonicals.
+# Surfaces that merge by plural strip and by shared head word, or through
+# dictionary canonicals once extraction has canonicalized them; the entries
+# map synonyms to canonicals.
 DIFF_SURFACES = [
     "battery", "batteries", "Battery", "battery life", "life", "sound",
     "sound quality", "audio", "screen", "screens", "display", "price",
@@ -230,6 +228,21 @@ def group_shape(groups):
     return [(g.canonical_label, g.members, [id(p) for p in g.pairs]) for g in groups]
 
 
+def closed_entries(drawn):
+    """The drawn entries plus each drawn canonical as its own entry, as the
+    loader builds a dictionary."""
+    entries = dict(drawn)
+    entries.update((canonical, canonical) for canonical in list(entries.values()))
+    return entries
+
+
+def as_extracted(surface, dictionary):
+    """``surface`` as extraction writes it: lowercase, then canonical when
+    it is a dictionary term."""
+    surface = surface.lower()
+    return dictionary.entries.get(surface, surface)
+
+
 class TestOnePassGroupingAgainstScanOracle:
     @given(
         st.lists(
@@ -242,11 +255,30 @@ class TestOnePassGroupingAgainstScanOracle:
     )
     @settings(max_examples=400, deadline=None)
     def test_groups_equal_oracle(self, drawn, entries):
+        d = AspectDictionary(entries=closed_entries(entries))
         pairs = [
-            pair(surface, orientation=orientation, position=i)
+            pair(as_extracted(surface, d), orientation=orientation, position=i)
             for i, (surface, orientation) in enumerate(drawn)
         ]
-        d = AspectDictionary(entries=dict(entries))
         assert group_shape(group_aspects(pairs, d)) == group_shape(
             per_cluster_scan_groups(pairs, d)
         )
+
+    @pytest.mark.parametrize("tagging", ["pretagged", "baseline"])
+    @pytest.mark.parametrize("sample", ["sample", "minieval"])
+    def test_groups_equal_oracle_on_shipped_samples(self, request, resources, sample, tagging):
+        corpus = request.getfixturevalue(f"{sample}_corpus")
+        if tagging == "pretagged":
+            tagged = request.getfixturevalue(f"{sample}_tagged")
+        else:
+            tagged = tag_corpus(corpus, resources.tagger())
+        d = resources.aspect_dictionary
+        for fallback in (True, False):
+            for conjunction in (True, False):
+                pairs = extract_corpus(
+                    tagged, resources, fallback=fallback, conjunction=conjunction
+                )
+                assert pairs
+                assert group_shape(group_aspects(pairs, d)) == group_shape(
+                    per_cluster_scan_groups(pairs, d)
+                )

@@ -99,12 +99,22 @@ def longest_entry_at(dictionary, words_lower, start):
 
 
 class TestAspectDictionary:
-    def test_lookup_normalizes(self):
-        d = AspectDictionary(entries={"battery life": "battery life"})
-        assert d.lookup("Battery  Life") == "battery life"
-        assert d.lookup("battery") is None
-        assert d.lookup("battery life") is not None
-        assert d.lookup("battery") is None
+    def test_load_normalizes_terms(self, tmp_path):
+        f = write(tmp_path / "aspects.txt", "Battery  Life\n")
+        s = write(tmp_path / "syn.txt", "battery   LIFE: Power  Cell,  juice\n")
+        d = load_aspect_dictionary(f, s)
+        assert d.entries == {
+            "battery life": "battery life",
+            "power cell": "battery life",
+            "juice": "battery life",
+        }
+
+    def test_every_loaded_canonical_maps_to_itself(self, tmp_path, resources):
+        f = write(tmp_path / "aspects.txt", "Battery\nsound  quality\nzoom\n")
+        s = write(tmp_path / "syn.txt", "battery: cell, Power Cell\nSound Quality: audio\n")
+        for d in (load_aspect_dictionary(f, s), resources.aspect_dictionary):
+            assert d.entries
+            assert all(d.entries[canonical] == canonical for canonical in d.entries.values())
 
     def test_widest(self):
         d = AspectDictionary(
@@ -130,24 +140,23 @@ class TestAspectDictionary:
         f = write(tmp_path / "aspects.txt", "battery\nsound quality\n")
         s = write(tmp_path / "syn.txt", "")
         d = load_aspect_dictionary(f, s)
-        assert d.lookup("battery") == "battery"
-        assert d.lookup("sound quality") == "sound quality"
+        assert d.entries == {"battery": "battery", "sound quality": "sound quality"}
 
     def test_changed_term_file_is_parsed_again(self, tmp_path):
         f = tmp_path / "aspects.txt"
         s = write(tmp_path / "syn.txt", "battery: cell\n")
         first = load_aspect_dictionary(write(f, "battery\n"), s)
         changed = load_aspect_dictionary(write(f, "battery\nzoom\n"), s)
-        assert first.lookup("zoom") is None
-        assert changed.lookup("zoom") == "zoom"
-        assert changed.lookup("cell") == "battery"
+        assert "zoom" not in first.entries
+        assert changed.entries["zoom"] == "zoom"
+        assert changed.entries["cell"] == "battery"
 
     def test_load_synonyms(self, tmp_path):
         f = write(tmp_path / "aspects.txt", "battery\n")
         s = write(tmp_path / "syn.txt", "battery: power cell, cell\n")
         d = load_aspect_dictionary(f, s)
-        assert d.lookup("power cell") == "battery"
-        assert d.lookup("cell") == "battery"
+        assert d.entries["power cell"] == "battery"
+        assert d.entries["cell"] == "battery"
 
     def test_synonym_unknown_canonical(self, tmp_path):
         f = write(tmp_path / "aspects.txt", "battery\n")
@@ -180,15 +189,15 @@ class TestAspectDictionary:
         f = write(tmp_path / "aspects.txt", "battery\n")
         s = write(tmp_path / "syn.txt", "battery: cell\nbattery: cell\n")
         d = load_aspect_dictionary(f, s)
-        assert d.lookup("cell") == "battery"
+        assert d.entries["cell"] == "battery"
 
     def test_bundled_dictionary(self, resources):
         d = resources.aspect_dictionary
-        assert d.lookup("battery") == "battery"
-        assert d.lookup("battery life") == "battery life"
+        assert d.entries["battery"] == "battery"
+        assert d.entries["battery life"] == "battery life"
         # synonyms fold into their canonical term
-        assert d.lookup("audio") == "sound"
-        assert d.lookup("earbud") == "earpiece"
+        assert d.entries["audio"] == "sound"
+        assert d.entries["earbud"] == "earpiece"
         assert max(d.widest.values()) >= 2
         assert d.widest["battery"] >= 2
 

@@ -996,6 +996,45 @@ class TestCorpusCoreAgainstStagedOracle:
                 assert pair_rows(direct) == pair_rows(want), options
 
 
+def closed_entries(drawn):
+    """The drawn entries plus each drawn canonical as its own entry, as the
+    loader builds a dictionary."""
+    entries = dict(drawn)
+    entries.update((canonical, canonical) for canonical in list(entries.values()))
+    return entries
+
+
+class TestSurfaceContract:
+    """Every surface extraction writes is what grouping takes as given:
+    lowercase, single-space normalized, and under a closed dictionary
+    either no entry or an entry mapping to itself."""
+
+    @given(sentences, st.sets(st.sampled_from(DIFF_ENTRIES)), pattern_sets)
+    @settings(max_examples=300, deadline=None)
+    # A synonym span and a synonym anchor both come out as their canonical.
+    @example(
+        sent("Audio/NN is/VBZ good/JJ and/CC the/DT Life/NN is/VBZ bad/JJ"),
+        {("audio", "sound"), ("life", "battery life")},
+        BUNDLED_PATTERNS,
+    )
+    def test_surfaces_are_lowercase_normalized_canonicals(
+        self, sentence, drawn, pattern_set
+    ):
+        entries = closed_entries(drawn)
+        d = AspectDictionary(entries=entries)
+        for fallback in (True, False):
+            for conjunction in (True, False):
+                pairs = extract_sentences(
+                    [sentence], d, DIFF_LEXICON, pattern_set,
+                    fallback=fallback, conjunction=conjunction,
+                )
+                for p in pairs:
+                    surface = p.aspect_surface
+                    assert surface == surface.lower()
+                    assert surface == " ".join(surface.split())
+                    assert entries.get(surface, surface) == surface
+
+
 def brute_force_supports(sentence_tags, min_support, max_len):
     supports = {}
     for tags in sentence_tags:
