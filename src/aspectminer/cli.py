@@ -5,7 +5,10 @@ Commands mirror the pipeline stages: ``tag`` emits pretagged lines,
 pairs, ``summarize`` renders the pros/cons report, and ``evaluate``
 scores extraction against gold annotations.
 One parser takes the command as a positional and every flag, before or
-after it; ``_COMMANDS`` is the one table keyed by command name.
+after it; ``_COMMANDS`` is the one table keyed by command name, and it
+names the input each command needs.  ``main`` checks that input, loads
+the resources and reads and tags every input file once, on one path for
+every command, before the command computes and renders its output.
 
 Exit codes: 0 success, 2 missing input or resource file (path named),
 3 malformed content (bad bytes, lines or config values, path named),
@@ -190,18 +193,10 @@ def _require_sentences(sentences, path: str) -> None:
         raise ValueError(f"empty input: no sentences in {path}")
 
 
-def _load_corpora(config: RunConfig) -> list[Corpus]:
-    corpora = []
-    for path in config.corpus:
-        corpus = load_corpus(path)
-        _require_sentences(corpus.sentences, path)
-        corpora.append(corpus)
-    return corpora
+_Inputs = list[tuple[Corpus | None, list[TaggedSentence]]]
 
 
-def _tagged_inputs(
-    config: RunConfig, res: Resources
-) -> list[tuple[Corpus | None, list[TaggedSentence]]]:
+def _tagged_inputs(config: RunConfig, res: Resources) -> _Inputs:
     """Each input file's corpus (None for a pretagged file given alone)
     and tagged sentences.
 
@@ -209,7 +204,11 @@ def _tagged_inputs(
     its corpus file when both kinds are given; otherwise the baseline
     tagger tags each corpus.  Sentence positions run on across files.
     """
-    corpora: list[Corpus | None] = _load_corpora(config)
+    corpora: list[Corpus | None] = []
+    for path in config.corpus:
+        corpus = load_corpus(path)
+        _require_sentences(corpus.sentences, path)
+        corpora.append(corpus)
     inputs = []
     start = 0
     if config.pretagged:
@@ -233,24 +232,8 @@ def _tagged_inputs(
     return inputs
 
 
-def _tagged_sentences(config: RunConfig, res: Resources) -> list[TaggedSentence]:
-    """Tagged input of every file as one sequence, for non-evaluate commands."""
-    return [sentence for _, tagged in _tagged_inputs(config, res) for sentence in tagged]
-
-
-def _require_input(config: RunConfig) -> None:
-    if not config.corpus and not config.pretagged:
-        raise ValueError("no input: pass --corpus or --pretagged")
-
-
-def _product_name(config: RunConfig) -> str:
-    if config.product:
-        return config.product
-    if config.corpus:
-        return Path(config.corpus[0]).stem
-    if config.pretagged:
-        return Path(config.pretagged[0]).stem
-    return "reviews"
+def _sentences(inputs: _Inputs) -> list[TaggedSentence]:
+    return [sentence for _, tagged in inputs for sentence in tagged]
 
 
 def _write_output(text: str, out: str) -> None:
@@ -264,23 +247,12 @@ def _write_output(text: str, out: str) -> None:
             raise AspectMinerError(f"cannot write {out}: {exc.strerror}") from exc
 
 
-def _cmd_tag(config: RunConfig) -> str:
-    if not config.corpus:
-        raise ValueError("tag needs --corpus")
-    res = _resources(config)
-    tagger = res.tagger()
-    lines = []
-    for corpus in _load_corpora(config):
-        for sentence in tag_corpus(corpus, tagger):
-            lines.append(render_pretagged(sentence))
-    return "".join(line + "\n" for line in lines)
+def _cmd_tag(config: RunConfig, res: Resources, inputs: _Inputs) -> str:
+    return "".join(render_pretagged(sentence) + "\n" for sentence in _sentences(inputs))
 
 
-def _cmd_mine(config: RunConfig) -> str:
-    _require_input(config)
-    res = _resources(config)
-    tagged = _tagged_sentences(config, res)
-    mined = mine_frequent_tag_sets(tagged, config.min_support, config.max_len)
+def _cmd_mine(config: RunConfig, res: Resources, inputs: _Inputs) -> str:
+    mined = mine_frequent_tag_sets(_sentences(inputs), config.min_support, config.max_len)
     if config.format == "machine":
         lines = ["# tags\tsupport\tratio"]
         lines.extend(
@@ -294,12 +266,9 @@ def _cmd_mine(config: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_extract(config: RunConfig) -> str:
-    _require_input(config)
-    res = _resources(config)
-    tagged = _tagged_sentences(config, res)
+def _cmd_extract(config: RunConfig, res: Resources, inputs: _Inputs) -> str:
     pairs = extract_corpus(
-        tagged,
+        _sentences(inputs),
         res,
         fallback=config.enable_fallback_search,
         conjunction=config.enable_conjunction_expand,
@@ -322,28 +291,22 @@ def _cmd_extract(config: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_summarize(config: RunConfig) -> str:
-    _require_input(config)
-    res = _resources(config)
-    tagged = _tagged_sentences(config, res)
+def _cmd_summarize(config: RunConfig, res: Resources, inputs: _Inputs) -> str:
     summary, _, _ = summarize_corpus(
-        tagged,
+        _sentences(inputs),
         res,
         top_k=config.top_k,
-        product_name=_product_name(config),
+        product_name=config.product or Path((config.corpus or config.pretagged)[0]).stem,
         fallback=config.enable_fallback_search,
         conjunction=config.enable_conjunction_expand,
     )
     return render(summary, config.format)
 
 
-def _cmd_evaluate(config: RunConfig) -> str:
-    if not config.corpus:
-        raise ValueError("evaluate needs --corpus with gold annotations")
-    res = _resources(config)
+def _cmd_evaluate(config: RunConfig, res: Resources, inputs: _Inputs) -> str:
     rows = []
     breakdowns = []
-    for corpus, tagged in _tagged_inputs(config, res):
+    for corpus, tagged in inputs:
         scores, breakdown = evaluate_corpus(
             corpus,
             tagged,
@@ -371,18 +334,25 @@ def _cmd_evaluate(config: RunConfig) -> str:
 
 
 class _Command(NamedTuple):
-    run: Callable[[RunConfig], str]
+    run: Callable[[RunConfig, Resources, _Inputs], str]
     formats: tuple[str, ...]  # the output formats it renders; the first is the default
     help: str
+    # the error when --corpus is missing; empty when --pretagged alone will do
+    needs_corpus: str = ""
 
 
 _COMMANDS = {
-    "tag": _Command(_cmd_tag, ("text",), "tokenize and tag a review corpus"),
+    "tag": _Command(
+        _cmd_tag, ("text",), "tokenize and tag a review corpus", "tag needs --corpus"
+    ),
     "mine": _Command(_cmd_mine, ("text", "machine"), "mine frequent tag sequences"),
     "extract": _Command(_cmd_extract, ("text", "machine"), "extract aspect/opinion pairs"),
     "summarize": _Command(_cmd_summarize, FORMATS, "render the pros/cons summary"),
     "evaluate": _Command(
-        _cmd_evaluate, ("text", "machine"), "score extraction against gold annotations"
+        _cmd_evaluate,
+        ("text", "machine"),
+        "score extraction against gold annotations",
+        "evaluate needs --corpus with gold annotations",
     ),
 }
 
@@ -445,7 +415,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = build_config(args)
         config.validate()
-        output = command.run(config)
+        if not config.corpus and (command.needs_corpus or not config.pretagged):
+            raise ValueError(command.needs_corpus or "no input: pass --corpus or --pretagged")
+        res = _resources(config)
+        output = command.run(config, res, _tagged_inputs(config, res))
         _write_output(output, config.out)
     except FileNotFoundError as exc:
         print(f"error: missing file: {exc.args[0]}", file=sys.stderr)

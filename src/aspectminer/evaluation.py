@@ -14,6 +14,7 @@ incomplete beta for df up to 2,000.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from math import atan, cos, fsum, inf, pi, sin, sqrt
 from pathlib import Path
@@ -218,10 +219,12 @@ def make_report(rows: list[ExtractionScores]) -> EvalReport:
 
     Precision and recall average as plain means; the averaged f columns
     are recomputed from those means so the summary row stays internally
-    consistent (mean-of-f generally is not the f of the means).
+    consistent (mean-of-f generally is not the f of the means).  Each
+    product must be named once.
     """
     if not rows:
         raise ValueError("report needs at least one product row")
+    _by_product(rows, "report")
     n = len(rows)
 
     def mean(attr: str) -> float:
@@ -315,13 +318,15 @@ _COMPARED_METRICS = (
 )
 
 
-def _by_product(report: EvalReport, side: str) -> dict[str, ExtractionScores]:
-    rows: dict[str, ExtractionScores] = {}
-    for row in report.per_product:
-        if row.product in rows:
+def _by_product(
+    rows: Iterable[ExtractionScores], side: str
+) -> dict[str, ExtractionScores]:
+    by_product: dict[str, ExtractionScores] = {}
+    for row in rows:
+        if row.product in by_product:
             raise ValueError(f"{side} names product {row.product!r} twice")
-        rows[row.product] = row
-    return rows
+        by_product[row.product] = row
+    return by_product
 
 
 def compare_to_baseline(report: EvalReport, baseline: EvalReport) -> ComparisonResult:
@@ -331,7 +336,8 @@ def compare_to_baseline(report: EvalReport, baseline: EvalReport) -> ComparisonR
     align by product name.  T-tests need two or more products and are
     omitted otherwise.
     """
-    mine, theirs = _by_product(report, "report"), _by_product(baseline, "baseline")
+    mine = _by_product(report.per_product, "report")
+    theirs = _by_product(baseline.per_product, "baseline")
     if mine.keys() != theirs.keys():
         only_a = sorted(mine.keys() - theirs.keys())
         only_b = sorted(theirs.keys() - mine.keys())

@@ -46,7 +46,7 @@ def group_aspects(
     Synonyms then already share a surface, so the head key alone decides
     the group.  One member labels its group; a larger group takes its
     shortest member that is a dictionary term, else its shortest member,
-    ties alphabetical.  Groups are ordered by label, then members.
+    ties alphabetical.  Groups are ordered by label.
     """
     # distinct surfaces in first-seen order, each with its head key
     key_of = {s: head_key(s) for s in dict.fromkeys(p.aspect_surface for p in pairs)}
@@ -58,16 +58,15 @@ def group_aspects(
         cluster_pairs[key_of[p.aspect_surface]].append(p)
 
     entries = dictionary.entries
-    keyed = []
+    groups = []
     for key, members in clusters.items():
         if len(members) == 1:
             label = members[0]
-            order = (label, members)
         else:
             terms = [m for m in members if m in entries]
             label = min(terms or members, key=lambda t: (len(t), t))
-            order = (label, sorted(members))
-        keyed.append((order, AspectGroup(label, frozenset(members), tuple(cluster_pairs[key]))))
-    # orders are distinct (clusters are disjoint), so no two groups are compared
-    keyed.sort()
-    return [group for _, group in keyed]
+        groups.append(AspectGroup(label, frozenset(members), tuple(cluster_pairs[key])))
+    # each label is a member of its own group and groups are disjoint, so
+    # labels are distinct and order the groups alone
+    groups.sort(key=lambda g: g.canonical_label)
+    return groups

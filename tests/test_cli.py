@@ -152,10 +152,35 @@ class TestTagCommand:
             if line:  # empty sentences render as empty lines
                 assert all("/" in item for item in line.split())
 
-    def test_needs_corpus(self, sample_paths, capsys):
-        code = main(["tag", "--pretagged", sample_paths["pretagged"]])
-        assert code == EXIT_ERROR
-        assert "corpus" in capsys.readouterr().err
+    def test_prints_the_pretagged_file_aligned_with_its_corpus(self, sample_paths, capsys):
+        code = main(
+            ["tag", "--corpus", sample_paths["corpus"], "--pretagged", sample_paths["pretagged"]]
+        )
+        assert code == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 30
+        pretagged = read_text(sample_paths["pretagged"]).splitlines()
+        assert [line for line in lines if line] == [line for line in pretagged if line]
+
+
+class TestInputRequired:
+    """Each command names the input it lacks."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["mine"], "no input: pass --corpus or --pretagged"),
+            (["extract"], "no input: pass --corpus or --pretagged"),
+            (["summarize"], "no input: pass --corpus or --pretagged"),
+            (["tag", "--pretagged", "P"], "tag needs --corpus"),
+            (["evaluate", "--pretagged", "P"],
+             "evaluate needs --corpus with gold annotations"),
+        ],
+    )
+    def test_missing_input_is_named(self, sample_paths, capsys, argv, message):
+        argv = [sample_paths["pretagged"] if a == "P" else a for a in argv]
+        assert main(argv) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestMineCommand:
@@ -185,10 +210,6 @@ class TestMineCommand:
         assert len(high.splitlines()) < len(low.splitlines())
         for line in high.splitlines()[1:]:
             assert int(line.split("\t")[1]) >= 10
-
-    def test_needs_input(self, capsys):
-        assert main(["mine"]) == EXIT_ERROR
-        assert "no input" in capsys.readouterr().err
 
     def test_max_len_out_of_range_names_the_flag(self, sample_paths, capsys):
         code = main(["mine", "--pretagged", sample_paths["pretagged"], "--max-len", "99"])
@@ -367,10 +388,21 @@ class TestEvaluateCommand:
         assert code == EXIT_ERROR
         assert capsys.readouterr().err == "error: report names product 'minieval' twice\n"
 
-    def test_needs_gold_corpus(self, sample_paths, capsys):
-        code = main(["evaluate", "--pretagged", sample_paths["eval_pretagged"]])
+    def test_report_naming_a_product_twice_fails_without_a_baseline(
+        self, sample_paths, tmp_path, capsys
+    ):
+        for name in ("a", "b"):
+            (tmp_path / name).mkdir()
+            shutil.copy(sample_paths["eval_corpus"], tmp_path / name)
+        out = tmp_path / "r.tsv"
+        code = main(
+            ["evaluate", "--corpus", str(tmp_path / "a" / "minieval.txt"),
+             "--corpus", str(tmp_path / "b" / "minieval.txt"),
+             "--format", "machine", "--out", str(out)]
+        )
         assert code == EXIT_ERROR
-        assert "gold" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: report names product 'minieval' twice\n"
+        assert not out.exists()
 
     def test_pretagged_count_must_match(self, sample_paths, capsys):
         code = main(
@@ -637,9 +669,9 @@ class TestModuleEntryPoint:
 
 
 class TestCorpusWithPretagged:
-    """summarize, extract and mine align pretagged lines with --corpus."""
+    """Every command aligns pretagged lines with --corpus."""
 
-    @pytest.mark.parametrize("command", ["summarize", "extract", "mine"])
+    @pytest.mark.parametrize("command", ["summarize", "extract", "mine", "tag"])
     def test_line_count_mismatch_names_pretagged_file(self, sample_paths, capsys, command):
         code = main(
             [command, "--corpus", sample_paths["corpus"],
@@ -650,12 +682,15 @@ class TestCorpusWithPretagged:
         assert sample_paths["eval_pretagged"] in err
         assert "25 pretagged lines for 30 corpus sentences" in err
 
-    def test_shuffled_pretagged_names_file_and_line(self, sample_paths, tmp_path, capsys):
-        lines = open(sample_paths["eval_pretagged"], encoding="utf-8").readlines()
+    @pytest.mark.parametrize("command", ["evaluate", "tag"])
+    def test_shuffled_pretagged_names_file_and_line(
+        self, sample_paths, tmp_path, capsys, command
+    ):
+        lines = read_text(sample_paths["eval_pretagged"]).splitlines(keepends=True)
         reversed_file = tmp_path / "reversed.txt"
         reversed_file.write_text("".join(reversed(lines)), encoding="utf-8")
         code = main(
-            ["evaluate", "--corpus", sample_paths["eval_corpus"],
+            [command, "--corpus", sample_paths["eval_corpus"],
              "--pretagged", str(reversed_file)]
         )
         assert code == EXIT_PARSE_ERROR

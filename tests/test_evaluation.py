@@ -345,6 +345,12 @@ class TestReports:
         with pytest.raises(ValueError):
             make_report([])
 
+    def test_make_report_rejects_a_product_named_twice(self):
+        camera, phone = rows_fixture()
+        with pytest.raises(ValueError) as exc:
+            make_report([camera, phone, camera])
+        assert str(exc.value) == "report names product 'camera' twice"
+
     def test_f_consistency_clean(self):
         report = make_report(rows_fixture())
         assert check_f_consistency(report) == []

@@ -282,3 +282,16 @@ class TestOnePassGroupingAgainstScanOracle:
                 assert group_shape(group_aspects(pairs, d)) == group_shape(
                     per_cluster_scan_groups(pairs, d)
                 )
+
+
+class TestLabelsOrderTheGroups:
+    @given(
+        st.lists(st.sampled_from(DIFF_SURFACES), max_size=25),
+        st.sets(st.sampled_from(DIFF_ENTRIES)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_labels_are_distinct_and_ascending(self, surfaces, entries):
+        d = AspectDictionary(entries=closed_entries(entries))
+        pairs = [pair(as_extracted(s, d), position=i) for i, s in enumerate(surfaces)]
+        labels = [g.canonical_label for g in group_aspects(pairs, d)]
+        assert labels == sorted(set(labels))
