@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ._records import record
-from .errors import read_text
+from .errors import read_text, text_lines
 
 log = logging.getLogger(__name__)
 
@@ -97,10 +97,7 @@ def parse_corpus_file(
     review = 1
     review_id = "r1"
     index = 0
-    for lineno, line in enumerate(content.splitlines(), start=1):
-        line = line.rstrip()
-        if not line:
-            continue
+    for lineno, line in text_lines(content):
         if line.startswith("[t]"):
             # a title opens a new review unless the current one is still empty
             if index > 0:

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, the file reader that
-raises them, and the memo that parses a resource file's text once.
+"""Exception types shared across the package, the file and line readers
+that every input goes through, and the memo that parses a resource file once.
 
 Each resource loader reads its files on every call and hands their
 texts to ``_parse_files``, which reuses the loader's last parse while
@@ -9,6 +9,7 @@ got it, so nothing may write to it.
 
 from __future__ import annotations
 
+import codecs
 import os
 from pathlib import Path
 from typing import Callable, TypeVar
@@ -40,7 +41,7 @@ class ParseError(AspectMinerError):
 
 
 def read_text(path: str | Path) -> str:
-    """Contents of a UTF-8 text file.
+    """Contents of a UTF-8 text file, without a leading byte-order mark.
 
     Raises FileNotFoundError naming the path when it is not a regular
     file, and ParseError naming the path and line of the first byte that
@@ -50,13 +51,28 @@ def read_text(path: str | Path) -> str:
         raise FileNotFoundError(str(path))
     with open(path, "rb") as f:
         data = f.read()
+    # "utf-8-sig" would count the error offset from after the mark
+    start = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
     try:
-        return data.decode("utf-8")
+        return data[start:].decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise ParseError(
-            f"not UTF-8 text (byte 0x{data[exc.start]:02x})", path=path, line=line
-        ) from None
+        at = start + exc.start
+        line = data.count(b"\n", 0, at) + 1
+        raise ParseError(f"not UTF-8 text (byte 0x{data[at]:02x})", path=path, line=line) from None
+
+
+def text_lines(text: str, *, comments: bool = False) -> list[tuple[int, str]]:
+    """``(number, line)`` of each line of ``text`` that is not blank.
+
+    Lines end at a line feed only and are numbered from 1; each loses
+    its trailing whitespace, so CRLF endings read the same.  With
+    ``comments``, lines whose first non-space character is ``#`` or
+    ``;`` are skipped too.
+    """
+    lines = [(n, line) for n, line in enumerate(map(str.rstrip, text.split("\n")), 1) if line]
+    if comments:
+        return [(n, line) for n, line in lines if line.lstrip()[0] not in "#;"]
+    return lines
 
 
 # parse function -> (texts of its last successful parse, the result)

@@ -20,7 +20,7 @@ from math import atan, cos, fsum, inf, pi, sin, sqrt
 from pathlib import Path
 
 from .corpus import Corpus
-from .errors import ParseError, read_text
+from .errors import ParseError, read_text, text_lines
 from .lexicons import NEGATIVE, POSITIVE
 from .patterns import AspectOpinionPair
 
@@ -220,10 +220,14 @@ def make_report(rows: list[ExtractionScores]) -> EvalReport:
     Precision and recall average as plain means; the averaged f columns
     are recomputed from those means so the summary row stays internally
     consistent (mean-of-f generally is not the f of the means).  Each
-    product must be named once.
+    product must be named once, by a name its machine row reads back as.
     """
     if not rows:
         raise ValueError("report needs at least one product row")
+    for name in (row.product for row in rows):
+        breaks_row = "\t" in name or "\n" in name
+        if breaks_row or name == "average" or name != name.strip() or name.startswith(("#", ";")):
+            raise ValueError(f"report cannot name a product {name!r}: its row would not read back")
     _by_product(rows, "report")
     n = len(rows)
 
@@ -413,9 +417,7 @@ def render_report(report: EvalReport, format: str = "text") -> str:
 def load_report(path: str | Path) -> EvalReport:
     """Read a machine-format report file back into an EvalReport."""
     rows: dict[str, ExtractionScores] = {}
-    for lineno, line in enumerate(read_text(path).splitlines(), 1):
-        if not line.strip() or line.startswith("#"):
-            continue
+    for lineno, line in text_lines(read_text(path), comments=True):
         parts = line.split("\t")
         if len(parts) != 1 + len(_REPORT_COLUMNS):
             raise ParseError(
@@ -439,5 +441,8 @@ def load_report(path: str | Path) -> EvalReport:
     if not rows:
         raise ParseError("report has no product rows", path=path)
     if averages is None:
-        return make_report(list(rows.values()))
+        try:
+            return make_report(list(rows.values()))
+        except ValueError as exc:
+            raise ParseError(str(exc), path=path) from exc
     return EvalReport(per_product=tuple(rows.values()), averages=averages)

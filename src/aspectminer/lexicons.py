@@ -8,7 +8,7 @@ the very object an earlier call got (see ``errors._parse_files``).
 The verb lexicon remembers the orientation of each verb surface it is
 asked about; the answer depends only on its immutable map, so the memo
 holds for every call that shares it.
-File formats (all UTF-8, ``;`` and ``#`` start comment lines):
+File formats (their line and comment rules are README "File formats"):
 
 * opinion seed lists: one word per line, one file per polarity
 * aspect terms: one canonical term per line (multi-word allowed)
@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ParseError, _parse_files
+from .errors import ParseError, _parse_files, text_lines
 from .tagger import base_form_candidates
 
 POSITIVE = "positive"
@@ -29,13 +29,7 @@ NEGATIVE = "negative"
 
 
 def _words(text: str) -> list[str]:
-    words = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith((";", "#")):
-            continue
-        words.append(line.lower())
-    return words
+    return [line.lstrip().lower() for _, line in text_lines(text, comments=True)]
 
 
 @dataclass(frozen=True)
@@ -107,10 +101,7 @@ def _parse_aspect_dictionary(texts, paths) -> AspectDictionary:
         key = _normalize_term(term)
         entries[key] = key
     _, synonym_file = paths
-    for lineno, line in enumerate(texts[1].splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith((";", "#")):
-            continue
+    for lineno, line in text_lines(texts[1], comments=True):
         canonical_part, sep, syn_part = line.partition(":")
         if not sep:
             raise ParseError(
@@ -172,10 +163,7 @@ def load_verb_categories(path: str | Path) -> VerbCategoryLexicon:
 def _parse_verb_categories(texts, paths) -> VerbCategoryLexicon:
     (path,) = paths
     orientations: dict[str, int] = {}
-    for lineno, line in enumerate(texts[0].splitlines(), 1):
-        line = line.rstrip()
-        if not line.strip() or line.startswith((";", "#")):
-            continue
+    for lineno, line in text_lines(texts[0], comments=True):
         parts = line.split("\t")
         if len(parts) != 3:
             raise ParseError(

@@ -5,9 +5,10 @@ roles: one position holding the opinion word and (usually) one holding
 the aspect noun.  Patterns without an aspect position rely on the
 nearest-aspect search to locate the nearest noun or dictionary term.
 
-Pattern file syntax, one pattern per line::
+Pattern file syntax, one pattern per line (line and comment rules are
+README "File formats")::
 
-    NN:A VBZ JJ        # name=noun-is-adj
+    NN:A VBZ JJ:O      # name=noun-is-adj
 
 ``:A`` marks the aspect position, ``:O`` the opinion position.  Order of
 lines is precedence order.  ``extract_sentences`` is the one extraction
@@ -26,7 +27,7 @@ from pathlib import Path
 from typing import Callable, Collection, Iterable
 
 from ._records import record
-from .errors import ParseError, _parse_files
+from .errors import ParseError, _parse_files, text_lines
 from .lexicons import NEGATIVE, POSITIVE, AspectDictionary, OpinionLexicon
 from .tagger import NOUN_TAGS, PENN_TAGS, TaggedSentence
 
@@ -111,12 +112,9 @@ class PatternSet:
         object.__setattr__(self, "by_first_tag", by_first_tag)
 
 
-def parse_pattern_line(line: str) -> TagPattern | None:
-    """Parse one pattern line; returns None for blanks and comments."""
+def parse_pattern_line(line: str) -> TagPattern:
+    """Parse one pattern line, its ``# name=...`` comment included."""
     code, _, meta = line.partition("#")
-    code = code.strip()
-    if not code:
-        return None
     name = ""
     for piece in meta.split():
         if piece.startswith("name="):
@@ -155,13 +153,11 @@ def load_pattern_set(path: str | Path) -> PatternSet:
 def _parse_pattern_set(texts, paths) -> PatternSet:
     (path,) = paths
     patterns = []
-    for lineno, line in enumerate(texts[0].splitlines(), 1):
+    for lineno, line in text_lines(texts[0], comments=True):
         try:
-            pattern = parse_pattern_line(line)
+            patterns.append(parse_pattern_line(line))
         except ValueError as exc:
             raise ParseError(str(exc), path=path, line=lineno) from exc
-        if pattern is not None:
-            patterns.append(pattern)
     try:
         return PatternSet(patterns=tuple(patterns))
     except ValueError as exc:

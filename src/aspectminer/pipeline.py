@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .corpus import Corpus, ReviewSentence, tokenize
-from .errors import ParseError, read_text
+from .errors import ParseError, read_text, text_lines
 from .evaluation import ExtractionBreakdown, ExtractionScores, evaluate_extraction_detailed
 from .grouping import AspectGroup, group_aspects
 from .lexicons import (
@@ -165,11 +165,7 @@ def load_pretagged_file(
     gets an empty :class:`TaggedSentence`.  Positions count up from
     ``start`` by corpus sentence, as in :func:`tag_corpus`.
     """
-    lines = [
-        (lineno, line)
-        for lineno, line in enumerate(read_text(path).splitlines(), 1)
-        if line.strip()
-    ]
+    lines = text_lines(read_text(path))
     sources: Sequence[ReviewSentence | None] = [None] * len(lines)
     if corpus is not None:
         sources = corpus.sentences

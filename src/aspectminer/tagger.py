@@ -23,7 +23,7 @@ from typing import Mapping, NamedTuple
 
 from ._records import record
 from .corpus import ReviewSentence
-from .errors import ParseError, _parse_files
+from .errors import ParseError, _parse_files, text_lines
 
 # Penn Treebank word-level tags plus the punctuation tags.
 PENN_TAGS = frozenset(
@@ -120,19 +120,16 @@ def render_pretagged(sentence: TaggedSentence) -> str:
 
 def load_tag_lexicon(path: str | Path) -> Mapping[str, str]:
     """Load a ``word<TAB>TAG`` lexicon, read-only; first entry wins for
-    duplicates."""
+    duplicates.  Line and comment rules are README "File formats"."""
     return _parse_files(_parse_tag_lexicon, path)
 
 
 def _parse_tag_lexicon(texts, paths) -> Mapping[str, str]:
     (path,) = paths
     lexicon: dict[str, str] = {}
-    for lineno, line in enumerate(texts[0].splitlines(), 1):
-        line = line.rstrip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in text_lines(texts[0], comments=True):
         word, sep, tag = line.partition("\t")
-        if not sep or not word or not tag:
+        if not sep or not word:
             raise ParseError("expected word<TAB>TAG", path=path, line=lineno)
         if tag not in PENN_TAGS:
             raise ParseError(f"unknown tag {tag!r} for {word!r}", path=path, line=lineno)

@@ -404,6 +404,19 @@ class TestEvaluateCommand:
         assert capsys.readouterr().err == "error: report names product 'minieval' twice\n"
         assert not out.exists()
 
+    def test_report_cannot_name_a_product_average(self, sample_paths, tmp_path, capsys):
+        # the name of the summary row would make the report unreadable as a baseline
+        corpus = tmp_path / "average.txt"
+        shutil.copy(sample_paths["eval_corpus"], corpus)
+        out = tmp_path / "r.tsv"
+        code = main(["evaluate", "--corpus", str(corpus), "--format", "machine",
+                     "--out", str(out)])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            "error: report cannot name a product 'average': its row would not read back\n"
+        )
+        assert not out.exists()
+
     def test_pretagged_count_must_match(self, sample_paths, capsys):
         code = main(
             ["evaluate", "--corpus", sample_paths["eval_corpus"],
@@ -541,6 +554,18 @@ class TestConfigFile:
         assert code == EXIT_OK
         first = capsys.readouterr().out.splitlines()[0]
         assert first == "summary\tmp3 player\t23\t74\t26"
+
+    def test_leading_byte_order_mark_is_not_text(self, sample_paths, tmp_path, capsys):
+        text = json.dumps({"pretagged": sample_paths["pretagged"], "format": "machine"})
+        outs = []
+        for name, prefix in (("plain.json", b""), ("marked.json", b"\xef\xbb\xbf")):
+            config = tmp_path / name
+            config.write_bytes(prefix + text.encode("utf-8"))
+            code = main(["summarize", "--config", str(config)])
+            out, err = capsys.readouterr()
+            assert code == EXIT_OK, err
+            outs.append(out)
+        assert outs[0] == outs[1]
 
     def test_flags_win_over_config(self, sample_paths, tmp_path, capsys):
         config = tmp_path / "run.json"
@@ -732,6 +757,24 @@ class TestTagRoundTrip:
         assert pretagged.read_text(encoding="utf-8").splitlines()[0::2] == ["", ""]
         assert main(["summarize", "--corpus", str(corpus)]) == EXIT_OK
         tagged_here = capsys.readouterr().out
+        code = main(["summarize", "--corpus", str(corpus), "--pretagged", str(pretagged)])
+        out, err = capsys.readouterr()
+        assert code == EXIT_OK, err
+        assert out == tagged_here
+        assert "opinions: 2 (50% positive, 50% negative)" in out
+
+    def test_line_separator_inside_a_sentence_round_trips(self, tmp_path, capsys):
+        corpus = tmp_path / "ls.txt"
+        corpus.write_text(
+            "sound[+2]##the sound is great \u2028 and the screen is bad .\n", encoding="utf-8"
+        )
+        pretagged = tmp_path / "ls.pos"
+        assert main(["tag", "--corpus", str(corpus), "--out", str(pretagged)]) == EXIT_OK
+        # one sentence, tagged whole
+        assert len(pretagged.read_text(encoding="utf-8").split("\n")) == 2
+        assert main(["summarize", "--corpus", str(corpus)]) == EXIT_OK
+        tagged_here, err = capsys.readouterr()
+        assert "skipped" not in err
         code = main(["summarize", "--corpus", str(corpus), "--pretagged", str(pretagged)])
         out, err = capsys.readouterr()
         assert code == EXIT_OK, err

@@ -167,6 +167,31 @@ class TestCorpusParsing:
     def test_empty_content_yields_empty_corpus(self):
         assert len(parse_corpus_file("", "p").sentences) == 0
 
+    def test_crlf_endings_read_as_lf(self):
+        content = "[t]title\n##one .\nsound[+2]##the sound is great .\n"
+        crlf = parse_corpus_file(content.replace("\n", "\r\n"), "p")
+        assert crlf == parse_corpus_file(content, "p")
+
+    # characters str.splitlines() breaks at, though they are not line feeds
+    @pytest.mark.parametrize(
+        "brk", ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\r"]
+    )
+    def test_only_a_line_feed_ends_a_sentence(self, brk):
+        content = f"sound[+2]##the sound is great {brk} and the screen is bad .\n"
+        (sentence,) = parse_corpus_file(content, "p").sentences
+        assert sentence.raw_text == f"the sound is great {brk} and the screen is bad ."
+        assert [a.aspect_term for a in sentence.gold] == ["sound"]
+        # the tokenizer takes the character as a space
+        assert tokenize(sentence.raw_text) == "the sound is great and the screen is bad .".split()
+
+    def test_warning_line_numbers_count_line_feeds(self, caplog):
+        content = "##the sound is great \u2028 and the screen is bad .\nbroken[]##text .\n"
+        with caplog.at_level("WARNING"):
+            corpus = parse_corpus_file(content, "p")
+        assert len(corpus.sentences) == 2
+        # the line `grep -n` names
+        assert [r.message[:7] for r in caplog.records] == ["line 2:"]
+
 
 class TestLoadCorpus:
     def test_missing_file_raises(self, tmp_path):
@@ -200,6 +225,22 @@ class TestLoadCorpus:
         with pytest.raises(ParseError) as exc:
             load_corpus(path)
         assert str(exc.value) == f"{path}: line 2: not UTF-8 text (byte 0xe9)"
+
+    @pytest.mark.parametrize(
+        "content", ["sound[+2]##the sound is great .\n", "[t]a title\n##one .\n"]
+    )
+    def test_leading_byte_order_mark_is_not_text(self, tmp_path, content):
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_text(content, encoding="utf-8")
+        marked.write_bytes(b"\xef\xbb\xbf" + content.encode("utf-8"))
+        assert load_corpus(marked, "p") == load_corpus(plain, "p")
+
+    def test_bad_byte_after_a_byte_order_mark_names_its_own_line(self, tmp_path):
+        path = tmp_path / "reviews.txt"
+        path.write_bytes(b"\xef\xbb\xbf##ab .\n##c\xff .\n")
+        with pytest.raises(ParseError) as exc:
+            load_corpus(path)
+        assert str(exc.value) == f"{path}: line 2: not UTF-8 text (byte 0xff)"
 
 
 class TestSampleCorpus:

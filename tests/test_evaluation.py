@@ -6,7 +6,10 @@ implementation under test shares no code with that oracle.
 """
 
 import math
+import tempfile
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -350,6 +353,46 @@ class TestReports:
         with pytest.raises(ValueError) as exc:
             make_report([camera, phone, camera])
         assert str(exc.value) == "report names product 'camera' twice"
+
+    @pytest.mark.parametrize(
+        "name", ["average", "#m", ";m", " m", "m ", "m\u2028", "\u3000m", "a\tb", "a\nb"]
+    )
+    def test_make_report_rejects_a_name_its_row_would_not_read_back_as(self, name):
+        camera, _ = rows_fixture()
+        with pytest.raises(ValueError, match="would not read back"):
+            make_report([camera, replace(camera, product=name)])
+
+    def test_load_without_average_row_names_the_file_for_such_a_name(self, tmp_path):
+        path = tmp_path / "report.tsv"
+        path.write_text(" camera\t0.8\t0.6\t0.685714\t0.7\t0.5\t0.583333\n", encoding="utf-8")
+        with pytest.raises(ParseError) as exc:
+            load_report(path)
+        assert str(exc.value).startswith(f"{path}: report cannot name a product ' camera'")
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.text(max_size=8),
+                st.text(alphabet="ab #;\t\n\r\x85\u2028\ufeff", max_size=4),
+                st.just("average"),
+            ),
+            min_size=1,
+            max_size=4,
+            unique=True,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    @example(["a\rb", "\u2028x", "", "x#", "\ufeff"])
+    def test_every_report_make_report_accepts_reads_back(self, names):
+        camera, _ = rows_fixture()
+        try:
+            report = make_report([replace(camera, product=name) for name in names])
+        except ValueError:
+            return  # the names make_report rejects are pinned above
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "report.tsv"
+            path.write_text(render_report(report, "machine"), encoding="utf-8")
+            assert load_report(path).products == tuple(names)
 
     def test_f_consistency_clean(self):
         report = make_report(rows_fixture())

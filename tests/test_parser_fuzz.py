@@ -199,7 +199,7 @@ def test_cli_reports_bad_files_without_traceback(case, tmp_path):
     env = {**os.environ, "PYTHONPATH": str(Path(aspectminer.__file__).parents[1])}
     proc = subprocess.run(
         [sys.executable, "-m", "aspectminer", *argv],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, encoding="utf-8", env=env, timeout=60,
     )
     assert "Traceback" not in proc.stderr
     assert proc.returncode == code, proc.stderr

@@ -95,10 +95,15 @@ class TestTagPattern:
 
 
 class TestParsePatternLine:
-    def test_blank_and_comment_lines(self):
-        assert parse_pattern_line("") is None
-        assert parse_pattern_line("   ") is None
-        assert parse_pattern_line("# comment only") is None
+    def test_blank_and_comment_lines(self, tmp_path):
+        # the file's line reader drops these; the parser sees no pattern in them
+        lines = ("", "   ", "# comment only", "; comment only", "  # indented")
+        for line in lines:
+            with pytest.raises(ValueError, match="no opinion position"):
+                parse_pattern_line(line)
+        f = tmp_path / "patterns.txt"
+        f.write_text("\n".join(lines + ("NN:A VBZ JJ:O  # name=x",)), encoding="utf-8")
+        assert [p.name for p in load_pattern_set(f).patterns] == ["x"]
 
     def test_roles_and_name(self):
         p = parse_pattern_line("NN:A VBZ JJ:O   # name=noun-is-adj")

@@ -138,6 +138,14 @@ class TestTagLexicon:
             load_tag_lexicon(path)
         assert "line 1" in str(exc.value)
 
+    @pytest.mark.parametrize("line", ["word", "\tNN", "word\t", "word\t  "])
+    def test_line_without_word_and_tag_rejected(self, tmp_path, line):
+        path = tmp_path / "lex.txt"
+        path.write_text(f"fast\tRB\n{line}\n", encoding="utf-8")
+        with pytest.raises(ParseError) as exc:
+            load_tag_lexicon(path)
+        assert str(exc.value) == f"{path}: line 2: expected word<TAB>TAG"
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_tag_lexicon(tmp_path / "nope.txt")
