@@ -17,6 +17,9 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 DATA = REPO / "src" / "aspectminer" / "data"
+sys.path.insert(0, str(REPO / "src"))
+
+from aspectminer.errors import read_text, text_lines  # noqa: E402
 
 # Words whose baseline tag must not be guessed by suffix rules.
 PINNED = {
@@ -234,13 +237,11 @@ def verb_ed(base: str) -> str:
 
 
 def read_opinion_words() -> list[str]:
-    words = []
-    for name in ("positive-words.txt", "negative-words.txt"):
-        for line in (DATA / name).read_text(encoding="utf-8").splitlines():
-            line = line.strip()
-            if line and not line.startswith((";", "#")):
-                words.append(line.lower())
-    return words
+    return [
+        line.lstrip().lower()
+        for name in ("positive-words.txt", "negative-words.txt")
+        for _, line in text_lines(read_text(DATA / name), comments=True)
+    ]
 
 
 def build_entries() -> list[tuple[str, str]]:

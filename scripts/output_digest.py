@@ -6,7 +6,7 @@ temporary directory (with ``bench/run.py``'s ``build_catalog``; nothing
 under ``bench/`` is written).  Each product is then run twice, on its
 pretagged file and through the baseline tagger, and each run feeds the
 digest with its extracted pairs, its sentence scores, the three summary
-renders and the ``evaluate_extraction_detailed`` breakdown.  Each
+renders and the ``pipeline.evaluate_corpus`` breakdown.  Each
 workload's digest then takes the ``compare_to_baseline`` table of the
 baseline-tagged runs: each product's headline (subset-match) scores
 against its exact-match scores, paired t-tests included.  Two trees
@@ -34,7 +34,6 @@ from aspectminer.evaluation import (  # noqa: E402
     ExtractionBreakdown,
     ExtractionScores,
     compare_to_baseline,
-    evaluate_extraction_detailed,
     make_report,
 )
 from aspectminer.tagger import TaggedSentence  # noqa: E402
@@ -44,8 +43,9 @@ RENDER_FORMATS = ("text", "machine", "histogram")
 
 def run_lines(
     corpus: Corpus, tagged: list[TaggedSentence], res: pipeline.Resources
-) -> tuple[list[str], ExtractionBreakdown]:
-    """The outputs of one tagged product, one text line each, and its breakdown."""
+) -> tuple[list[str], ExtractionScores, ExtractionBreakdown]:
+    """The outputs of one tagged product, one text line each, with its
+    headline row and breakdown."""
     pairs = pipeline.extract_corpus(tagged, res)
     lines = [
         repr(
@@ -63,27 +63,27 @@ def run_lines(
         score = scores[s]
         lines.append(repr((s.position, score.adjective_adverb_points, score.verb_points)))
     lines.extend(summary.render(result, fmt) for fmt in RENDER_FORMATS)
-    breakdown = evaluate_extraction_detailed(pairs, corpus)
+    scores, breakdown = pipeline.evaluate_corpus(corpus, tagged, res)
     lines.append(repr(astuple(breakdown)))
-    return lines, breakdown
+    return lines, scores, breakdown
 
 
 def product_digest(
     corpus_file: Path, pretagged_file: Path | None, res: pipeline.Resources, name: str
-) -> tuple[str, ExtractionBreakdown]:
+) -> tuple[str, ExtractionScores, ExtractionBreakdown]:
     """md5 of a product's outputs, pretagged (when given) then baseline-tagged,
-    and the breakdown of the baseline-tagged run."""
+    with the headline row and breakdown of the baseline-tagged run."""
     corpus = load_corpus(corpus_file, name)
     runs = [pipeline.tag_corpus(corpus, res.tagger())]
     if pretagged_file is not None:
         runs.insert(0, pipeline.load_pretagged_file(pretagged_file, corpus))
     digest = hashlib.md5()
     for tagged in runs:
-        lines, breakdown = run_lines(corpus, tagged, res)
+        lines, scores, breakdown = run_lines(corpus, tagged, res)
         for line in lines:
             digest.update(line.encode("utf-8"))
             digest.update(b"\n")
-    return digest.hexdigest(), breakdown
+    return digest.hexdigest(), scores, breakdown
 
 
 def workload_digest(build_catalog, workload, seed: int) -> str:
@@ -105,13 +105,11 @@ def workload_digest(build_catalog, workload, seed: int) -> str:
             name = entry["name"]
             base = catalog / name
             pos = base.with_suffix(".pos")
-            product, b = product_digest(
+            product, scores, b = product_digest(
                 base.with_suffix(".txt"), pos if pos.exists() else None, res, name
             )
             digest.update(product.encode("ascii"))
-            rows.append(
-                ExtractionScores.from_rates(name, b.aspect_p, b.aspect_r, b.opinion_p, b.opinion_r)
-            )
+            rows.append(scores)
             exact_rows.append(
                 ExtractionScores.from_rates(
                     name, b.aspect_p_exact, b.aspect_r_exact, b.opinion_p_exact, b.opinion_r_exact

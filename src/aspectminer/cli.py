@@ -89,7 +89,7 @@ class RunConfig:
     synonyms: str | None = _option("aspect synonym file")
     verbs: str | None = _option("verb category file")
     tag_lexicon: str | None = _option("word/TAG lexicon")
-    product: str | None = _option("product name used in reports")
+    product: str | None = _option("product name in the summarize header")
     top_k: int = _option("sentences per pros/cons list", 3)
     min_support: int = _option("mining support", 2)
     max_len: int = _option("longest mined tag sequence", 6)

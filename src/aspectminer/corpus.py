@@ -4,7 +4,7 @@ Reads the line-oriented annotated review format used by public
 customer-review datasets and strips the human annotations into a gold
 standard.  Line grammar:
 
-    [t]<title>                        review title, starts a new review
+    [t]<title>                        title line
     <annot>{,<annot>}##<sentence>     annotated sentence
     ##<sentence>                      plain sentence
 
@@ -45,8 +45,6 @@ class GoldAnnotation:
 
 @record
 class ReviewSentence:
-    review_id: str
-    sentence_index: int
     raw_text: str
     gold: tuple[GoldAnnotation, ...] = ()
     is_title: bool = False
@@ -94,18 +92,9 @@ def parse_corpus_file(
     """
     where = f"{path}: " if path is not None else ""
     sentences: list[ReviewSentence] = []
-    review = 1
-    review_id = "r1"
-    index = 0
     for lineno, line in text_lines(content):
         if line.startswith("[t]"):
-            # a title opens a new review unless the current one is still empty
-            if index > 0:
-                review += 1
-                review_id = f"r{review}"
-                index = 0
-            sentences.append(ReviewSentence(review_id, index, line[3:].strip(), is_title=True))
-            index += 1
+            sentences.append(ReviewSentence(line[3:].strip(), is_title=True))
             continue
         if "##" not in line:
             log.warning("%sline %d: no sentence marker, skipped: %r", where, lineno, line[:60])
@@ -120,8 +109,7 @@ def parse_corpus_file(
                     "%sline %d: %s; keeping sentence without gold", where, lineno, exc
                 )
                 gold = ()
-        sentences.append(ReviewSentence(review_id, index, text.strip(), gold))
-        index += 1
+        sentences.append(ReviewSentence(text.strip(), gold))
     return Corpus(product_name=product_name, sentences=tuple(sentences))
 
 

@@ -24,8 +24,6 @@ from .errors import ParseError, read_text, text_lines
 from .lexicons import NEGATIVE, POSITIVE
 from .patterns import AspectOpinionPair
 
-_SENTENCE_KEY = tuple[str, int]
-
 
 @dataclass(frozen=True)
 class ExtractionScores:
@@ -127,7 +125,10 @@ def evaluate_extraction_detailed(
     """Headline subset-match metrics plus their exact-match counterparts.
 
     Duplicate predictions and duplicate gold items collapse before
-    counting; an empty side yields 0.0 for its ratios.
+    counting; an empty side yields 0.0 for its ratios.  Each pair must
+    come from a sentence object of ``gold`` itself (its ``sentence.source``):
+    a pair from any other corpus, even a second load of the same file,
+    raises ValueError.
 
     Items are kept per sentence, so each is compared only with the other
     side's items of its own sentence and the cost is linear in the
@@ -136,18 +137,18 @@ def evaluate_extraction_detailed(
     eight counts.
     """
     flags = {POSITIVE: 1, NEGATIVE: 2}  # one bit per distinct orientation
-    gold_terms: dict[_SENTENCE_KEY, _Terms] = {}
+    # by identity: a repeated line stays two sentences, another corpus matches none
+    gold_terms: dict[int, _Terms] = {}
     for sentence in gold.sentences:
-        terms = gold_terms.setdefault((sentence.review_id, sentence.sentence_index), {})
+        terms = gold_terms.setdefault(id(sentence), {})
         for ann in sentence.gold:
             term = ann.aspect_term.lower()
             sign = flags[POSITIVE if ann.strength > 0 else NEGATIVE]
             terms[term] = terms.get(term, 0) | sign
 
-    pred_terms: dict[_SENTENCE_KEY, _Terms] = {}
+    pred_terms: dict[int, _Terms] = {}
     for pair in predicted:
-        source = pair.sentence.source
-        key = None if source is None else (source.review_id, source.sentence_index)
+        key = id(pair.sentence.source)
         if key not in gold_terms:
             raise ValueError(
                 f"predicted pair for aspect {pair.aspect_surface!r} references "

@@ -7,6 +7,7 @@ histogram of positive versus negative opinion shares.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -155,9 +156,16 @@ def _render_text(summary: Summary) -> str:
     return "".join(parts)
 
 
+def _one_line(text: str) -> str:
+    """``text`` with each whitespace run (a tab or a line separator too) as
+    one space, so that its machine row stays one line.  Every whitespace
+    character but the space is unprintable, so most texts pass as they are."""
+    return re.sub(r"\s+", " ", text) if "  " in text or not text.isprintable() else text
+
+
 def _render_machine(summary: Summary) -> str:
     parts = [
-        f"summary\t{summary.product_name or 'reviews'}\t{summary.total}\t"
+        f"summary\t{_one_line(summary.product_name or 'reviews')}\t{summary.total}\t"
         f"{summary.positive_pct}\t{summary.negative_pct}\n"
     ]
     parts += [
@@ -167,9 +175,9 @@ def _render_machine(summary: Summary) -> str:
     for group in summary.groups:
         label = group.label
         for e in group.pros:
-            parts.append(f"sentence\t{label}\tpositive\t{e.weight}\t{e.text}\n")
+            parts.append(f"sentence\t{label}\tpositive\t{e.weight}\t{_one_line(e.text)}\n")
         for e in group.cons:
-            parts.append(f"sentence\t{label}\tnegative\t{e.weight}\t{e.text}\n")
+            parts.append(f"sentence\t{label}\tnegative\t{e.weight}\t{_one_line(e.text)}\n")
     return "".join(parts)
 
 

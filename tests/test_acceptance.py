@@ -173,16 +173,11 @@ def _independent_fractions(pairs, corpus):
 
     predicted, gold = set(), set()
     for pair in pairs:
-        src = pair.sentence.source
-        predicted.add(
-            ((src.review_id, src.sentence_index), pair.aspect_surface.lower(), pair.orientation)
-        )
+        predicted.add((id(pair.sentence.source), pair.aspect_surface.lower(), pair.orientation))
     for sentence in corpus.sentences:
         for ann in sentence.gold:
             sign = "positive" if ann.strength > 0 else "negative"
-            gold.add(
-                ((sentence.review_id, sentence.sentence_index), ann.aspect_term.lower(), sign)
-            )
+            gold.add((id(sentence), ann.aspect_term.lower(), sign))
 
     def hit(item, pool, with_sign):
         key, term, sign = item

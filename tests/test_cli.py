@@ -288,6 +288,25 @@ class TestSummarizeCommand:
         first = capsys.readouterr().out.splitlines()[0]
         assert first.split("\t")[1] == "reviews-pretagged"
 
+    def test_machine_rows_write_each_whitespace_run_as_one_space(self, tmp_path, capsys):
+        corpus = tmp_path / "reviews.txt"
+        corpus.write_text(
+            "sound[+2]##the sound\tis great .\nscreen[+2]##the screen\u2028is great .\n",
+            encoding="utf-8",
+        )
+        code = main(["summarize", "--corpus", str(corpus), "--product", "x\ty",
+                     "--format", "machine"])
+        assert code == EXIT_OK
+        out = capsys.readouterr().out
+        assert len(out.splitlines()) == len(out.split("\n")) - 1
+        rows = [line.split("\t") for line in out.splitlines()]
+        assert rows[0][:2] == ["summary", "x y"] and len(rows[0]) == 5
+        sentences = [row for row in rows if row[0] == "sentence"]
+        assert sorted(row[4] for row in sentences) == [
+            "the screen is great .", "the sound is great ."
+        ]
+        assert all(len(row) == 5 for row in sentences)
+
     def test_histogram_form(self, sample_paths, capsys):
         code = main(
             ["summarize", "--pretagged", sample_paths["pretagged"],
@@ -341,6 +360,16 @@ class TestEvaluateCommand:
         row = lines[1].split("\t")
         assert row[0] == "minieval"
         assert row[1] == f"{17 / 18:.6f}"
+
+    def test_rows_are_named_by_corpus_stem_whatever_product_says(self, sample_paths, capsys):
+        code = main(
+            ["evaluate", "--corpus", sample_paths["eval_corpus"],
+             "--pretagged", sample_paths["eval_pretagged"],
+             "--product", "camera x100", "--format", "machine"]
+        )
+        assert code == EXIT_OK
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [row.split("\t")[0] for row in rows] == ["minieval", "average"]
 
     def test_baseline_comparison(self, sample_paths, tmp_path, capsys):
         baseline = tmp_path / "baseline.tsv"

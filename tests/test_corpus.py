@@ -113,13 +113,10 @@ class TestAnnotationParsingAgainstOracle:
 
 
 class TestCorpusParsing:
-    def test_titles_start_reviews(self):
+    def test_titles_are_marked(self):
         content = "[t]first\n##one .\n##two .\n[t]second\n##three .\n"
         corpus = parse_corpus_file(content, "p")
         assert len(corpus.sentences) == 5
-        ids = [s.review_id for s in corpus.sentences]
-        assert ids == ["r1", "r1", "r1", "r2", "r2"]
-        assert [s.sentence_index for s in corpus.sentences] == [0, 1, 2, 0, 1]
         assert corpus.sentences[0].is_title
         assert not corpus.sentences[1].is_title
 
@@ -159,10 +156,6 @@ class TestCorpusParsing:
     def test_blank_lines_skipped(self):
         corpus = parse_corpus_file("\n\n##one .\n\n##two .\n", "p")
         assert len(corpus.sentences) == 2
-
-    def test_leading_sentences_before_any_title(self):
-        corpus = parse_corpus_file("##orphan .\n[t]titled\n##body .\n", "p")
-        assert [s.review_id for s in corpus.sentences] == ["r1", "r2", "r2"]
 
     def test_empty_content_yields_empty_corpus(self):
         assert len(parse_corpus_file("", "p").sentences) == 0
@@ -247,7 +240,6 @@ class TestSampleCorpus:
     def test_shape(self, sample_corpus):
         assert len(sample_corpus.sentences) == 30
         assert sum(1 for s in sample_corpus.sentences if s.is_title) == 3
-        assert {s.review_id for s in sample_corpus.sentences} == {"r1", "r2", "r3"}
 
     def test_gold_terms_present(self, sample_corpus):
         terms = {a.aspect_term for s in sample_corpus.sentences for a in s.gold}

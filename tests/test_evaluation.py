@@ -15,7 +15,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from aspectminer.corpus import Corpus, GoldAnnotation, ReviewSentence, parse_corpus_file
+from aspectminer.corpus import (
+    Corpus,
+    GoldAnnotation,
+    ReviewSentence,
+    load_corpus,
+    parse_corpus_file,
+)
 from aspectminer.errors import ParseError
 from aspectminer.evaluation import (
     EvalReport,
@@ -260,15 +266,14 @@ class TestEvaluationOnBundledFixture:
         pred_aspects = set()
         pred_opinions = set()
         for pair in predicted:
-            src = pair.sentence.source
-            key = (src.review_id, src.sentence_index)
+            key = id(pair.sentence.source)
             pred_aspects.add((key, pair.aspect_surface.lower()))
             pred_opinions.add((key, pair.aspect_surface.lower(), pair.orientation))
         gold_aspects = set()
         gold_opinions = set()
         for s in minieval_corpus.sentences:
             for ann in s.gold:
-                key = (s.review_id, s.sentence_index)
+                key = id(s)
                 sign = "positive" if ann.strength > 0 else "negative"
                 gold_aspects.add((key, ann.aspect_term.lower()))
                 gold_opinions.add((key, ann.aspect_term.lower(), sign))
@@ -683,8 +688,7 @@ def quadratic_breakdown(predicted, gold):
     pred_aspects = set()
     pred_opinions = set()
     for pair in predicted:
-        source = pair.sentence.source
-        key = (source.review_id, source.sentence_index)
+        key = id(pair.sentence.source)
         aspect = pair.aspect_surface.lower()
         pred_aspects.add((key, aspect))
         pred_opinions.add((key, aspect, pair.orientation))
@@ -692,7 +696,7 @@ def quadratic_breakdown(predicted, gold):
     gold_aspects = set()
     gold_opinions = set()
     for sentence in gold.sentences:
-        key = (sentence.review_id, sentence.sentence_index)
+        key = id(sentence)
         for ann in sentence.gold:
             term = ann.aspect_term.lower()
             sign = "positive" if ann.strength > 0 else "negative"
@@ -762,19 +766,16 @@ gold_sentence = st.lists(
 )
 
 
+def review_sentence(annotations):
+    return ReviewSentence(
+        raw_text="text",
+        gold=tuple(GoldAnnotation(term, strength) for term, strength in annotations),
+    )
+
+
 @st.composite
 def predicted_and_gold(draw):
-    reviews = draw(st.lists(st.lists(gold_sentence, max_size=4), min_size=1, max_size=4))
-    sentences = tuple(
-        ReviewSentence(
-            review_id=f"r{r}",
-            sentence_index=i,
-            raw_text="text",
-            gold=tuple(GoldAnnotation(term, strength) for term, strength in annotations),
-        )
-        for r, review in enumerate(reviews, 1)
-        for i, annotations in enumerate(review)
-    )
+    sentences = tuple(map(review_sentence, draw(st.lists(gold_sentence, max_size=16))))
     gold = Corpus(product_name="widget", sentences=sentences)
     if not sentences:
         return [], gold
@@ -793,20 +794,12 @@ def predicted_and_gold(draw):
 
 @st.composite
 def predicted_and_gold_with_repeated_keys(draw):
-    """Like ``predicted_and_gold``, but sentence keys are drawn from a
-    small range, so a hand-built corpus may hold one key several times,
-    and a prediction may carry an orientation no gold item has."""
-    keys = st.tuples(st.sampled_from(["r1", "r2"]), st.integers(0, 1))
-    drawn = draw(st.lists(st.tuples(keys, gold_sentence), min_size=1, max_size=6))
-    sentences = tuple(
-        ReviewSentence(
-            review_id=review_id,
-            sentence_index=index,
-            raw_text="text",
-            gold=tuple(GoldAnnotation(term, strength) for term, strength in annotations),
-        )
-        for (review_id, index), annotations in drawn
-    )
+    """Like ``predicted_and_gold``, but the corpus tuple is drawn from a
+    pool of two sentence objects, so a hand-built corpus may list one
+    object several times, and a prediction may carry an orientation no
+    gold item has."""
+    pool = [review_sentence(draw(gold_sentence)) for _ in range(2)]
+    sentences = tuple(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6)))
     gold = Corpus(product_name="widget", sentences=sentences)
     predicted = draw(
         st.lists(
@@ -865,14 +858,13 @@ def bucketed_breakdown(predicted, gold):
 
     pred_aspects, pred_opinions = {}, {}
     for pair in predicted:
-        source = pair.sentence.source
-        key = (source.review_id, source.sentence_index)
+        key = id(pair.sentence.source)
         aspect = pair.aspect_surface.lower()
         add(pred_aspects, key, aspect)
         add(pred_opinions, key, (aspect, pair.orientation))
     gold_aspects, gold_opinions = {}, {}
     for sentence in gold.sentences:
-        key = (sentence.review_id, sentence.sentence_index)
+        key = id(sentence)
         for ann in sentence.gold:
             term = ann.aspect_term.lower()
             add(gold_aspects, key, term)
@@ -932,12 +924,10 @@ class TestBucketedMatchingAgainstQuadraticOracle:
         assert b == bucketed_breakdown(preds, gold)
 
     def test_repeated_gold_keys_merge(self):
-        first = ReviewSentence("r1", 0, "text", gold=(GoldAnnotation("sound", 2),))
-        again = ReviewSentence(
-            "r1", 0, "text", gold=(GoldAnnotation("Sound", 1), GoldAnnotation("lens", -1))
-        )
-        gold = Corpus(product_name="widget", sentences=(first, again))
-        preds = [prediction(first, "lens", "negative"), prediction(again, "sound")]
+        items = (GoldAnnotation("sound", 2), GoldAnnotation("Sound", 1), GoldAnnotation("lens", -1))
+        s = ReviewSentence("text", gold=items)
+        gold = Corpus(product_name="widget", sentences=(s, s))
+        preds = [prediction(s, "lens", "negative"), prediction(s, "sound")]
         b = evaluate_extraction_detailed(preds, gold)
         assert (b.n_gold_aspects, b.n_gold_opinions) == (2, 2)
         assert (b.aspect_p, b.aspect_r, b.opinion_p, b.opinion_r) == (1.0, 1.0, 1.0, 1.0)
@@ -965,6 +955,28 @@ class TestBucketedMatchingAgainstQuadraticOracle:
         assert str(exc.value) == (
             "predicted pair for aspect 'lens' references a sentence outside the gold corpus"
         )
+
+    def test_a_line_that_appears_twice_is_two_sentences(self):
+        gold = gold_corpus("sound[+2]##the sound is great .", "sound[+2]##the sound is great .")
+        assert gold.sentences[0] == gold.sentences[1]
+        b = evaluate_extraction_detailed([prediction(gold.sentences[0], "sound")], gold)
+        assert (b.n_gold_aspects, b.aspect_p, b.aspect_r) == (2, 1.0, 0.5)
+
+    def test_a_sentence_of_another_corpus_is_outside_even_when_its_line_is_equal(self):
+        gold = gold_corpus("sound[+2]##the sound is great .")
+        other = gold_corpus("sound[+2]##the sound is great .", "##zoom works .", product="other")
+        with pytest.raises(ValueError, match="outside the gold corpus"):
+            evaluate_extraction_detailed([prediction(other.sentences[0], "sound")], gold)
+
+    def test_pairs_checked_against_a_second_load_of_their_file_are_rejected(
+        self, resources, sample_dir, minieval_corpus, minieval_tagged
+    ):
+        pairs = extract_corpus(minieval_tagged, resources)
+        assert pairs and evaluate_extraction_detailed(pairs, minieval_corpus).aspect_p > 0
+        again = load_corpus(sample_dir / "minieval.txt", minieval_corpus.product_name)
+        assert again == minieval_corpus
+        with pytest.raises(ValueError, match="outside the gold corpus"):
+            evaluate_extraction_detailed(pairs, again)
 
 
 def continued_fraction_t_sf(t, df):

@@ -101,12 +101,9 @@ def test_evaluation_compares_each_sentence_term_pair_at_most_once(
 
     predicted_terms = {}
     for pair in pairs:
-        key = (pair.sentence.source.review_id, pair.sentence.source.sentence_index)
+        key = id(pair.sentence.source)
         predicted_terms.setdefault(key, set()).add(pair.aspect_surface.lower())
-    gold_terms = {
-        (s.review_id, s.sentence_index): {a.aspect_term.lower() for a in s.gold}
-        for s in corpus.sentences
-    }
+    gold_terms = {id(s): {a.aspect_term.lower() for a in s.gold} for s in corpus.sentences}
     distinct = sum(
         len(terms) * len(gold_terms[key]) for key, terms in predicted_terms.items()
     )

@@ -26,7 +26,7 @@ def output_digest():
 @pytest.mark.parametrize("stem", sorted(RECORDED))
 def test_sample_digest_is_unchanged(output_digest, resources, sample_dir, stem):
     name, digest = RECORDED[stem]
-    got, _ = output_digest.product_digest(
+    got, _, _ = output_digest.product_digest(
         sample_dir / f"{stem}.txt", sample_dir / f"{stem}-pretagged.txt", resources, name
     )
     assert got == digest

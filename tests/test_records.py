@@ -34,8 +34,6 @@ class GoldAnnotation:
 
 @dataclass(frozen=True, slots=True)
 class ReviewSentence:
-    review_id: str
-    sentence_index: int
     raw_text: str
     gold: tuple[GoldAnnotation, ...] = ()
     is_title: bool = False
@@ -113,8 +111,7 @@ gold = st.builds(
     corpus.GoldAnnotation, words, small, st.frozensets(words, max_size=2)
 )
 source = st.builds(
-    corpus.ReviewSentence, words, small, words,
-    st.lists(gold, max_size=2).map(tuple), st.booleans(),
+    corpus.ReviewSentence, words, st.lists(gold, max_size=2).map(tuple), st.booleans()
 )
 tagged = st.builds(
     tagger.TaggedSentence, st.lists(words, max_size=3).map(tuple),

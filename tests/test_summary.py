@@ -537,9 +537,18 @@ def _render_text(summary):
 
 
 def _render_machine(summary):
+    # free text with each whitespace run as one space, so a row stays one line
+    def one_line(text):
+        chars, after_space = [], False
+        for ch in text:
+            if not (ch.isspace() and after_space):
+                chars.append(" " if ch.isspace() else ch)
+            after_space = ch.isspace()
+        return "".join(chars)
+
     lines = [
         "summary\t{}\t{}\t{}\t{}".format(
-            summary.product_name or "reviews",
+            one_line(summary.product_name or "reviews"),
             summary.total,
             summary.positive_pct,
             summary.negative_pct,
@@ -552,11 +561,11 @@ def _render_machine(summary):
     for group in summary.groups:
         for entry in group.pros:
             lines.append(
-                f"sentence\t{group.label}\tpositive\t{entry.weight}\t{entry.text}"
+                f"sentence\t{group.label}\tpositive\t{entry.weight}\t{one_line(entry.text)}"
             )
         for entry in group.cons:
             lines.append(
-                f"sentence\t{group.label}\tnegative\t{entry.weight}\t{entry.text}"
+                f"sentence\t{group.label}\tnegative\t{entry.weight}\t{one_line(entry.text)}"
             )
     return "\n".join(lines) + "\n"
 

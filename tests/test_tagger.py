@@ -70,8 +70,6 @@ class TestParsePretagged:
 
 def build_sentence(drawn, position, gold):
     source = ReviewSentence(
-        review_id="r1",
-        sentence_index=position,
         raw_text=" ".join(w for w, _ in drawn),
         gold=tuple(GoldAnnotation(aspect_term=term, strength=1) for term in gold),
     )
