@@ -32,6 +32,11 @@ from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 def record(cls: type) -> type:
     """``cls`` as a frozen slotted dataclass with the slot-setter ``__init__``."""
     undocumented = cls.__doc__ is None
+    if undocumented:
+        # dataclass would document the class from object's builtin
+        # signature, which costs inspect a tokenize pass, only to be
+        # overwritten below
+        cls.__doc__ = cls.__name__
     cls = dataclass(frozen=True, slots=True, init=False)(cls)
     declared = fields(cls)
     names = [f.name for f in declared]

@@ -13,19 +13,20 @@ optional bracketed qualifier flags such as ``[u]`` or ``[cs]``.  Unknown
 flags are kept verbatim.  Lines that carry a malformed annotation are
 retained with empty gold and a logged warning; lines matching none of
 the three forms (stray preamble text) are skipped with a warning.
+Warnings go to the ``aspectminer.corpus`` logger; ``logging`` is
+imported on the first one, so a run over clean files never loads it.
+Within one parsed file, equal gold terms and equal flag sets are one
+object each.
 """
 
 from __future__ import annotations
 
-import logging
 import re
 from dataclasses import dataclass
 from pathlib import Path
 
 from ._records import record
 from .errors import read_text, text_lines
-
-log = logging.getLogger(__name__)
 
 # term, signed strength, then any number of [flag] groups
 _ANNOT_RE = re.compile(
@@ -56,8 +57,20 @@ class Corpus:
     sentences: tuple[ReviewSentence, ...] = ()
 
 
-def _parse_annotation(text: str) -> GoldAnnotation:
-    """Parse one ``term[+d]`` group; raises ValueError when malformed."""
+def _warn(message: str, *args: object) -> None:
+    import logging
+
+    logging.getLogger(__name__).warning(message, *args)
+
+
+def _parse_annotation(text: str, shared: dict | None = None) -> GoldAnnotation:
+    """Parse one ``term[+d]`` group; raises ValueError when malformed.
+
+    The term and the flag set are stored as ``shared``'s object for
+    them, added when new.
+    """
+    if shared is None:
+        shared = {}
     text = text.strip()
     m = _ANNOT_RE.match(text)
     if m is None:
@@ -65,6 +78,7 @@ def _parse_annotation(text: str) -> GoldAnnotation:
     term, sign, digits, flag_groups = m.groups()
     # the stripped text starts with the term, so the term holds a non-space
     term = term.strip()
+    term = shared.setdefault(term, term)
     strength = int(digits)
     if sign == "-":
         strength = -strength
@@ -72,13 +86,12 @@ def _parse_annotation(text: str) -> GoldAnnotation:
         raise ValueError(f"strength {strength:+d} out of range")
     if not flag_groups:
         return GoldAnnotation(term, strength)
-    return GoldAnnotation(
-        term, strength, frozenset(f.strip() for f in _FLAG_RE.findall(flag_groups))
-    )
+    flags = frozenset(f.strip() for f in _FLAG_RE.findall(flag_groups))
+    return GoldAnnotation(term, strength, shared.setdefault(flags, flags))
 
 
-def _parse_gold(prefix: str) -> tuple[GoldAnnotation, ...]:
-    return tuple(_parse_annotation(part) for part in prefix.split(",") if part.strip())
+def _parse_gold(prefix: str, shared: dict) -> tuple[GoldAnnotation, ...]:
+    return tuple(_parse_annotation(part, shared) for part in prefix.split(",") if part.strip())
 
 
 def parse_corpus_file(
@@ -92,22 +105,23 @@ def parse_corpus_file(
     """
     where = f"{path}: " if path is not None else ""
     sentences: list[ReviewSentence] = []
+    # each gold term and flag set to its one object in this file; a str
+    # never equals a frozenset, so one table serves both
+    shared: dict = {}
     for lineno, line in text_lines(content):
         if line.startswith("[t]"):
             sentences.append(ReviewSentence(line[3:].strip(), is_title=True))
             continue
         if "##" not in line:
-            log.warning("%sline %d: no sentence marker, skipped: %r", where, lineno, line[:60])
+            _warn("%sline %d: no sentence marker, skipped: %r", where, lineno, line[:60])
             continue
         prefix, _, text = line.partition("##")
         gold: tuple[GoldAnnotation, ...] = ()
         if prefix.strip():
             try:
-                gold = _parse_gold(prefix)
+                gold = _parse_gold(prefix, shared)
             except ValueError as exc:
-                log.warning(
-                    "%sline %d: %s; keeping sentence without gold", where, lineno, exc
-                )
+                _warn("%sline %d: %s; keeping sentence without gold", where, lineno, exc)
                 gold = ()
         sentences.append(ReviewSentence(text.strip(), gold))
     return Corpus(product_name=product_name, sentences=tuple(sentences))

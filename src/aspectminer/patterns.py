@@ -29,7 +29,7 @@ from typing import Callable, Collection, Iterable
 from ._records import record
 from .errors import ParseError, _parse_files, text_lines
 from .lexicons import NEGATIVE, POSITIVE, AspectDictionary, OpinionLexicon
-from .tagger import NOUN_TAGS, PENN_TAGS, TaggedSentence
+from .tagger import _PENN_TAG, NOUN_TAGS, PENN_TAGS, TaggedSentence
 
 # Tags a pattern may mark as the opinion role.
 OPINION_ROLE_TAGS = frozenset(
@@ -127,7 +127,7 @@ def parse_pattern_line(line: str) -> TagPattern:
         if tok.endswith(":A") or tok.endswith(":O"):
             role = tok[-1]
             tok = tok[:-2]
-        tags.append(tok)
+        tags.append(_PENN_TAG.get(tok, tok))  # TagPattern rejects an unknown one
         if role == "A":
             if aspect_offset is not None:
                 raise ValueError("more than one aspect position")

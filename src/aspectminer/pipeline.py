@@ -163,7 +163,8 @@ def load_pretagged_file(
     :func:`_spells`).  A corpus sentence without text (a bare ``##`` or
     ``[t]`` line, which ``tag`` prints as a blank line) takes no line and
     gets an empty :class:`TaggedSentence`.  Positions count up from
-    ``start`` by corpus sentence, as in :func:`tag_corpus`.
+    ``start`` by corpus sentence, as in :func:`tag_corpus`.  Equal
+    surfaces within the file are one string.
     """
     lines = text_lines(read_text(path))
     sources: Sequence[ReviewSentence | None] = [None] * len(lines)
@@ -178,6 +179,7 @@ def load_pretagged_file(
                 path=path,
             )
     tagged = []
+    words: dict[str, str] = {}
     annotations = iter(lines)
     for i, source in enumerate(sources):
         if source is not None and not source.raw_text:
@@ -185,7 +187,7 @@ def load_pretagged_file(
             continue
         lineno, line = next(annotations)
         try:
-            sentence = parse_pretagged(line, source=source, position=start + i)
+            sentence = parse_pretagged(line, source, start + i, words=words)
         except ParseError as exc:
             raise ParseError(exc.message, path=path, line=lineno) from exc
         if source is not None and not _spells(sentence.surfaces, source.raw_text):

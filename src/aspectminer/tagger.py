@@ -13,6 +13,13 @@ No surface contains a character for which ``str.isspace()`` is true:
 the pretagged parser splits items on whitespace and ``corpus.tokenize``
 splits words on it.  Extraction relies on this when it joins lowercased
 surfaces by single spaces to probe the aspect dictionary.
+
+Every tag this module hands out, from the pretagged parser, the tag
+lexicon or the baseline tagger, is the one ``PENN_TAGS`` object for
+that tag (``_PENN_TAG`` maps each tag to it), so a loaded corpus holds
+one string per distinct tag however many tokens carry it.  A caller of
+:func:`parse_pretagged` can pass one ``words`` table to all the lines of
+a file so that equal surfaces are one string too.
 """
 
 from __future__ import annotations
@@ -36,6 +43,9 @@ PENN_TAGS = frozenset(
         "#", "$", "''", "(", ")", ",", ".", ":", "``", "-LRB-", "-RRB-",
     }
 )
+
+# tag -> its PENN_TAGS object; loaders store the value, so a tag is one string
+_PENN_TAG = {tag: tag for tag in PENN_TAGS}
 
 NOUN_TAGS = frozenset({"NN", "NNS", "NNP", "NNPS"})
 VERB_TAGS = frozenset({"VB", "VBD", "VBG", "VBN", "VBP", "VBZ"})
@@ -91,22 +101,30 @@ def parse_pretagged(
     line: str,
     source: ReviewSentence | None = None,
     position: int = 0,
+    *,
+    words: dict[str, str] | None = None,
 ) -> TaggedSentence:
-    """Parse one ``word/TAG`` line; unknown tags are hard errors."""
+    """Parse one ``word/TAG`` line; unknown tags are hard errors.
+
+    Each surface is stored as ``words``' object for it, added when new,
+    so lines parsed with one table share their repeated words.
+    """
+    share = ({} if words is None else words).setdefault
     # Both columns are built as lists: a tuple grown from a generator is
     # resized, and CPython's tuple free lists then keep up to 2,000 of
     # each length alive.
     surfaces = []
     tags = []
     for i, item in enumerate(line.split()):
-        surface, sep, tag = item.rpartition("/")
+        surface, sep, name = item.rpartition("/")
         if not sep:
             raise ParseError(f"item {i + 1} {item!r} has no '/' delimiter")
         if not surface:
             raise ParseError(f"item {i + 1} {item!r} has an empty word")
-        if tag not in PENN_TAGS:
-            raise ParseError(f"item {i + 1} {item!r}: unknown tag {tag!r}")
-        surfaces.append(surface)
+        tag = _PENN_TAG.get(name)
+        if tag is None:
+            raise ParseError(f"item {i + 1} {item!r}: unknown tag {name!r}")
+        surfaces.append(share(surface, surface))
         tags.append(tag)
     if not surfaces:
         raise ParseError("empty pretagged line")
@@ -128,11 +146,12 @@ def _parse_tag_lexicon(texts, paths) -> Mapping[str, str]:
     (path,) = paths
     lexicon: dict[str, str] = {}
     for lineno, line in text_lines(texts[0], comments=True):
-        word, sep, tag = line.partition("\t")
+        word, sep, name = line.partition("\t")
         if not sep or not word:
             raise ParseError("expected word<TAB>TAG", path=path, line=lineno)
-        if tag not in PENN_TAGS:
-            raise ParseError(f"unknown tag {tag!r} for {word!r}", path=path, line=lineno)
+        tag = _PENN_TAG.get(name)
+        if tag is None:
+            raise ParseError(f"unknown tag {name!r} for {word!r}", path=path, line=lineno)
         lexicon.setdefault(word, tag)
     return MappingProxyType(lexicon)
 

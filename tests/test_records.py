@@ -258,6 +258,6 @@ def test_init_stores_each_field_through_its_slot_setter(record_cls):
     ids=lambda r: r.__name__,
 )
 def test_record_without_docstring_is_documented_by_its_signature(record_cls):
-    # dataclass writes the class doc from the signature before @record
-    # gives the class its __init__; @record writes it again after
+    # @record hands dataclass a placeholder doc, so dataclass builds none,
+    # and writes the doc from the signature of the __init__ it installs
     assert record_cls.__doc__ == TWINS[record_cls].__doc__
