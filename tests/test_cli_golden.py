@@ -1,4 +1,4 @@
-"""CLI golden test: twenty sample runs frozen byte-for-byte.
+"""CLI golden test: twenty-two sample runs frozen byte-for-byte.
 
 Each case runs ``python -m aspectminer`` in a directory holding copies
 of the bundled sample files, and compares its exit code, stdout and
@@ -56,9 +56,17 @@ CASES = {
     "evaluate-two-aligned": [
         "evaluate", "--corpus", M, "--corpus", R, "--pretagged", MP, "--pretagged", RP,
     ],
+    "evaluate-two-aligned-no-fallback-no-conjunction": [
+        "evaluate", "--corpus", M, "--corpus", R, "--pretagged", MP, "--pretagged", RP,
+        "--no-fallback", "--no-conjunction",
+    ],
     "evaluate-baseline": ["evaluate", "--corpus", M, "--corpus", R, "--baseline", BASELINE],
     "summarize-pretagged-text": ["summarize", "--pretagged", RP],
     "summarize-pretagged-machine": ["summarize", "--pretagged", RP, "--format", "machine"],
+    "summarize-aligned-no-fallback-no-conjunction": [
+        "summarize", "--corpus", R, "--pretagged", RP, "--format", "machine",
+        "--no-fallback", "--no-conjunction",
+    ],
     "summarize-pretagged-histogram": [
         "summarize", "--pretagged", RP, "--product", "mp3 player", "--format", "histogram",
     ],
