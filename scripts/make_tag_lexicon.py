@@ -12,6 +12,7 @@ Usage: python scripts/make_tag_lexicon.py [output-path]
 
 from __future__ import annotations
 
+import argparse
 import sys
 from pathlib import Path
 
@@ -298,8 +299,17 @@ def build_entries() -> list[tuple[str, str]]:
     return entries
 
 
-def main() -> None:
-    out = Path(sys.argv[1]) if len(sys.argv) > 1 else DATA / "tag-lexicon.txt"
+def main(argv: list[str] | None = None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "out",
+        nargs="?",
+        metavar="output-path",
+        type=Path,
+        default=DATA / "tag-lexicon.txt",
+        help="output path (default: the bundled lexicon)",
+    )
+    out = parser.parse_args(argv).out
     entries = build_entries()
     seen = set()
     lines = [

@@ -4,13 +4,14 @@
 For each workload the seeded benchmark catalog is generated into a
 temporary directory (with ``bench/run.py``'s ``build_catalog``; nothing
 under ``bench/`` is written).  Each product is then run twice, on its
-pretagged file and through the baseline tagger, and each run feeds the
-digest with its extracted pairs, its sentence scores, the three summary
-renders and the ``pipeline.evaluate_corpus`` breakdown.  Each
-workload's digest then takes the ``compare_to_baseline`` table of the
-baseline-tagged runs: each product's headline (subset-match) scores
-against its exact-match scores, paired t-tests included.  Two trees
-whose lines agree produce the same outputs on these catalogs.
+pretagged file and through the baseline tagger.  Each run extracts its
+pairs once and feeds the digest with them, its sentence scores, the
+three summary renders and the ``pipeline.evaluate_corpus`` breakdown,
+all computed from those pairs.  Each workload's digest then takes the
+``compare_to_baseline`` table of the baseline-tagged runs: each
+product's headline (subset-match) scores against its exact-match
+scores, paired t-tests included.  Two trees whose lines agree produce
+the same outputs on these catalogs.
 
 Usage: python scripts/output_digest.py [--seed N] [--workload NAME ...]
 """
@@ -45,7 +46,7 @@ def run_lines(
     corpus: Corpus, tagged: list[TaggedSentence], res: pipeline.Resources
 ) -> tuple[list[str], ExtractionScores, ExtractionBreakdown]:
     """The outputs of one tagged product, one text line each, with its
-    headline row and breakdown."""
+    headline row and breakdown; its pairs are extracted once."""
     pairs = pipeline.extract_corpus(tagged, res)
     lines = [
         repr(
@@ -57,13 +58,13 @@ def run_lines(
         for p in pairs
     ]
     result, _, scores = pipeline.summarize_corpus(
-        tagged, res, product_name=corpus.product_name
+        tagged, res, product_name=corpus.product_name, pairs=pairs
     )
     for s in tagged:
         score = scores[s]
         lines.append(repr((s.position, score.adjective_adverb_points, score.verb_points)))
     lines.extend(summary.render(result, fmt) for fmt in RENDER_FORMATS)
-    scores, breakdown = pipeline.evaluate_corpus(corpus, tagged, res)
+    scores, breakdown = pipeline.evaluate_corpus(corpus, pairs)
     lines.append(repr(astuple(breakdown)))
     return lines, scores, breakdown
 

@@ -41,7 +41,7 @@ from .evaluation import (
     make_report,
     render_report,
 )
-from .patterns import MAX_PATTERN_LEN, MIN_PATTERN_LEN, mine_frequent_tag_sets
+from .patterns import MAX_PATTERN_LEN, MIN_PATTERN_LEN, AspectOpinionPair, mine_frequent_tag_sets
 from .pipeline import (
     DEFAULT_FILES,
     Resources,
@@ -266,13 +266,20 @@ def _cmd_mine(config: RunConfig, res: Resources, inputs: _Inputs) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_extract(config: RunConfig, res: Resources, inputs: _Inputs) -> str:
-    pairs = extract_corpus(
-        _sentences(inputs),
+def _pairs(
+    config: RunConfig, res: Resources, tagged: list[TaggedSentence]
+) -> list[AspectOpinionPair]:
+    """The pairs of ``tagged``, extracted with the run's options."""
+    return extract_corpus(
+        tagged,
         res,
         fallback=config.enable_fallback_search,
         conjunction=config.enable_conjunction_expand,
     )
+
+
+def _cmd_extract(config: RunConfig, res: Resources, inputs: _Inputs) -> str:
+    pairs = _pairs(config, res, _sentences(inputs))
     if config.format == "machine":
         lines = ["# sentence_id\taspect\topinion\tpolarity\tpattern"]
         lines.extend(
@@ -292,13 +299,13 @@ def _cmd_extract(config: RunConfig, res: Resources, inputs: _Inputs) -> str:
 
 
 def _cmd_summarize(config: RunConfig, res: Resources, inputs: _Inputs) -> str:
+    tagged = _sentences(inputs)
     summary, _, _ = summarize_corpus(
-        _sentences(inputs),
+        tagged,
         res,
         top_k=config.top_k,
         product_name=config.product or Path((config.corpus or config.pretagged)[0]).stem,
-        fallback=config.enable_fallback_search,
-        conjunction=config.enable_conjunction_expand,
+        pairs=_pairs(config, res, tagged),
     )
     return render(summary, config.format)
 
@@ -307,13 +314,7 @@ def _cmd_evaluate(config: RunConfig, res: Resources, inputs: _Inputs) -> str:
     rows = []
     breakdowns = []
     for corpus, tagged in inputs:
-        scores, breakdown = evaluate_corpus(
-            corpus,
-            tagged,
-            res,
-            fallback=config.enable_fallback_search,
-            conjunction=config.enable_conjunction_expand,
-        )
+        scores, breakdown = evaluate_corpus(corpus, _pairs(config, res, tagged))
         rows.append(scores)
         breakdowns.append(breakdown)
     report = make_report(rows)

@@ -1,5 +1,9 @@
 """End-to-end wiring: resource loading and corpus-level processing.
 
+A run extracts a corpus's pairs once, with :func:`extract_corpus`, the
+one function taking the extraction options, and hands the same pairs to
+:func:`summarize_corpus` and :func:`evaluate_corpus`.
+
 Bundled defaults live in the package ``data/`` directory; the
 ASPECTMINER_DATA environment variable points resource resolution at a
 different directory without touching individual path flags.
@@ -224,12 +228,12 @@ def summarize_corpus(
     res: Resources,
     top_k: int = 3,
     product_name: str = "",
-    *,
-    fallback: bool = True,
-    conjunction: bool = True,
+    pairs: list[AspectOpinionPair] | None = None,
 ) -> tuple[Summary, list[AspectGroup], dict[TaggedSentence, SentenceScore]]:
-    """extract -> group -> score -> summary for one tagged corpus."""
-    pairs = extract_corpus(tagged, res, fallback=fallback, conjunction=conjunction)
+    """group -> score -> summary for one tagged corpus and its ``pairs``,
+    extracted with the default options when not given."""
+    if pairs is None:
+        pairs = extract_corpus(tagged, res)
     groups = group_aspects(pairs, res.aspect_dictionary)
     scores = score_sentences(tagged, res.verb_categories)
     summary = generate_summary(groups, scores, top_k, product_name=product_name)
@@ -237,15 +241,9 @@ def summarize_corpus(
 
 
 def evaluate_corpus(
-    corpus: Corpus,
-    tagged: list[TaggedSentence],
-    res: Resources,
-    *,
-    fallback: bool = True,
-    conjunction: bool = True,
+    corpus: Corpus, pairs: list[AspectOpinionPair]
 ) -> tuple[ExtractionScores, ExtractionBreakdown]:
-    """Extract from the tagged sentences and score against the corpus gold."""
-    pairs = extract_corpus(tagged, res, fallback=fallback, conjunction=conjunction)
+    """Score pairs extracted from the corpus against its gold."""
     b = evaluate_extraction_detailed(pairs, corpus)
     scores = ExtractionScores.from_rates(
         corpus.product_name, b.aspect_p, b.aspect_r, b.opinion_p, b.opinion_r

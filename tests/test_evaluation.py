@@ -309,7 +309,8 @@ class TestEvaluationOnBundledFixture:
         assert b.opinion_r == pytest.approx(og / len(gold_opinions), abs=TOL)
 
     def test_evaluate_corpus_wrapper(self, resources, minieval_corpus, minieval_tagged):
-        scores, breakdown = evaluate_corpus(minieval_corpus, minieval_tagged, resources)
+        pairs = extract_corpus(minieval_tagged, resources)
+        scores, breakdown = evaluate_corpus(minieval_corpus, pairs)
         assert scores.product == minieval_corpus.product_name
         assert scores.aspect_p == pytest.approx(Fraction(17, 18), abs=TOL)
         assert scores.aspect_f == pytest.approx(
@@ -329,7 +330,7 @@ class TestExtractionScoresValue:
         gold = gold_corpus("sound[+2]##the sound is great .")
         s = gold.sentences[0]
         tagged = [parse_pretagged("the/DT sound/NN is/VBZ great/JJ ./.", source=s)]
-        scores, _ = evaluate_corpus(gold, tagged, resources)
+        scores, _ = evaluate_corpus(gold, extract_corpus(tagged, resources))
         assert scores.product == "widget"
         assert scores.aspect_f == pytest.approx(1.0, abs=TOL)
 

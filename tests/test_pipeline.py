@@ -289,3 +289,10 @@ class TestSummarizeCorpus:
     def test_groups_cover_all_pairs(self, resources, sample_tagged):
         summary, groups, _ = summarize_corpus(sample_tagged, resources)
         assert sum(len(g.pairs) for g in groups) == 23
+
+    def test_groups_exactly_the_given_pairs(self, resources, sample_tagged):
+        pairs = extract_corpus(sample_tagged, resources, fallback=False)
+        _, groups, _ = summarize_corpus(sample_tagged, resources, pairs=pairs)
+        grouped = [p for g in groups for p in g.pairs]
+        assert len(grouped) == len(pairs)
+        assert all(p.pattern_name != "nearest-aspect" for p in grouped)

@@ -149,7 +149,12 @@ def test_import_loads_no_logging_and_compiles_no_tokenize_regex():
         "print(compiled.cache_info().currsize if hasattr(compiled, 'cache_info') else 0)\n"
     )
     run = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        encoding="utf-8",
+        check=True,
     )
     loaded, compiled = run.stdout.splitlines()
     assert "aspectminer.pipeline" in loaded.split()

@@ -1,4 +1,5 @@
-"""The bundled tag lexicon is what scripts/make_tag_lexicon.py generates."""
+"""The bundled tag lexicon is what scripts/make_tag_lexicon.py generates,
+and its --help writes nothing."""
 
 import subprocess
 import sys
@@ -13,3 +14,17 @@ def test_script_regenerates_the_bundled_lexicon(tmp_path):
     out = tmp_path / "tag-lexicon.txt"
     subprocess.run([sys.executable, str(SCRIPT), str(out)], check=True, timeout=60)
     assert out.read_bytes() == BUNDLED.read_bytes()
+
+
+def test_help_prints_usage_and_writes_nothing(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPT), "--help"],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        encoding="utf-8",
+        timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: make_tag_lexicon.py")
+    assert list(tmp_path.iterdir()) == []
