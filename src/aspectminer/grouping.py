@@ -5,7 +5,8 @@ Extraction writes each dictionary term as its canonical, so synonyms
 partitions the surfaces by head key, their first word after a light
 plural strip: "battery", "battery life" and "battery charger" share the
 key "battery" and form one group, while "batteries" keys as "batterie"
-and stays apart.
+and stays apart.  A group holds its pairs; its surfaces are their
+``aspect_surface``s.
 """
 
 from __future__ import annotations
@@ -28,10 +29,9 @@ def head_key(term: str) -> str:
 
 @record
 class AspectGroup:
-    """One group of co-referring aspect surfaces and their pairs."""
+    """One group of co-referring aspect surfaces, held as the pairs that name them."""
 
     canonical_label: str
-    members: frozenset[str]
     pairs: tuple[AspectOpinionPair, ...]
 
 
@@ -65,7 +65,7 @@ def group_aspects(
         else:
             terms = [m for m in members if m in entries]
             label = min(terms or members, key=lambda t: (len(t), t))
-        groups.append(AspectGroup(label, frozenset(members), tuple(cluster_pairs[key])))
+        groups.append(AspectGroup(label, tuple(cluster_pairs[key])))
     # each label is a member of its own group and groups are disjoint, so
     # labels are distinct and order the groups alone
     groups.sort(key=lambda g: g.canonical_label)

@@ -87,7 +87,8 @@ def load_resources(
     tag_lexicon: str | Path | None = None,
 ) -> Resources:
     """Load every resource, falling back to the defaults in :func:`data_dir`,
-    which is resolved once per call.
+    which is resolved once per call, for each path that is ``None``; an
+    empty path is a missing file.
 
     The tag lexicon is only checked to be a file here; it is parsed by
     the first :meth:`Resources.tagger` call.
@@ -95,7 +96,7 @@ def load_resources(
     data = data_dir()
 
     def path(given: str | Path | None, resource: str) -> str | Path:
-        return given or os.path.join(data, DEFAULT_FILES[resource])
+        return os.path.join(data, DEFAULT_FILES[resource]) if given is None else given
 
     tag_lexicon_path = path(tag_lexicon, "tag_lexicon")
     if not os.path.isfile(tag_lexicon_path):

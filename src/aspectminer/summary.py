@@ -3,6 +3,10 @@
 Three renderings share one Summary value: a human-readable text report,
 a line-oriented machine format for external tooling, and an ASCII
 histogram of positive versus negative opinion shares.
+
+A group's pros and cons are the :class:`SentenceScore` objects of the
+``scores`` mapping that :func:`generate_summary` is given, not copies:
+an entry's weight is its ``total`` and its text its ``sentence.text()``.
 """
 
 from __future__ import annotations
@@ -23,22 +27,12 @@ HISTOGRAM_SCALE = 50  # columns for a 100% bar
 
 
 @record
-class SummaryEntry:
-    sentence: TaggedSentence
-    weight: int
-
-    @property
-    def text(self) -> str:
-        return self.sentence.text()
-
-
-@record
 class SummaryGroup:
     label: str
     positive_count: int
     negative_count: int
-    pros: tuple[SummaryEntry, ...]
-    cons: tuple[SummaryEntry, ...]
+    pros: tuple[SentenceScore, ...]
+    cons: tuple[SentenceScore, ...]
 
 
 @dataclass(frozen=True)
@@ -72,14 +66,12 @@ def _top_entries(
     sentences: list[TaggedSentence],
     scores: Mapping[TaggedSentence, SentenceScore],
     top_k: int,
-) -> tuple[SummaryEntry, ...]:
-    """A side's entries; a list of fewer than two sentences needs no ranking."""
+) -> tuple[SentenceScore, ...]:
+    """A side's top scores; a list of fewer than two sentences needs no ranking."""
     if len(sentences) > 1:
-        ranked = rank_sentences(sentences, scores, top_k)
-        return tuple([SummaryEntry(s, scores[s].total) for s in ranked])
+        return tuple([scores[s] for s in rank_sentences(sentences, scores, top_k)])
     if sentences:
-        s = sentences[0]
-        return (SummaryEntry(s, scores[s].total),)
+        return (scores[sentences[0]],)
     return ()
 
 
@@ -134,11 +126,11 @@ def generate_summary(
     )
 
 
-def _entry_lines(entries: tuple[SummaryEntry, ...]) -> str:
+def _entry_lines(entries: tuple[SentenceScore, ...]) -> str:
     if len(entries) == 1:  # most lists of an open vocabulary
         e = entries[0]
-        return f"    [{e.weight}] {e.text}\n"
-    return "".join([f"    [{e.weight}] {e.text}\n" for e in entries]) or "    (none)\n"
+        return f"    [{e.total}] {e.sentence.text()}\n"
+    return "".join([f"    [{e.total}] {e.sentence.text()}\n" for e in entries]) or "    (none)\n"
 
 
 def _render_text(summary: Summary) -> str:
@@ -175,9 +167,11 @@ def _render_machine(summary: Summary) -> str:
     for group in summary.groups:
         label = group.label
         for e in group.pros:
-            parts.append(f"sentence\t{label}\tpositive\t{e.weight}\t{_one_line(e.text)}\n")
+            text = _one_line(e.sentence.text())
+            parts.append(f"sentence\t{label}\tpositive\t{e.total}\t{text}\n")
         for e in group.cons:
-            parts.append(f"sentence\t{label}\tnegative\t{e.weight}\t{_one_line(e.text)}\n")
+            text = _one_line(e.sentence.text())
+            parts.append(f"sentence\t{label}\tnegative\t{e.total}\t{text}\n")
     return "".join(parts)
 
 

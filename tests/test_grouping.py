@@ -24,6 +24,11 @@ def pair(aspect, opinion="good", orientation="positive", position=0):
     )
 
 
+def surfaces_of(group):
+    """The distinct aspect surfaces of a group's pairs."""
+    return {p.aspect_surface for p in group.pairs}
+
+
 class TestHeadKey:
     def test_first_word_default(self):
         assert head_key("battery life") == "battery"
@@ -51,13 +56,13 @@ class TestGroupAspects:
         pairs = [pair("picture"), pair("pictures")]
         groups = group_aspects(pairs, AspectDictionary())
         assert len(groups) == 1
-        assert groups[0].members == {"picture", "pictures"}
+        assert surfaces_of(groups[0]) == {"picture", "pictures"}
 
     def test_head_word_merge(self):
         pairs = [pair("battery life"), pair("battery charger"), pair("battery")]
         groups = group_aspects(pairs, AspectDictionary())
         assert len(groups) == 1
-        assert groups[0].members == {"battery life", "battery charger", "battery"}
+        assert surfaces_of(groups[0]) == {"battery life", "battery charger", "battery"}
 
     def test_unrelated_surfaces_stay_apart(self):
         pairs = [pair("screen"), pair("sound")]
@@ -76,7 +81,7 @@ class TestGroupAspects:
     def test_label_falls_back_to_shortest_member(self):
         pairs = [pair("straps"), pair("strap pad"), pair("strap")]
         groups = group_aspects(pairs, AspectDictionary())
-        assert [(g.canonical_label, g.members) for g in groups] == [
+        assert [(g.canonical_label, surfaces_of(g)) for g in groups] == [
             ("strap", {"strap", "straps", "strap pad"})
         ]
 
@@ -84,7 +89,7 @@ class TestGroupAspects:
         pairs = [pair("straps"), pair("strap pad"), pair("strap")]
         d = AspectDictionary(entries={"strap pad": "strap pad"})
         groups = group_aspects(pairs, d)
-        assert [(g.canonical_label, g.members) for g in groups] == [
+        assert [(g.canonical_label, surfaces_of(g)) for g in groups] == [
             ("strap pad", {"strap", "straps", "strap pad"})
         ]
 
@@ -110,7 +115,7 @@ class TestGroupAspects:
         groups = group_aspects(pairs, AspectDictionary())
         total = sum(len(g.pairs) for g in groups)
         assert total == len(pairs)
-        all_members = [m for g in groups for m in g.members]
+        all_members = [m for g in groups for m in surfaces_of(g)]
         assert len(all_members) == len(set(all_members))
 
     def test_groups_sorted_by_label(self):
@@ -136,9 +141,7 @@ class TestGroupAspects:
         assert [g.canonical_label for g in second] == ["screen", "sound"]
 
     def test_group_is_value_object(self):
-        g = AspectGroup(
-            canonical_label="screen", members=frozenset({"screen"}), pairs=()
-        )
+        g = AspectGroup(canonical_label="screen", pairs=())
         assert g.pairs == ()
 
 
@@ -201,10 +204,8 @@ def per_cluster_scan_groups(pairs, dictionary):
         else:
             label = min(members, key=lambda m: (len(m), m))
         group_pairs = tuple(p for p in pairs if p.aspect_surface.lower() in member_set)
-        groups.append(
-            AspectGroup(canonical_label=label, members=member_set, pairs=group_pairs)
-        )
-    groups.sort(key=lambda g: (g.canonical_label, sorted(g.members)))
+        groups.append(AspectGroup(canonical_label=label, pairs=group_pairs))
+    groups.sort(key=lambda g: (g.canonical_label, sorted(surfaces_of(g))))
     return groups
 
 
@@ -224,8 +225,8 @@ DIFF_ENTRIES = [
 
 
 def group_shape(groups):
-    """Labels, members and the identity and order of each group's pairs."""
-    return [(g.canonical_label, g.members, [id(p) for p in g.pairs]) for g in groups]
+    """Labels, surfaces and the identity and order of each group's pairs."""
+    return [(g.canonical_label, surfaces_of(g), [id(p) for p in g.pairs]) for g in groups]
 
 
 def closed_entries(drawn):

@@ -140,7 +140,7 @@ def test_grouping_of_8k_distinct_surfaces():
 def test_grouping_of_a_16k_surface_cluster():
     # Every surface shares the head key "common", half of them are
     # dictionary terms, and each is paired twice: one group whose label
-    # and members cost one pass over the cluster.
+    # costs one pass over the cluster.
     surfaces = [f"common z{i}" for i in range(16_000)]
     entries = {surface: surface for surface in surfaces[1::2]}
     pairs = [
@@ -151,7 +151,7 @@ def test_grouping_of_a_16k_surface_cluster():
     groups, elapsed = timed(group_aspects, pairs, AspectDictionary(entries=entries))
 
     assert len(groups) == 1
-    assert len(groups[0].members) == 16_000
+    assert len({p.aspect_surface for p in groups[0].pairs}) == 16_000
     assert len(groups[0].pairs) == 32_000
     assert groups[0].canonical_label == "common z1"
     assert elapsed < 1.0

@@ -2,6 +2,7 @@
 
 import os
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +19,7 @@ from aspectminer.pipeline import (
     tag_corpus,
 )
 from aspectminer.corpus import load_corpus, parse_corpus_file
+from aspectminer.lexicons import NEGATIVE, POSITIVE
 from aspectminer.summary import render
 
 
@@ -52,6 +54,17 @@ class TestLoadResources:
         # everything else still comes from the bundled files
         assert "terrible" in res.opinion_lexicon.negative
         assert len(res.pattern_set.patterns) == 11
+
+    @pytest.mark.parametrize("resource", sorted(DEFAULT_FILES))
+    def test_empty_path_is_missing_not_default(self, resource):
+        # only None falls back to the bundled file; "" and Path("") (which
+        # is ".") name no file
+        with pytest.raises(FileNotFoundError) as exc:
+            load_resources(**{resource: ""})
+        assert exc.value.args == ("",)
+        with pytest.raises(FileNotFoundError) as exc:
+            load_resources(**{resource: Path("")})
+        assert exc.value.args == (".",)
 
     def test_env_redirect_missing_files(self, monkeypatch, tmp_path):
         monkeypatch.setenv(DATA_ENV_VAR, str(tmp_path))
@@ -296,3 +309,30 @@ class TestSummarizeCorpus:
         grouped = [p for g in groups for p in g.pairs]
         assert len(grouped) == len(pairs)
         assert all(p.pattern_name != "nearest-aspect" for p in grouped)
+
+    @pytest.mark.parametrize("tagging", ["pretagged", "baseline"])
+    @pytest.mark.parametrize("sample", ["sample", "minieval"])
+    def test_entries_are_the_scores_of_their_group_sentences(
+        self, request, resources, sample, tagging
+    ):
+        # each pros/cons entry is the sentence's own SentenceScore, not a
+        # copy, and its sentence carries a pair of that group and polarity
+        corpus = request.getfixturevalue(f"{sample}_corpus")
+        if tagging == "pretagged":
+            tagged = request.getfixturevalue(f"{sample}_tagged")
+        else:
+            tagged = tag_corpus(corpus, resources.tagger())
+        summary, groups, scores = summarize_corpus(tagged, resources)
+        by_label = {g.canonical_label: g for g in groups}
+        entries = 0
+        for group in summary.groups:
+            pairs = by_label[group.label].pairs
+            for side, orientation in ((group.pros, POSITIVE), (group.cons, NEGATIVE)):
+                for entry in side:
+                    assert entry is scores[entry.sentence]
+                    assert any(
+                        p.sentence is entry.sentence and p.orientation == orientation
+                        for p in pairs
+                    )
+                    entries += 1
+        assert entries > 0

@@ -144,7 +144,7 @@ class TestGroupingProperties:
         ]
         groups = group_aspects(pairs, AspectDictionary())
         assert sum(len(g.pairs) for g in groups) == len(pairs)
-        members = [m for g in groups for m in g.members]
+        members = [m for g in groups for m in {p.aspect_surface for p in g.pairs}]
         assert len(members) == len(set(members))
         assert set(members) == {a.lower() for a in aspects}
 
@@ -166,7 +166,7 @@ class TestGroupingProperties:
         ]
         groups = group_aspects(pairs, AspectDictionary())
         for g in groups:
-            assert g.canonical_label in g.members
+            assert g.canonical_label in {p.aspect_surface for p in g.pairs}
 
     @given(st.text(alphabet="abcs ", max_size=12))
     @settings(max_examples=200)

@@ -1,8 +1,8 @@
 """The records against plain generated-dataclass twins.
 
 ``ReviewSentence``, ``GoldAnnotation``, ``TaggedSentence``,
-``AspectOpinionPair``, ``SentenceScore``, ``AspectGroup``,
-``SummaryGroup`` and ``SummaryEntry`` are declared ``@record``
+``AspectOpinionPair``, ``SentenceScore``, ``AspectGroup`` and
+``SummaryGroup`` are declared ``@record``
 (:func:`aspectminer._records.record`): frozen slotted dataclasses whose
 ``__init__`` is compiled from the field list to store each argument
 through its slot's setter.  Each twin below is the plain
@@ -71,17 +71,10 @@ class SentenceScore:
 
 @dataclass(frozen=True, slots=True)
 class AspectGroup:
-    """One group of co-referring aspect surfaces and their pairs."""
+    """One group of co-referring aspect surfaces, held as the pairs that name them."""
 
     canonical_label: str
-    members: frozenset[str]
     pairs: tuple[AspectOpinionPair, ...]
-
-
-@dataclass(frozen=True, slots=True)
-class SummaryEntry:
-    sentence: TaggedSentence
-    weight: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -89,8 +82,8 @@ class SummaryGroup:
     label: str
     positive_count: int
     negative_count: int
-    pros: tuple[SummaryEntry, ...]
-    cons: tuple[SummaryEntry, ...]
+    pros: tuple[SentenceScore, ...]
+    cons: tuple[SentenceScore, ...]
 
 
 TWINS = {
@@ -100,7 +93,6 @@ TWINS = {
     patterns.AspectOpinionPair: AspectOpinionPair,
     scoring.SentenceScore: SentenceScore,
     grouping.AspectGroup: AspectGroup,
-    summary.SummaryEntry: SummaryEntry,
     summary.SummaryGroup: SummaryGroup,
 }
 RECORDS = list(TWINS)
@@ -120,7 +112,7 @@ tagged = st.builds(
 pair = st.builds(
     patterns.AspectOpinionPair, words, words, words, tagged, small, small, words, small
 )
-entry = st.builds(summary.SummaryEntry, tagged, small)
+score = st.builds(scoring.SentenceScore, tagged, small, small)
 # One strategy per field type; the records share values, so equal draws
 # are common enough to test equality both ways.
 FIELD_VALUES = {
@@ -133,7 +125,7 @@ FIELD_VALUES = {
     "ReviewSentence | None": st.none() | source,
     "TaggedSentence": tagged,
     "tuple[AspectOpinionPair, ...]": st.lists(pair, max_size=2).map(tuple),
-    "tuple[SummaryEntry, ...]": st.lists(entry, max_size=2).map(tuple),
+    "tuple[SentenceScore, ...]": st.lists(score, max_size=2).map(tuple),
 }
 
 
@@ -254,7 +246,7 @@ def test_init_stores_each_field_through_its_slot_setter(record_cls):
 
 @pytest.mark.parametrize(
     "record_cls",
-    [corpus.ReviewSentence, scoring.SentenceScore, summary.SummaryEntry, summary.SummaryGroup],
+    [corpus.ReviewSentence, scoring.SentenceScore, summary.SummaryGroup],
     ids=lambda r: r.__name__,
 )
 def test_record_without_docstring_is_documented_by_its_signature(record_cls):

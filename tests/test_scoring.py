@@ -228,11 +228,7 @@ class TestRanking:
                 aspect_end=1,
             )
 
-        group = AspectGroup(
-            canonical_label="sound",
-            members=frozenset({"sound"}),
-            pairs=(mk(strong), mk(weak), mk(weak)),
-        )
+        group = AspectGroup(canonical_label="sound", pairs=(mk(strong), mk(weak), mk(weak)))
         group_sentences = {p.sentence for p in group.pairs}
         top = rank_sentences(group_sentences, scores, k=1)
         assert top == [strong]

@@ -14,7 +14,6 @@ from aspectminer.summary import (
     FORMATS,
     HISTOGRAM_SCALE,
     Summary,
-    SummaryEntry,
     SummaryGroup,
     _percentages,
     generate_summary,
@@ -43,11 +42,7 @@ def pair(aspect, orientation, sentence):
 
 
 def group_of(label, pairs):
-    return AspectGroup(
-        canonical_label=label,
-        members=frozenset({label}),
-        pairs=tuple(pairs),
-    )
+    return AspectGroup(canonical_label=label, pairs=tuple(pairs))
 
 
 class TestPercentages:
@@ -135,7 +130,7 @@ class TestGenerateSummary:
         summary = generate_summary(groups, scores, top_k=3)
         screen = summary.groups[1]
         # "very" RB + "nice" JJ
-        assert screen.pros[0].weight == 2
+        assert screen.pros[0].total == 2
 
     def test_top_k_limits_each_list(self):
         sents = [
@@ -174,7 +169,7 @@ class TestGenerateSummary:
 class TestTextFormat:
     def test_exact_rendering(self):
         s = sent("the/DT sound/NN is/VBZ wonderful/JJ ./.")
-        entry = SummaryEntry(sentence=s, weight=1)
+        entry = SentenceScore(s, 1, 0)
         summary = Summary(
             product_name="mp3 player",
             groups=(
@@ -226,8 +221,8 @@ class TestMachineFormat:
                     label="sound",
                     positive_count=1,
                     negative_count=1,
-                    pros=(SummaryEntry(sentence=s1, weight=1),),
-                    cons=(SummaryEntry(sentence=s2, weight=1),),
+                    pros=(SentenceScore(s1, 1, 0),),
+                    cons=(SentenceScore(s2, 1, 0),),
                 ),
             ),
             positive_total=1,
@@ -262,7 +257,7 @@ class TestMachineFormat:
                     label="a",
                     positive_count=1,
                     negative_count=0,
-                    pros=(SummaryEntry(sentence=s, weight=1),),
+                    pros=(SentenceScore(s, 1, 0),),
                     cons=(),
                 ),
                 SummaryGroup(
@@ -270,7 +265,7 @@ class TestMachineFormat:
                     positive_count=0,
                     negative_count=1,
                     pros=(),
-                    cons=(SummaryEntry(sentence=s, weight=1),),
+                    cons=(SentenceScore(s, 1, 0),),
                 ),
             ),
             positive_total=1,
@@ -402,14 +397,8 @@ def ranked_summary(groups, scores, top_k, product_name=""):
             label=group.canonical_label,
             positive_count=len(pos_sents),
             negative_count=len(neg_sents),
-            pros=tuple(
-                SummaryEntry(sentence=s, weight=scores[s].total)
-                for s in rank_sentences(pos_sents, scores, top_k)
-            ),
-            cons=tuple(
-                SummaryEntry(sentence=s, weight=scores[s].total)
-                for s in rank_sentences(neg_sents, scores, top_k)
-            ),
+            pros=tuple(scores[s] for s in rank_sentences(pos_sents, scores, top_k)),
+            cons=tuple(scores[s] for s in rank_sentences(neg_sents, scores, top_k)),
         )
         for group, pos_sents, neg_sents in split
     )
@@ -525,12 +514,12 @@ def _render_text(summary):
         )
         lines.append("  pros:")
         if group.pros:
-            lines.extend(f"    [{e.weight}] {e.text}" for e in group.pros)
+            lines.extend(f"    [{e.total}] {e.sentence.text()}" for e in group.pros)
         else:
             lines.append("    (none)")
         lines.append("  cons:")
         if group.cons:
-            lines.extend(f"    [{e.weight}] {e.text}" for e in group.cons)
+            lines.extend(f"    [{e.total}] {e.sentence.text()}" for e in group.cons)
         else:
             lines.append("    (none)")
     return "\n".join(lines) + "\n"
@@ -561,11 +550,13 @@ def _render_machine(summary):
     for group in summary.groups:
         for entry in group.pros:
             lines.append(
-                f"sentence\t{group.label}\tpositive\t{entry.weight}\t{one_line(entry.text)}"
+                f"sentence\t{group.label}\tpositive\t{entry.total}\t"
+                f"{one_line(entry.sentence.text())}"
             )
         for entry in group.cons:
             lines.append(
-                f"sentence\t{group.label}\tnegative\t{entry.weight}\t{one_line(entry.text)}"
+                f"sentence\t{group.label}\tnegative\t{entry.total}\t"
+                f"{one_line(entry.sentence.text())}"
             )
     return "\n".join(lines) + "\n"
 
@@ -597,12 +588,13 @@ PERCENTS = st.sampled_from([0, 50, 100]) | st.integers(min_value=0, max_value=10
 COUNTS = st.sampled_from([0, 1, 2]) | st.integers(min_value=0, max_value=500)
 ENTRIES = st.lists(
     st.builds(
-        SummaryEntry,
+        SentenceScore,
         st.builds(
             TaggedSentence,
             st.lists(st.text(max_size=6), max_size=4).map(tuple),
             st.just(()),
         ),
+        st.integers(min_value=0, max_value=20),
         st.integers(min_value=-20, max_value=20),
     ),
     max_size=3,
