@@ -22,6 +22,11 @@ only on this module, so it is built once, on first use.  Every input,
 config and resource file is read on each call; a resource file whose
 text is unchanged since the last call reuses that call's parse, which
 depends only on the text.
+
+Unlike ``pipeline``, this module imports the evaluation stage eagerly,
+because the bench tracer patches ``make_report`` and ``render_report``
+here by name; that lasts until the bench traces through a collector
+(ROADMAP item 6).
 """
 
 import argparse

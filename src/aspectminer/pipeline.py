@@ -4,6 +4,13 @@ A run extracts a corpus's pairs once, with :func:`extract_corpus`, the
 one function taking the extraction options, and hands the same pairs to
 :func:`summarize_corpus` and :func:`evaluate_corpus`.
 
+The evaluation stage is not loaded with this module, since summarizing
+never calls it: :func:`evaluate_corpus` imports it on its first call.
+This module still answers for ``evaluate_extraction_detailed``,
+``ExtractionScores`` and ``ExtractionBreakdown``, importing the stage
+on first access to one of them; the bench tracer patches
+``evaluate_extraction_detailed`` here.
+
 Bundled defaults live in the package ``data/`` directory; the
 ASPECTMINER_DATA environment variable points resource resolution at a
 different directory without touching individual path flags.
@@ -15,11 +22,10 @@ import os
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .corpus import Corpus, ReviewSentence, tokenize
 from .errors import ParseError, read_text, text_lines
-from .evaluation import ExtractionBreakdown, ExtractionScores, evaluate_extraction_detailed
 from .grouping import AspectGroup, group_aspects
 from .lexicons import (
     AspectDictionary,
@@ -33,6 +39,9 @@ from .patterns import AspectOpinionPair, PatternSet, extract_sentences, load_pat
 from .scoring import SentenceScore, score_sentences
 from .summary import Summary, generate_summary
 from .tagger import BaselineTagger, TaggedSentence, load_tag_lexicon, parse_pretagged
+
+if TYPE_CHECKING:
+    from .evaluation import ExtractionBreakdown, ExtractionScores
 
 DATA_ENV_VAR = "ASPECTMINER_DATA"
 
@@ -245,8 +254,23 @@ def evaluate_corpus(
     corpus: Corpus, pairs: list[AspectOpinionPair]
 ) -> tuple[ExtractionScores, ExtractionBreakdown]:
     """Score pairs extracted from the corpus against its gold."""
-    b = evaluate_extraction_detailed(pairs, corpus)
-    scores = ExtractionScores.from_rates(
+    from . import evaluation
+
+    b = evaluation.evaluate_extraction_detailed(pairs, corpus)
+    scores = evaluation.ExtractionScores.from_rates(
         corpus.product_name, b.aspect_p, b.aspect_r, b.opinion_p, b.opinion_r
     )
     return scores, b
+
+
+_EVALUATION_NAMES = ("evaluate_extraction_detailed", "ExtractionScores", "ExtractionBreakdown")
+
+
+def __getattr__(name: str):
+    """The evaluation stage's names in ``_EVALUATION_NAMES``, imported on
+    first access (PEP 562)."""
+    if name in _EVALUATION_NAMES:
+        from . import evaluation
+
+        return getattr(evaluation, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
