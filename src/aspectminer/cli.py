@@ -26,7 +26,9 @@ depends only on the text.
 Unlike ``pipeline``, this module imports the evaluation stage eagerly,
 because the bench tracer patches ``make_report`` and ``render_report``
 here by name; that lasts until the bench traces through a collector
-(ROADMAP item 6).
+(ROADMAP item 6).  Extraction is called as ``pipeline.extract_corpus``,
+through the module, because the tracer patches that name in
+``pipeline`` only.
 """
 
 import argparse
@@ -38,6 +40,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, NamedTuple
 
+from . import pipeline
 from .corpus import Corpus, load_corpus
 from .errors import AspectMinerError, ParseError, read_text
 from .evaluation import (
@@ -51,7 +54,6 @@ from .pipeline import (
     DEFAULT_FILES,
     Resources,
     evaluate_corpus,
-    extract_corpus,
     load_pretagged_file,
     load_resources,
     summarize_corpus,
@@ -275,7 +277,7 @@ def _pairs(
     config: RunConfig, res: Resources, tagged: list[TaggedSentence]
 ) -> list[AspectOpinionPair]:
     """The pairs of ``tagged``, extracted with the run's options."""
-    return extract_corpus(
+    return pipeline.extract_corpus(
         tagged,
         res,
         fallback=config.enable_fallback_search,

@@ -2,7 +2,9 @@
 
 Matching is per sentence.  The headline aspect metric accepts a
 token-subset match in either direction (gold "battery life" matches a
-predicted "battery"); exact lowercase equality is computed alongside.
+predicted "battery"); exact equality is computed alongside.  Both
+sides' terms are compared in the dictionary's normal form, lowercase
+words joined by single spaces, which is the form extraction writes.
 Opinion metrics additionally require orientation agreement with the
 sign of the gold strength.
 
@@ -21,7 +23,7 @@ from pathlib import Path
 
 from .corpus import Corpus
 from .errors import ParseError, read_text, text_lines
-from .lexicons import NEGATIVE, POSITIVE
+from .lexicons import NEGATIVE, POSITIVE, _normalize_term
 from .patterns import AspectOpinionPair
 
 
@@ -114,7 +116,7 @@ def _ratio(matched: int, total: int) -> float:
 
 
 # One side's items grouped by sentence: per sentence, each distinct
-# lowercased aspect term with the set of its orientations, held as bit
+# normalized aspect term with the set of its orientations, held as bit
 # flags, so agreement is a bitwise and and a set's size its bit count.
 _Terms = dict[str, int]
 
@@ -142,7 +144,7 @@ def evaluate_extraction_detailed(
     for sentence in gold.sentences:
         terms = gold_terms.setdefault(id(sentence), {})
         for ann in sentence.gold:
-            term = ann.aspect_term.lower()
+            term = _normalize_term(ann.aspect_term)
             sign = flags[POSITIVE if ann.strength > 0 else NEGATIVE]
             terms[term] = terms.get(term, 0) | sign
 
@@ -155,7 +157,7 @@ def evaluate_extraction_detailed(
                 f"a sentence outside the gold corpus"
             )
         terms = pred_terms.setdefault(key, {})
-        term = pair.aspect_surface.lower()
+        term = _normalize_term(pair.aspect_surface)
         sign = flags.setdefault(pair.orientation, 1 << len(flags))
         terms[term] = terms.get(term, 0) | sign
 

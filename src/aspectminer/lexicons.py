@@ -1,6 +1,8 @@
 """Knowledge resources: opinion seed lists, aspect dictionary and verb
 categories.
 
+The opinion lexicon maps each seed word to its orientation, read-only;
+only it decides which orientation a word has.
 All matching is lowercase; every structure is immutable after loading.
 Each loader reads its files on every call and parses them again only
 when their text has changed, so a later call on unchanged files gets
@@ -20,6 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
+from typing import Mapping
 
 from .errors import ParseError, _parse_files, text_lines
 from .tagger import base_form_candidates
@@ -32,29 +36,21 @@ def _words(text: str) -> list[str]:
     return [line.lstrip().lower() for _, line in text_lines(text, comments=True)]
 
 
-@dataclass(frozen=True)
-class OpinionLexicon:
-    """Positive and negative opinion seed lists (disjoint by construction)."""
-
-    positive: frozenset[str]
-    negative: frozenset[str]
-
-
-def load_opinion_lexicon(positive_file: str | Path, negative_file: str | Path) -> OpinionLexicon:
+def load_opinion_lexicon(positive_file: str | Path, negative_file: str | Path) -> Mapping[str, str]:
     return _parse_files(_parse_opinion_lexicon, positive_file, negative_file)
 
 
-def _parse_opinion_lexicon(texts, paths) -> OpinionLexicon:
-    pos = frozenset(_words(texts[0]))
-    neg = frozenset(_words(texts[1]))
-    both = pos & neg
+def _parse_opinion_lexicon(texts, paths) -> Mapping[str, str]:
+    pos = dict.fromkeys(_words(texts[0]), POSITIVE)
+    neg = dict.fromkeys(_words(texts[1]), NEGATIVE)
+    both = pos.keys() & neg.keys()
     if both:
         listing = ", ".join(sorted(both)[:20])
         raise ParseError(
             f"{len(both)} word(s) present in both seed lists: {listing}",
             path=paths[1],
         )
-    return OpinionLexicon(positive=pos, negative=neg)
+    return MappingProxyType(pos | neg)
 
 
 def _normalize_term(term: str) -> str:

@@ -13,8 +13,8 @@ README "File formats")::
 ``:A`` marks the aspect position, ``:O`` the opinion position.  Order of
 lines is precedence order.  ``extract_sentences`` is the one extraction
 core: it runs a whole corpus in one loop, resolving the pattern index,
-seed lists and dictionary lookups once per call, and states the full
-rule; ``extract_with_options`` is its one-sentence call.
+opinion lexicon and dictionary lookups once per call, and states the
+full rule; ``extract_with_options`` is its one-sentence call.
 A :class:`PatternSet` indexes its patterns by first tag, so extraction
 scans each sentence's tags once whatever the number of patterns.
 """
@@ -24,11 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Collection, Iterable
+from typing import Callable, Collection, Iterable, Mapping
 
 from ._records import record
 from .errors import ParseError, _parse_files, text_lines
-from .lexicons import NEGATIVE, POSITIVE, AspectDictionary, OpinionLexicon
+from .lexicons import AspectDictionary
 from .tagger import _PENN_TAG, NOUN_TAGS, PENN_TAGS, TaggedSentence
 
 # Tags a pattern may mark as the opinion role.
@@ -268,7 +268,7 @@ def _nearest_aspect(
 def extract_with_options(
     sentence: TaggedSentence,
     dictionary: AspectDictionary,
-    lexicon: OpinionLexicon,
+    lexicon: Mapping[str, str],
     pattern_set: PatternSet,
     *,
     fallback: bool = True,
@@ -284,7 +284,7 @@ def extract_with_options(
 def extract_sentences(
     sentences: Iterable[TaggedSentence],
     dictionary: AspectDictionary,
-    lexicon: OpinionLexicon,
+    lexicon: Mapping[str, str],
     pattern_set: PatternSet,
     *,
     fallback: bool = True,
@@ -292,7 +292,8 @@ def extract_sentences(
 ) -> list[AspectOpinionPair]:
     """Extract the (aspect, opinion) pairs of each sentence, in sentence order.
 
-    A candidate survives only if its opinion word has a known polarity.
+    A candidate survives only if ``lexicon`` (the opinion lexicon, seed
+    word -> orientation) gives its opinion word an orientation.
     Within a sentence, each (aspect start, opinion index) position holds
     one pair, and the first claim of a position wins.  Claims are made in
     three passes:
@@ -315,12 +316,11 @@ def extract_sentences(
     polarity gate, the opinion surfaces and the aspect search.  Each
     sentence's pairs are ordered by token position.
 
-    The pattern index, the seed lists and the dictionary's lookups are
+    The pattern index, the lexicon and the dictionary's lookups are
     resolved once per call, not once per sentence.
     """
     by_first_tag = pattern_set.by_first_tag.get
-    positive = lexicon.positive
-    negative = lexicon.negative
+    polarity = lexicon.get
     entry = dictionary.entries.get
     widest = dictionary.widest.get
     pairs: list[AspectOpinionPair] = []
@@ -346,8 +346,7 @@ def extract_sentences(
 
         for _, start, pattern in hits:
             oi = start + pattern.opinion_offset
-            word = words_lower[oi]
-            orientation = POSITIVE if word in positive else NEGATIVE if word in negative else None
+            orientation = polarity(words_lower[oi])
             if orientation is None:
                 continue
             if pattern.aspect_offset is not None:
@@ -363,10 +362,7 @@ def extract_sentences(
             for oi in opinion_positions:
                 if oi in claimed:
                     continue
-                word = words_lower[oi]
-                orientation = (
-                    POSITIVE if word in positive else NEGATIVE if word in negative else None
-                )
+                orientation = polarity(words_lower[oi])
                 if orientation is None:
                     continue
                 span = _nearest_aspect(tags, words_lower, oi, entry, widest)

@@ -29,7 +29,6 @@ from .errors import ParseError, read_text, text_lines
 from .grouping import AspectGroup, group_aspects
 from .lexicons import (
     AspectDictionary,
-    OpinionLexicon,
     VerbCategoryLexicon,
     load_aspect_dictionary,
     load_opinion_lexicon,
@@ -72,7 +71,7 @@ class Resources:
     pretagged input never parses it.
     """
 
-    opinion_lexicon: OpinionLexicon
+    opinion_lexicon: Mapping[str, str]  # seed word -> POSITIVE | NEGATIVE
     aspect_dictionary: AspectDictionary
     verb_categories: VerbCategoryLexicon
     pattern_set: PatternSet

@@ -171,13 +171,16 @@ def _independent_fractions(pairs, corpus):
         wa, wb = set(a.split()), set(b.split())
         return wa <= wb or wb <= wa
 
+    def normal(term):
+        return " ".join(term.lower().split())
+
     predicted, gold = set(), set()
     for pair in pairs:
-        predicted.add((id(pair.sentence.source), pair.aspect_surface.lower(), pair.orientation))
+        predicted.add((id(pair.sentence.source), normal(pair.aspect_surface), pair.orientation))
     for sentence in corpus.sentences:
         for ann in sentence.gold:
             sign = "positive" if ann.strength > 0 else "negative"
-            gold.add((id(sentence), ann.aspect_term.lower(), sign))
+            gold.add((id(sentence), normal(ann.aspect_term), sign))
 
     def hit(item, pool, with_sign):
         key, term, sign = item

@@ -54,6 +54,11 @@ def tagged_for(sentence_obj):
     return TaggedSentence(surfaces=words, tags=("NN",) * len(words), source=sentence_obj)
 
 
+def normal_form(term):
+    """A term as the oracles compare it: lowercase words joined by single spaces."""
+    return " ".join(term.lower().split())
+
+
 def prediction(sentence_obj, aspect, orientation="positive"):
     return AspectOpinionPair(
         aspect_surface=aspect,
@@ -125,6 +130,16 @@ class TestEvaluateExtraction:
         assert b.aspect_r == 1.0
         assert b.aspect_p_exact == 0.0
         assert b.aspect_r_exact == 0.0
+
+    def test_gold_term_spacing_does_not_matter(self):
+        # extraction writes single spaces; a gold term typed with two
+        # still names the same aspect, exactly
+        gold = gold_corpus("battery  life[+2]##the battery life is great .")
+        s = gold.sentences[0]
+        b = evaluate_extraction_detailed([prediction(s, "battery life")], gold)
+        assert (b.aspect_p, b.aspect_r, b.opinion_p, b.opinion_r) == (1.0, 1.0, 1.0, 1.0)
+        assert (b.aspect_p_exact, b.aspect_r_exact) == (1.0, 1.0)
+        assert (b.opinion_p_exact, b.opinion_r_exact) == (1.0, 1.0)
 
     def test_superset_match_also_counts(self):
         gold = gold_corpus("battery[+2]##battery life is great .")
@@ -267,16 +282,16 @@ class TestEvaluationOnBundledFixture:
         pred_opinions = set()
         for pair in predicted:
             key = id(pair.sentence.source)
-            pred_aspects.add((key, pair.aspect_surface.lower()))
-            pred_opinions.add((key, pair.aspect_surface.lower(), pair.orientation))
+            pred_aspects.add((key, normal_form(pair.aspect_surface)))
+            pred_opinions.add((key, normal_form(pair.aspect_surface), pair.orientation))
         gold_aspects = set()
         gold_opinions = set()
         for s in minieval_corpus.sentences:
             for ann in s.gold:
                 key = id(s)
                 sign = "positive" if ann.strength > 0 else "negative"
-                gold_aspects.add((key, ann.aspect_term.lower()))
-                gold_opinions.add((key, ann.aspect_term.lower(), sign))
+                gold_aspects.add((key, normal_form(ann.aspect_term)))
+                gold_opinions.add((key, normal_form(ann.aspect_term), sign))
 
         ap = sum(
             1
@@ -705,7 +720,7 @@ def quadratic_breakdown(predicted, gold):
     pred_opinions = set()
     for pair in predicted:
         key = id(pair.sentence.source)
-        aspect = pair.aspect_surface.lower()
+        aspect = normal_form(pair.aspect_surface)
         pred_aspects.add((key, aspect))
         pred_opinions.add((key, aspect, pair.orientation))
 
@@ -714,7 +729,7 @@ def quadratic_breakdown(predicted, gold):
     for sentence in gold.sentences:
         key = id(sentence)
         for ann in sentence.gold:
-            term = ann.aspect_term.lower()
+            term = normal_form(ann.aspect_term)
             sign = "positive" if ann.strength > 0 else "negative"
             gold_aspects.add((key, term))
             gold_opinions.add((key, term, sign))
@@ -770,10 +785,10 @@ def quadratic_breakdown(predicted, gold):
 
 # Terms that contain one another's words ("battery" in "battery life"),
 # share a word without containment ("battery life" / "battery charger"),
-# or differ only in case, so both predicates have work to do.
+# or differ only in case or spacing, so both predicates have work to do.
 DIFF_TERMS = [
-    "battery", "battery life", "Battery Life", "battery charger", "life",
-    "sound", "sound quality", "quality", "Sound", "screen", "screen size",
+    "battery", "battery life", "Battery Life", "battery  life", "battery charger", "life",
+    "sound", "sound quality", "quality", "Sound", "Sound  Quality", "screen", "screen size",
 ]
 
 gold_sentence = st.lists(
@@ -875,14 +890,14 @@ def bucketed_breakdown(predicted, gold):
     pred_aspects, pred_opinions = {}, {}
     for pair in predicted:
         key = id(pair.sentence.source)
-        aspect = pair.aspect_surface.lower()
+        aspect = normal_form(pair.aspect_surface)
         add(pred_aspects, key, aspect)
         add(pred_opinions, key, (aspect, pair.orientation))
     gold_aspects, gold_opinions = {}, {}
     for sentence in gold.sentences:
         key = id(sentence)
         for ann in sentence.gold:
-            term = ann.aspect_term.lower()
+            term = normal_form(ann.aspect_term)
             add(gold_aspects, key, term)
             add(gold_opinions, key, (term, "positive" if ann.strength > 0 else "negative"))
 

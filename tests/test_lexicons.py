@@ -12,7 +12,6 @@ from aspectminer.lexicons import (
     NEGATIVE,
     POSITIVE,
     AspectDictionary,
-    OpinionLexicon,
     VerbCategoryLexicon,
     load_aspect_dictionary,
     load_opinion_lexicon,
@@ -24,7 +23,7 @@ from aspectminer.patterns import (
     extract_with_options,
     load_pattern_set,
 )
-from aspectminer.pipeline import DEFAULT_FILES, data_dir
+from aspectminer.pipeline import DEFAULT_FILES, data_dir, load_resources
 from aspectminer.tagger import base_form_candidates, load_tag_lexicon, parse_pretagged
 
 
@@ -40,20 +39,20 @@ def polarity(lex, word):
     return pairs[0].orientation if pairs else None
 
 
-class TestOpinionLexicon:
+class TestOpinionOrientation:
     def test_polarity_classes(self):
-        lex = OpinionLexicon(positive=frozenset({"good"}), negative=frozenset({"bad"}))
+        lex = {"good": POSITIVE, "bad": NEGATIVE}
         assert polarity(lex, "good") == POSITIVE
         assert polarity(lex, "bad") == NEGATIVE
         assert polarity(lex, "table") is None
 
     def test_polarity_case_insensitive(self):
-        lex = OpinionLexicon(positive=frozenset({"good"}), negative=frozenset())
+        lex = {"good": POSITIVE}
         assert polarity(lex, "Good") == POSITIVE
         assert polarity(lex, "GOOD") == POSITIVE
 
     def test_unlisted_word_has_no_polarity(self):
-        lex = OpinionLexicon(positive=frozenset({"fine"}), negative=frozenset())
+        lex = {"fine": POSITIVE}
         assert polarity(lex, "fine") == POSITIVE
         assert polarity(lex, "poor") is None
 
@@ -61,8 +60,10 @@ class TestOpinionLexicon:
         pos = write(tmp_path / "pos.txt", "; header comment\ngood\nGreat\n\nnice\n")
         neg = write(tmp_path / "neg.txt", "# header\nbad\npoor\n")
         lex = load_opinion_lexicon(pos, neg)
-        assert lex.positive == {"good", "great", "nice"}
-        assert lex.negative == {"bad", "poor"}
+        assert dict(lex) == {
+            "good": POSITIVE, "great": POSITIVE, "nice": POSITIVE,
+            "bad": NEGATIVE, "poor": NEGATIVE,
+        }
 
     def test_overlap_rejected(self, tmp_path):
         pos = write(tmp_path / "pos.txt", "good\nshared\n")
@@ -88,10 +89,43 @@ class TestOpinionLexicon:
             load_opinion_lexicon(pos, tmp_path / "absent.txt")
 
     def test_bundled_lists_disjoint(self, resources):
+        positive, negative = bundled_seed_words()
+        assert positive and negative
+        assert not (positive & negative)
         lex = resources.opinion_lexicon
-        assert not (lex.positive & lex.negative)
         assert polarity(lex, "great") == POSITIVE
         assert polarity(lex, "poor") == NEGATIVE
+
+    def test_bundled_lexicon_is_one_read_only_word_orientation_map(self):
+        # every seed word maps to its own list's orientation and to nothing
+        # else; the memo hands the same object to every load, so no caller
+        # may change it
+        positive, negative = bundled_seed_words()
+        lex = load_resources().opinion_lexicon
+        assert dict(lex) == {
+            **dict.fromkeys(positive, POSITIVE), **dict.fromkeys(negative, NEGATIVE)
+        }
+        with pytest.raises(TypeError):
+            lex["great"] = NEGATIVE
+        with pytest.raises(TypeError):
+            lex["brand-new"] = POSITIVE
+        assert lex["great"] == POSITIVE and "brand-new" not in lex
+        assert load_resources().opinion_lexicon is lex
+
+
+def bundled_seed_words():
+    """The words of the bundled positive and negative seed lists, read
+    here without the loader: one lowercase word per non-comment line."""
+
+    def words(resource):
+        text = (data_dir() / DEFAULT_FILES[resource]).read_text(encoding="utf-8")
+        return {
+            line.strip().lower()
+            for line in text.splitlines()
+            if line.strip() and not line.lstrip().startswith((";", "#"))
+        }
+
+    return words("pos_lex"), words("neg_lex")
 
 
 def longest_entry_at(dictionary, words_lower, start):

@@ -9,7 +9,7 @@ from hypothesis import Phase, example, find, given, settings
 from hypothesis import strategies as st
 
 from aspectminer.errors import ParseError
-from aspectminer.lexicons import AspectDictionary, OpinionLexicon
+from aspectminer.lexicons import NEGATIVE, POSITIVE, AspectDictionary
 from aspectminer.patterns import (
     FALLBACK_PATTERN_NAME,
     MAX_PATTERN_LEN,
@@ -193,8 +193,7 @@ def window_starts(tags, pattern):
     window yields one pair at its own positions.
     """
     s = sent_from_tags(tags)
-    lex = OpinionLexicon(positive=frozenset(s.surfaces),
-                         negative=frozenset())
+    lex = dict.fromkeys(s.surfaces, POSITIVE)
     pairs = extract_with_options(
         s, AspectDictionary(), lex, PatternSet(patterns=(pattern,)),
         fallback=False, conjunction=False,
@@ -216,10 +215,10 @@ class TestPatternWindows:
         assert window_starts(["NN", "VBZ"], p) == []
 
 
-SPAN_LEXICON = OpinionLexicon(
-    positive=frozenset({"excellent", "nice", "great", "fast", "good"}),
-    negative=frozenset({"poor", "broke"}),
-)
+SPAN_LEXICON = {
+    **dict.fromkeys(("excellent", "nice", "great", "fast", "good"), POSITIVE),
+    **dict.fromkeys(("poor", "broke"), NEGATIVE),
+}
 
 
 def aspect_span(pretagged, dictionary, pattern_line=None):
@@ -446,7 +445,7 @@ class TestConjunctionPass:
         args = (
             s,
             AspectDictionary(),
-            OpinionLexicon(positive=frozenset({"nice"}), negative=frozenset()),
+            {"nice": POSITIVE},
             PatternSet(
                 patterns=(
                     TagPattern(tags=("JJ", "NN"), opinion_offset=0, aspect_offset=1),
@@ -458,7 +457,7 @@ class TestConjunctionPass:
 
     def test_empty_dictionary_uses_raw_run(self):
         s = sent("nice/JJ sound/NN and/CC battery/NN life/NN ./.")
-        lex = OpinionLexicon(positive=frozenset({"nice"}), negative=frozenset())
+        lex = {"nice": POSITIVE}
         ps = PatternSet(
             patterns=(
                 TagPattern(tags=("JJ", "NN"), opinion_offset=0, aspect_offset=1),
@@ -494,7 +493,7 @@ class TestExtractWithOptions:
     def test_fallback_skips_non_opinion_role_tags(self, resources):
         # a seed word tagged as a bare verb must not spawn a pair
         s = sent("i/PRP recommend/VB the/DT player/NN ./.")
-        lex = OpinionLexicon(positive=frozenset({"recommend"}), negative=frozenset())
+        lex = {"recommend": POSITIVE}
         pairs = extract_with_options(
             s, resources.aspect_dictionary, lex, resources.pattern_set,
         )
@@ -568,13 +567,8 @@ class AspectSpan(NamedTuple):
 
 
 def oracle_polarity(lexicon, word):
-    """The seed-list class of ``word`` in any case, or None."""
-    w = word.lower()
-    if w in lexicon.positive:
-        return "positive"
-    if w in lexicon.negative:
-        return "negative"
-    return None
+    """The orientation the lexicon maps ``word`` to in any case, or None."""
+    return lexicon.get(word.lower())
 
 
 def staged_lookup(dictionary, term):
@@ -754,10 +748,10 @@ DIFF_TAGS = [
     "NN", "NN", "NNS", "CC", "CC", "JJ", "JJ", "RB", "VBD", "VBG", "VBN",
     "VBZ", "VBP", "DT", "IN", "VB",
 ]
-DIFF_LEXICON = OpinionLexicon(
-    positive=frozenset({"good", "nice", "fast", "quality"}),
-    negative=frozenset({"awful", "broken", "bad"}),
-)
+DIFF_LEXICON = {
+    **dict.fromkeys(("good", "nice", "fast", "quality"), POSITIVE),
+    **dict.fromkeys(("awful", "broken", "bad"), NEGATIVE),
+}
 # Multi-word terms (up to three words), synonyms, and terms that the random
 # tags often mark as non-nouns, which only the dictionary search finds.
 DIFF_ENTRIES = [

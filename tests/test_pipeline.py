@@ -50,9 +50,10 @@ class TestLoadResources:
         pos = tmp_path / "pos.txt"
         pos.write_text("stellar\n", encoding="utf-8")
         res = load_resources(pos_lex=pos)
-        assert res.opinion_lexicon.positive == {"stellar"}
+        positive = {w for w, o in res.opinion_lexicon.items() if o == POSITIVE}
+        assert positive == {"stellar"}
         # everything else still comes from the bundled files
-        assert "terrible" in res.opinion_lexicon.negative
+        assert res.opinion_lexicon["terrible"] == NEGATIVE
         assert len(res.pattern_set.patterns) == 11
 
     @pytest.mark.parametrize("resource", sorted(DEFAULT_FILES))

@@ -17,8 +17,9 @@ from aspectminer.evaluation import (
 )
 from aspectminer.grouping import group_aspects, head_key
 from aspectminer.lexicons import (
+    NEGATIVE,
+    POSITIVE,
     AspectDictionary,
-    OpinionLexicon,
     VerbCategoryLexicon,
 )
 from aspectminer.patterns import (
@@ -57,22 +58,15 @@ def build_sentence(pairs, position=0):
 
 
 lexicon_strategy = st.builds(
-    lambda pos, neg: OpinionLexicon(
-        positive=frozenset(pos) - frozenset(neg), negative=frozenset(neg)
-    ),
+    lambda pos, neg: {**dict.fromkeys(pos - neg, POSITIVE), **dict.fromkeys(neg, NEGATIVE)},
     st.sets(st.sampled_from(WORD_POOL), max_size=8),
     st.sets(st.sampled_from(WORD_POOL), max_size=8),
 )
 
 
 def oracle_polarity(lexicon, word):
-    """The seed-list class of ``word`` in any case, or None."""
-    w = word.lower()
-    if w in lexicon.positive:
-        return "positive"
-    if w in lexicon.negative:
-        return "negative"
-    return None
+    """The orientation the lexicon maps ``word`` to in any case, or None."""
+    return lexicon.get(word.lower())
 
 
 class TestExtractionProperties:
