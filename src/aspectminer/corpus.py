@@ -134,19 +134,23 @@ def load_corpus(path: str | Path, product_name: str | None = None) -> Corpus:
     return parse_corpus_file(text, name, path=path)
 
 
-def tokenize(raw_text: str) -> list[str]:
+def tokenize(raw_text: str, words: dict[str, str] | None = None) -> list[str]:
     """Split text into word and punctuation tokens.
 
     Words are maximal runs of letters, digits, and apostrophes; every
     other non-space character becomes a token of its own, so joining
     the tokens reproduces the non-whitespace characters of the input.
-    Case is preserved.
+    Case is preserved.  Each token is stored as ``words``' object for
+    it, added when new, so texts split with one table share their
+    repeated tokens, as :func:`~aspectminer.tagger.parse_pretagged`
+    shares surfaces.
     """
+    share = ({} if words is None else words).setdefault
     tokens: list[str] = []
     for chunk in raw_text.split():
         # a chunk of letters, digits and apostrophes only is one word
         if chunk.isalnum() or chunk.replace("'", "").isalnum():
-            tokens.append(chunk)
+            tokens.append(share(chunk, chunk))
             continue
         word: list[str] = []
         for ch in chunk:
@@ -154,9 +158,11 @@ def tokenize(raw_text: str) -> list[str]:
                 word.append(ch)
             else:
                 if word:
-                    tokens.append("".join(word))
+                    token = "".join(word)
+                    tokens.append(share(token, token))
                     word.clear()
-                tokens.append(ch)
+                tokens.append(share(ch, ch))
         if word:
-            tokens.append("".join(word))
+            token = "".join(word)
+            tokens.append(share(token, token))
     return tokens

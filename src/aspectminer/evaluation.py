@@ -27,9 +27,13 @@ from .lexicons import NEGATIVE, POSITIVE, _normalize_term
 from .patterns import AspectOpinionPair
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExtractionScores:
-    """Per-product precision/recall/f for aspect and opinion extraction."""
+    """Per-product precision/recall/f for aspect and opinion extraction.
+
+    Slotted: a report holds one row per product, and the rows hold no
+    ``__dict__``.
+    """
 
     product: str
     aspect_p: float
@@ -130,43 +134,56 @@ def evaluate_extraction_detailed(
     counting; an empty side yields 0.0 for its ratios.  Each pair must
     come from a sentence object of ``gold`` itself (its ``sentence.source``):
     a pair from any other corpus, even a second load of the same file,
-    raises ValueError.
+    raises ValueError naming the first such pair.  That check runs
+    after the pass over the corpus, from the predictions no corpus
+    sentence claimed.
 
-    Items are kept per sentence, so each is compared only with the other
-    side's items of its own sentence and the cost is linear in the
-    number of sentences.  Within a sentence each (predicted term, gold
-    term) pair is compared once, and that one comparison feeds all
-    eight counts.
+    Predicted items are grouped per sentence first; then one pass over
+    the corpus builds one sentence's gold table at a time and compares
+    each predicted item only with the gold items of its own sentence.
+    The cost is linear in the number of sentences, and the memory held
+    is linear in the number of sentences with predictions.  Within a
+    sentence each (predicted term, gold term) pair is compared once, and
+    that one comparison feeds all eight counts.  Each distinct term
+    string is normalized once per call.
     """
     flags = {POSITIVE: 1, NEGATIVE: 2}  # one bit per distinct orientation
+    normal: dict[str, str] = {}  # each term as written to its normal form
     # by identity: a repeated line stays two sentences, another corpus matches none
-    gold_terms: dict[int, _Terms] = {}
-    for sentence in gold.sentences:
-        terms = gold_terms.setdefault(id(sentence), {})
-        for ann in sentence.gold:
-            term = _normalize_term(ann.aspect_term)
-            sign = flags[POSITIVE if ann.strength > 0 else NEGATIVE]
-            terms[term] = terms.get(term, 0) | sign
-
     pred_terms: dict[int, _Terms] = {}
     for pair in predicted:
-        key = id(pair.sentence.source)
-        if key not in gold_terms:
-            raise ValueError(
-                f"predicted pair for aspect {pair.aspect_surface!r} references "
-                f"a sentence outside the gold corpus"
-            )
-        terms = pred_terms.setdefault(key, {})
-        term = _normalize_term(pair.aspect_surface)
+        terms = pred_terms.setdefault(id(pair.sentence.source), {})
+        term = normal.get(pair.aspect_surface)
+        if term is None:
+            term = normal[pair.aspect_surface] = _normalize_term(pair.aspect_surface)
         sign = flags.setdefault(pair.orientation, 1 << len(flags))
         terms[term] = terms.get(term, 0) | sign
 
     # matched predicted and gold aspects and opinions, subset and exact
     ap = ag = op = og = exact_aspects = exact_opinions = 0
+    n_pred_aspects = n_gold_aspects = n_pred_opinions = n_gold_opinions = 0
     words: dict[str, frozenset[str]] = {}
-    for key, predictions in pred_terms.items():
-        golds = gold_terms[key]
-        if not golds:
+    seen: set[int] = set()  # gold-carrying sentence objects already counted
+    for sentence in gold.sentences:
+        predictions = pred_terms.pop(id(sentence), None)
+        if predictions is not None:
+            n_pred_aspects += len(predictions)
+            for p_signs in predictions.values():
+                n_pred_opinions += p_signs.bit_count()
+        if not sentence.gold or id(sentence) in seen:
+            continue
+        seen.add(id(sentence))
+        golds: _Terms = {}
+        for ann in sentence.gold:
+            term = normal.get(ann.aspect_term)
+            if term is None:
+                term = normal[ann.aspect_term] = _normalize_term(ann.aspect_term)
+            sign = flags[POSITIVE if ann.strength > 0 else NEGATIVE]
+            golds[term] = golds.get(term, 0) | sign
+        n_gold_aspects += len(golds)
+        for g_signs in golds.values():
+            n_gold_opinions += g_signs.bit_count()
+        if predictions is None:
             continue
         gold_hits: _Terms = {}
         for p_term, p_signs in predictions.items():
@@ -196,10 +213,13 @@ def evaluate_extraction_detailed(
         ag += len(gold_hits)
         og += sum(s.bit_count() for s in gold_hits.values())
 
-    n_pred_aspects = sum(map(len, pred_terms.values()))
-    n_gold_aspects = sum(map(len, gold_terms.values()))
-    n_pred_opinions = sum(s.bit_count() for t in pred_terms.values() for s in t.values())
-    n_gold_opinions = sum(s.bit_count() for t in gold_terms.values() for s in t.values())
+    if pred_terms:
+        outside = next(p for p in predicted if id(p.sentence.source) in pred_terms)
+        raise ValueError(
+            f"predicted pair for aspect {outside.aspect_surface!r} references "
+            f"a sentence outside the gold corpus"
+        )
+
     # an exact match pairs one predicted item with one gold item
     return ExtractionBreakdown(
         aspect_p=_ratio(ap, n_pred_aspects),

@@ -128,11 +128,15 @@ def tag_corpus(
     """Tokenize and tag every corpus sentence, keeping corpus order.
 
     Positions count up from ``start``, so that several corpora tagged in
-    turn number their sentences as one sequence.
+    turn number their sentences as one sequence.  Equal surfaces within
+    the call are one string, as in :func:`load_pretagged_file`, so the
+    memory the surfaces take grows with the distinct words, not with
+    the tokens.
     """
     tagged = []
+    shared: dict[str, str] = {}
     for position, sentence in enumerate(corpus.sentences, start):
-        words = tokenize(sentence.raw_text)
+        words = tokenize(sentence.raw_text, shared)
         if words:
             ts = tagger.tag(words, source=sentence, position=position)
         else:

@@ -845,6 +845,40 @@ def predicted_and_gold_with_repeated_keys(draw):
     return [prediction(s, term, orientation) for s, term, orientation in predicted], gold
 
 
+@st.composite
+def predicted_gold_and_outside_pairs(draw):
+    """A corpus drawn from a pool of sentence objects, so it may list one
+    object several times and hold sentences without gold; predictions on
+    its sentences, at least one; and pairs from outside it (a pool
+    sentence the corpus did not draw, or an equal copy of one it did),
+    each inserted after the first prediction."""
+    pool = [review_sentence(draw(gold_sentence)) for _ in range(draw(st.integers(1, 4)))]
+    sentences = tuple(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8)))
+    gold = Corpus(product_name="widget", sentences=sentences)
+    outside_sentences = [s for s in pool if all(s is not c for c in sentences)]
+    outside_sentences += [ReviewSentence(s.raw_text, s.gold) for s in sentences[:2]]
+
+    def pairs_on(candidates, min_size, max_size):
+        drawn = draw(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(candidates),
+                    st.sampled_from(DIFF_TERMS),
+                    st.sampled_from(["positive", "negative", "neutral"]),
+                ),
+                min_size=min_size,
+                max_size=max_size,
+            )
+        )
+        return [prediction(s, term, orientation) for s, term, orientation in drawn]
+
+    predicted = pairs_on(sentences, 1, 12)
+    mixed = list(predicted)
+    for pair in pairs_on(outside_sentences, 0, 3):
+        mixed.insert(draw(st.integers(1, len(mixed))), pair)
+    return predicted, mixed, gold
+
+
 def bucketed_breakdown(predicted, gold):
     """Reference matcher: per sentence, four two-way passes.
 
@@ -934,6 +968,26 @@ class TestBucketedMatchingAgainstQuadraticOracle:
         expected = quadratic_breakdown(predicted, gold)
         assert evaluate_extraction_detailed(predicted, gold) == expected
         assert bucketed_breakdown(predicted, gold) == expected
+
+    @given(predicted_gold_and_outside_pairs())
+    @settings(max_examples=500, deadline=None)
+    def test_repeated_sentences_gold_less_predictions_and_outside_pairs(self, case):
+        predicted, mixed, gold = case
+        expected = quadratic_breakdown(predicted, gold)
+        assert evaluate_extraction_detailed(predicted, gold) == expected
+        assert bucketed_breakdown(predicted, gold) == expected
+        outside = [
+            p for p in mixed if all(p.sentence.source is not s for s in gold.sentences)
+        ]
+        if not outside:
+            assert evaluate_extraction_detailed(mixed, gold) == expected
+            return
+        with pytest.raises(ValueError) as exc:
+            evaluate_extraction_detailed(mixed, gold)
+        assert str(exc.value) == (
+            f"predicted pair for aspect {outside[0].aspect_surface!r} references "
+            "a sentence outside the gold corpus"
+        )
 
     def test_oracle_agrees_on_bundled_fixture(self, breakdown, minieval_corpus):
         b, predicted = breakdown

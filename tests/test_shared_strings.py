@@ -3,10 +3,11 @@ only what a run calls.
 
 Every tag the loaders and the baseline tagger hand out is the object
 ``tagger._PENN_TAG`` holds for it, one per Penn tag for the life of
-the process.  Within one ``load_pretagged_file`` call equal surfaces
-are one object, and within one ``load_corpus`` call equal gold terms
-and equal flag sets are.  ``import aspectminer.pipeline`` does not load
-``logging``: the corpus reader imports it on its first warning.
+the process.  Within one ``load_pretagged_file`` or ``tag_corpus`` call
+equal surfaces are one object, and within one ``load_corpus`` call equal
+gold terms and equal flag sets are.  ``import aspectminer.pipeline``
+does not load ``logging``: the corpus reader imports it on its first
+warning.
 """
 
 import os
@@ -19,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import aspectminer
-from aspectminer.corpus import load_corpus, parse_corpus_file
+from aspectminer.corpus import load_corpus, parse_corpus_file, tokenize
 from aspectminer.errors import read_text, text_lines
 from aspectminer.pipeline import load_pretagged_file, tag_corpus
 from aspectminer.tagger import (
@@ -30,6 +31,7 @@ from aspectminer.tagger import (
     parse_pretagged,
     render_pretagged,
 )
+from test_corpus import WORDY, char_tokenize
 
 SAMPLES = [
     ("reviews.txt", "reviews-pretagged.txt"),
@@ -96,6 +98,43 @@ def test_load_pretagged_file_shares_equal_surfaces(sample_dir, names):
         surfaces = [s for sentence in tagged for s in sentence.surfaces]
         assert len(set(surfaces)) < len(surfaces)
         assert_one_object_per_value(surfaces)
+
+
+@pytest.mark.parametrize("names", SAMPLES, ids=lambda n: n[0])
+def test_tag_corpus_shares_equal_surfaces(sample_dir, resources, names):
+    tagged = tag_corpus(load_corpus(sample_dir / names[0]), resources.tagger())
+    surfaces = [s for sentence in tagged for s in sentence.surfaces]
+    assert len(set(surfaces)) < len(surfaces)
+    assert_one_object_per_value(surfaces)
+
+
+def test_tag_corpus_shares_words_across_sentences_but_not_calls(resources):
+    # built at run time, so no two equal words start out as one object
+    text = " ".join(["zoom", "lens", "\u2014", "é"] * 2)
+    corpus = parse_corpus_file(f"##{text}\n##{text} .\n", "p")
+    first, second = tag_corpus(corpus, resources.tagger())
+    assert first.surfaces == second.surfaces[:-1]
+    assert all(a is b for a, b in zip(first.surfaces, second.surfaces))
+    again = tag_corpus(corpus, resources.tagger())[0]
+    assert again.surfaces == first.surfaces
+    assert not any(a is b for a, b in zip(again.surfaces[:2], first.surfaces[:2]))
+
+
+texts = st.text() | st.text(st.sampled_from(WORDY), max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(texts, max_size=4))
+def test_tokenize_with_a_table_equals_the_character_oracle_and_shares(raw_texts):
+    words = {}
+    tokens = []
+    for text in raw_texts:
+        shared = tokenize(text, words)
+        assert shared == tokenize(text) == char_tokenize(text)
+        tokens.extend(shared)
+    assert_one_object_per_value(tokens)
+    assert all(key is value for key, value in words.items())
+    assert words.keys() == set(tokens)
 
 
 @pytest.mark.parametrize("names", SAMPLES, ids=lambda n: n[0])
