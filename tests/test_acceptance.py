@@ -1,5 +1,9 @@
 """Acceptance gate: one test per shipped criterion, named so that
 ``pytest tests/test_acceptance.py -v`` prints one pass/fail line each.
+The criteria are fixture phrases, a reference weight, statistical
+reference values, oracle equivalences, the property suite's example
+budget, determinism, the comparison table and a 2,500-sentence time
+budget.
 
 Every stated tolerance is asserted at exactly its stated width.  One
 criterion is recorded as a strict xfail because a rounded figure in the

@@ -1,4 +1,12 @@
-"""Tests for the command-line interface: commands, exit codes, config."""
+"""Tests for the command-line interface: commands, exit codes, config.
+
+Every bad input ends in its documented exit code, naming the file.
+What ``tag`` prints loads back with its corpus, so the ``tag`` then
+``--pretagged`` round trip gives the raw run's output.  A pretagged run
+checks that the tag lexicon exists but never parses it.  Repeated
+``main`` calls in one process re-read every file, and reuse a
+resource's parse only while its text is unchanged.
+"""
 
 import inspect
 import json

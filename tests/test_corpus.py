@@ -1,4 +1,16 @@
-"""Review corpus parsing: annotations, review segmentation, tokenizer."""
+"""Review corpus parsing: annotations, title and malformed lines, tokenizer.
+
+Oracles kept here, each the code the current one replaced:
+
+* ``oracle_parse_annotation``: the annotation parser that read each
+  match group by name, compared on random annotations (flags, ASCII and
+  non-ASCII digits) for the same annotation or the same error message.
+* ``char_tokenize``: the character-by-character ``tokenize``, compared
+  with the whole-word tokenizer on arbitrary Unicode text and on
+  apostrophe-, digit- and underscore-heavy text.
+
+No token ``tokenize`` yields holds whitespace.
+"""
 
 import re
 

@@ -3,6 +3,19 @@
 Numeric expectations marked [DERIVED] were computed with an independent
 statistics library (scipy.stats / scipy.special) and frozen here; the
 implementation under test shares no code with that oracle.
+
+Oracles kept here, each the code the current one replaced:
+
+* ``quadratic_breakdown``, the all-pairs matcher, and
+  ``bucketed_breakdown``, the per-sentence four-pass matcher, compared
+  with ``evaluate_extraction_detailed`` on random predictions and gold,
+  on corpora whose sentence keys repeat, and on corpora that list one
+  sentence object several times and hold sentences without gold, with
+  pairs from outside the corpus inserted after the first valid one (the
+  ``ValueError`` must name the first such pair).
+* ``continued_fraction_t_sf``: the continued-fraction Student t tail,
+  compared with the finite series ``student_t_sf`` on random integer df
+  up to 2,000 and t within +-1,000, to 1e-10.
 """
 
 import math

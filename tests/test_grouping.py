@@ -1,4 +1,11 @@
-"""Tests for aspect grouping by head key."""
+"""Tests for aspect grouping by head key.
+
+Oracle kept here: ``per_cluster_scan_groups``, the grouping that rebuilt
+each group by scanning all pairs and joined head keys by union-find,
+compared with the one-pass partition on random surfaces drawn as
+extraction writes them (lowercase, canonical under a closed dictionary)
+and on the pairs of both shipped samples, pretagged and baseline-tagged.
+"""
 
 import pytest
 from hypothesis import given, settings

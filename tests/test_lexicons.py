@@ -1,5 +1,21 @@
 """Tests for opinion lexicons, the aspect dictionary and verb categories,
-and for the memo every resource loader parses through."""
+and for the memo every resource loader parses through.
+
+Oracles kept here, each the code the current one replaced:
+
+* ``scanned_match``: the longest-entry scan over every width, from
+  before the first-word index (``AspectDictionary.widest``), compared
+  with ``_longest_entry_at`` at every start on random dictionaries whose
+  entries share first words.
+* ``candidate_loop``: the verb lookup through ``base_form_candidates``
+  from before the per-surface memo, compared with
+  ``orientation_of_surface`` on every ``-s``/``-ed``/``-ing`` form of
+  every bundled verb and on random words.
+
+The bundled verb map is checked against a scan of the file's
+categories, and the bundled opinion lexicon against its seed lists: one
+read-only mapping, the same object across loads of unchanged files.
+"""
 
 import shutil
 

@@ -1,4 +1,24 @@
-"""Tests for tag patterns, pair extraction, and frequent tag-set mining."""
+"""Tests for tag patterns, pair extraction, and frequent tag-set mining.
+
+Oracles kept here, each the code the current one replaced:
+
+* ``staged_extract``: the staged extraction (one matcher call per
+  pattern, then the fallback and conjunction loops), with frozen copies
+  of the span resolution, nearest-aspect search, dictionary lookup and
+  longest-entry scan it called, so it calls no code under test.  It is
+  compared with the core one sentence at a time and, sentence by
+  sentence, with one call over up to six sentences, on random sentences,
+  dictionaries and pattern sets (patterns that share first tags, match
+  at one start and overrun the sentence) under every fallback and
+  conjunction setting, and on both shipped samples.
+* ``joined_mining``: the levelwise miner that joined candidates
+  pairwise, compared with the membership-pruned miner on random tag
+  corpora.
+
+``TestSurfaceContract`` checks that every surface extraction writes is
+lowercase, single-spaced and, under a closed dictionary, its own
+canonical: the form grouping takes as given.
+"""
 
 import random
 from dataclasses import fields, replace

@@ -1,4 +1,12 @@
-"""Tests for resource resolution and corpus-level processing."""
+"""Tests for resource resolution and corpus-level processing.
+
+Resources resolve from the bundled directory, ``ASPECTMINER_DATA`` or a
+given path.  The tag lexicon is parsed once, by the first ``tagger()``
+call, so a malformed one fails only a run that tags, while a missing
+one fails at load.  A pretagged file aligns with its corpus line by
+line: a reversed file is rejected at line 1, escaped and re-split tokens
+align, and sentences without text take no line.
+"""
 
 import os
 import shutil

@@ -8,7 +8,9 @@
 through its slot's setter.  Each twin below is the plain
 ``@dataclass(frozen=True, slots=True)`` declaration of the same fields
 under the same name, so constructors, errors, signatures, equality,
-hashing and reprs can be compared one to one.
+hashing and reprs can be compared one to one.  Each ``__init__`` must
+name nothing but its slot setters, so a swap back to the generated one
+fails.
 """
 
 from __future__ import annotations

@@ -7,7 +7,10 @@ the process.  Within one ``load_pretagged_file`` or ``tag_corpus`` call
 equal surfaces are one object, and within one ``load_corpus`` call equal
 gold terms and equal flag sets are.  ``import aspectminer.pipeline``
 does not load ``logging``: the corpus reader imports it on its first
-warning.
+warning.  Nor does that import compile any of the standard ``tokenize``
+module's regexes.  ``tokenize`` with a shared word table gives the
+tokens of ``char_tokenize`` (the oracle in ``tests/test_corpus.py``) on
+random text, one object per distinct token.
 """
 
 import os

@@ -1,4 +1,18 @@
-"""Tests for summary assembly and the three output formats."""
+"""Tests for summary assembly and the three output formats.
+
+Oracles kept here, each the code the current one replaced:
+
+* ``ranked_summary``: ``generate_summary`` when every pros/cons list went
+  through ranking, compared on random groups and weights with the one
+  that ranks only lists of two or more sentences.
+* ``_render_text``, ``_render_machine``, ``_render_histogram`` and
+  ``_float_percentages``: the renders before the bar tables and the
+  one-string-per-group output, and the float half-up percentages.
+  ``render`` is compared with them on random summaries (empty and very
+  wide labels, 0, 50 and 100 percent, negative weights, empty pros or
+  cons, no groups), and ``_percentages`` on every count pair up to a
+  total of 1,000.
+"""
 
 import math
 
