@@ -4,7 +4,9 @@
 Reads the run's output on standard input, prints one summary line
 (``correct``, ``failed`` and each named metric's value) and exits 1
 unless ``correct`` is true, ``failed`` is 0 and every named metric is
-present and above 0.
+present and above 0.  A last line that is not a run's JSON object exits
+1 with ``WORKLOAD no run line: <its first 80 characters>`` on standard
+error.
 
 Usage: python3 bench/run.py ... | python3 scripts/check_bench_run.py [--workload NAME] [METRIC ...]
 """
@@ -41,8 +43,13 @@ def main(argv: list[str] | None = None) -> int:
     if not lines:
         print("no output from bench/run.py", file=sys.stderr)
         return 1
-    summary, ok = check(lines[-1], args.metrics)
-    print(f"{args.workload} {summary}" if args.workload else summary)
+    prefix = f"{args.workload} " if args.workload else ""
+    try:
+        summary, ok = check(lines[-1], args.metrics)
+    except (ValueError, TypeError, KeyError, AttributeError):
+        print(f"{prefix}no run line: {lines[-1][:80]}", file=sys.stderr)
+        return 1
+    print(prefix + summary)
     return 0 if ok else 1
 
 

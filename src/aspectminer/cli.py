@@ -13,9 +13,9 @@ every command, before the command computes and renders its output.
 Exit codes: 0 success, 2 missing input or resource file (path named),
 3 malformed content (bad bytes, lines or config values, path named),
 1 any other error, such as a usage error (unknown flag or bad flag
-value), an input file without sentences or an output path that cannot
-be written.  A JSON config file can seed any flag;
-explicit command-line flags win.
+value), an input file without sentences, a file that exists but cannot
+be read or an output path that cannot be written.  A JSON config file
+can seed any flag; explicit command-line flags win.
 
 ``main`` may be called many times in one process.  The parser depends
 only on this module, so it is built once, on first use.  Every input,

@@ -86,12 +86,20 @@ def _parse_annotation(text: str, shared: dict | None = None) -> GoldAnnotation:
         raise ValueError(f"strength {strength:+d} out of range")
     if not flag_groups:
         return GoldAnnotation(term, strength)
-    flags = frozenset(f.strip() for f in _FLAG_RE.findall(flag_groups))
+    flags = frozenset(map(str.strip, _FLAG_RE.findall(flag_groups)))
     return GoldAnnotation(term, strength, shared.setdefault(flags, flags))
 
 
 def _parse_gold(prefix: str, shared: dict) -> tuple[GoldAnnotation, ...]:
-    return tuple(_parse_annotation(part, shared) for part in prefix.split(",") if part.strip())
+    """The annotations of a ``prefix`` that holds a non-space character,
+    its blank comma-separated parts skipped."""
+    if "," not in prefix:
+        return (_parse_annotation(prefix, shared),)
+    gold = []
+    for part in prefix.split(","):
+        if part.strip():
+            gold.append(_parse_annotation(part, shared))
+    return tuple(gold)
 
 
 def parse_corpus_file(

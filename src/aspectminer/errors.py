@@ -44,13 +44,17 @@ def read_text(path: str | Path) -> str:
     """Contents of a UTF-8 text file, without a leading byte-order mark.
 
     Raises FileNotFoundError naming the path when it is not a regular
-    file, and ParseError naming the path and line of the first byte that
-    is not UTF-8.
+    file, AspectMinerError naming the path when the file cannot be
+    opened or read, and ParseError naming the path and line of the first
+    byte that is not UTF-8.
     """
     if not os.path.isfile(path):
         raise FileNotFoundError(str(path))
-    with open(path, "rb") as f:
-        data = f.read()
+    try:
+        with open(path, "rb") as f:
+            data = f.read()
+    except OSError as exc:
+        raise AspectMinerError(f"cannot read {path}: {exc.strerror}") from exc
     # "utf-8-sig" would count the error offset from after the mark
     start = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
     try:

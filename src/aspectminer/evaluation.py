@@ -211,7 +211,8 @@ def evaluate_extraction_detailed(
                 ap += 1
                 op += signs.bit_count()
         ag += len(gold_hits)
-        og += sum(s.bit_count() for s in gold_hits.values())
+        for g_signs in gold_hits.values():
+            og += g_signs.bit_count()
 
     if pred_terms:
         outside = next(p for p in predicted if id(p.sentence.source) in pred_terms)

@@ -15,14 +15,16 @@ lines is precedence order.  ``extract_sentences`` is the one extraction
 core: it runs a whole corpus in one loop, resolving the pattern index,
 opinion lexicon and dictionary lookups once per call, and states the
 full rule; ``extract_with_options`` is its one-sentence call.
-A :class:`PatternSet` indexes its patterns by first tag, so extraction
-scans each sentence's tags once whatever the number of patterns.
+A :class:`PatternSet` indexes its patterns by first tag; from that
+index each call builds a scan index (:func:`_scan_index`), so extraction
+scans each sentence's tags once, at one lookup per token, whatever the
+number of patterns.  The nearest-aspect search probes the dictionary's
+windows only at words that start an entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 from pathlib import Path
 from typing import Callable, Collection, Iterable, Mapping
 
@@ -252,16 +254,19 @@ def _nearest_aspect(
     the opinion word: backward first, then forward.
 
     A noun gives its :func:`_aspect_at` span; any other token starting a
-    dictionary term (:func:`_longest_entry_at`) gives the term.
+    dictionary term (:func:`_longest_entry_at`) gives the term.  Only a
+    word that ``widest`` (the bound ``get`` of the dictionary's
+    ``widest``) knows can start one, so the windows are tried at those
+    words alone.
     """
-    backward = range(opinion_index - 1, -1, -1)
-    forward = range(opinion_index + 1, len(tags))
-    for j in chain(backward, forward):
-        if tags[j] in NOUN_TAGS:
-            return _aspect_at(tags, words_lower, j, entry)
-        hit = _longest_entry_at(words_lower, j, entry, widest)
-        if hit is not None:
-            return j, j + hit[0], hit[1]
+    for steps in (range(opinion_index - 1, -1, -1), range(opinion_index + 1, len(tags))):
+        for j in steps:
+            if tags[j] in NOUN_TAGS:
+                return _aspect_at(tags, words_lower, j, entry)
+            if widest(words_lower[j]):
+                hit = _longest_entry_at(words_lower, j, entry, widest)
+                if hit is not None:
+                    return j, j + hit[0], hit[1]
     return None
 
 
@@ -279,6 +284,29 @@ def extract_with_options(
         (sentence,), dictionary, lexicon, pattern_set,
         fallback=fallback, conjunction=conjunction,
     )
+
+
+# One pattern as the scan compares it: (tags, length, rank, opinion offset,
+# aspect offset, name).
+_ScanEntry = tuple[tuple[str, ...], int, int, int, int | None, str]
+
+
+def _scan_index(pattern_set: PatternSet) -> dict[str, tuple[tuple[_ScanEntry, ...], bool]]:
+    """Each tag that starts a pattern or may hold an opinion, to the
+    patterns starting with it, in rank order, and whether it may hold
+    an opinion (:data:`OPINION_ROLE_TAGS`)."""
+    index: dict[str, tuple[tuple[_ScanEntry, ...], bool]] = {
+        tag: ((), True) for tag in OPINION_ROLE_TAGS
+    }
+    for tag, entries in pattern_set.by_first_tag.items():
+        index[tag] = (
+            tuple(
+                (p.tags, len(p.tags), rank, p.opinion_offset, p.aspect_offset, p.name)
+                for rank, p in entries
+            ),
+            tag in OPINION_ROLE_TAGS,
+        )
+    return index
 
 
 def extract_sentences(
@@ -307,58 +335,65 @@ def extract_sentences(
        directly follows its aspect span; copies are not copied again.
        A sentence without a ``CC`` tag skips this pass.
 
-    The tags are scanned once: at each position only the patterns that
-    start with its tag are compared, and each hit is recorded as
-    ``(rank, start, pattern)``, so sorting the hits gives the order of
-    pass 1.  The same scan records the opinion-role positions pass 2
-    visits.  A sentence with neither hits nor (with ``fallback``) such
-    positions yields no pairs; any other is lowercased once, for the
-    polarity gate, the opinion surfaces and the aspect search.  Each
-    sentence's pairs are ordered by token position.
+    The tags are scanned once, at one lookup per token in a scan index
+    built once per call (:func:`_scan_index`): it gives the patterns
+    starting with the tag, which alone are compared, and whether the
+    tag may hold an opinion.  Each hit is recorded as ``(rank, start,
+    pattern)``, so sorting the hits gives the order of pass 1; the same
+    scan records the opinion-role positions pass 2 visits.  A sentence
+    with neither hits nor (with ``fallback``) such positions yields no
+    pairs; any other is lowercased once, for the polarity gate, the
+    opinion surfaces and the aspect search.  Pass 1 records the opinion
+    indices it claims, for pass 2 to skip, and a sentence where no pass
+    claims anything ends there.  Each sentence's pairs are ordered by
+    token position.
 
-    The pattern index, the lexicon and the dictionary's lookups are
+    The scan index, the lexicon and the dictionary's lookups are
     resolved once per call, not once per sentence.
     """
-    by_first_tag = pattern_set.by_first_tag.get
+    scan = _scan_index(pattern_set).get
     polarity = lexicon.get
     entry = dictionary.entries.get
     widest = dictionary.widest.get
     pairs: list[AspectOpinionPair] = []
     for sentence in sentences:
         tags = sentence.tags
-        hits: list[tuple[int, int, TagPattern]] = []
+        hits: list[tuple[int, int, _ScanEntry]] = []
         opinion_positions: list[int] = []
         for start, tag in enumerate(tags):
-            patterns = by_first_tag(tag)
-            if patterns is not None:
-                for rank, pattern in patterns:
-                    if tags[start : start + len(pattern.tags)] == pattern.tags:
-                        hits.append((rank, start, pattern))
-            if tag in OPINION_ROLE_TAGS:
+            slot = scan(tag)
+            if slot is None:
+                continue
+            patterns, opinion_role = slot
+            for pattern in patterns:
+                if tags[start : start + pattern[1]] == pattern[0]:
+                    hits.append((pattern[2], start, pattern))
+            if opinion_role:
                 opinion_positions.append(start)
         if not hits and not (fallback and opinion_positions):
             continue
         if len(hits) > 1:
             hits.sort()
-        words_lower = [w.lower() for w in sentence.surfaces]
+        words_lower = list(map(str.lower, sentence.surfaces))
         # (aspect start, opinion index) -> (surface, orientation, aspect end, pattern name)
         found: dict[tuple[int, int], tuple[str, str, int, str]] = {}
+        claimed: set[int] = set()  # the opinion indices of found
 
-        for _, start, pattern in hits:
-            oi = start + pattern.opinion_offset
+        for _, start, (_, _, _, opinion_offset, aspect_offset, name) in hits:
+            oi = start + opinion_offset
             orientation = polarity(words_lower[oi])
             if orientation is None:
                 continue
-            if pattern.aspect_offset is not None:
-                span = _aspect_at(tags, words_lower, start + pattern.aspect_offset, entry)
+            if aspect_offset is not None:
+                span = _aspect_at(tags, words_lower, start + aspect_offset, entry)
             else:
                 span = _nearest_aspect(tags, words_lower, oi, entry, widest)
                 if span is None:
                     continue
-            found.setdefault((span[0], oi), (span[2], orientation, span[1], pattern.name))
+            found.setdefault((span[0], oi), (span[2], orientation, span[1], name))
+            claimed.add(oi)
 
-        if fallback and opinion_positions:
-            claimed = {oi for _, oi in found}
+        if fallback:
             for oi in opinion_positions:
                 if oi in claimed:
                     continue
@@ -371,6 +406,8 @@ def extract_sentences(
                         (span[0], oi), (span[2], orientation, span[1], FALLBACK_PATTERN_NAME)
                     )
 
+        if not found:
+            continue
         if conjunction and "CC" in tags:
             for (_, oi), (_, orientation, after, name) in sorted(found.items()):
                 if (

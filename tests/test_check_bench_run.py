@@ -1,7 +1,8 @@
 """scripts/check_bench_run.py, the gate each CI bench smoke run goes
 through: on fixed run lines it passes a clean run, fails a run with a
 wrong op, a failed op, or a named metric that is 0 or missing, prefixes
-the summary with ``--workload``, and exits 1 on empty input."""
+the summary with ``--workload``, and exits 1 on empty input or on a last
+line that is not a run's JSON, naming the workload."""
 
 import importlib.util
 import io
@@ -83,3 +84,17 @@ def test_main_exits_1_on_empty_input(check_bench_run, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "no output from bench/run.py\n"
+
+
+@pytest.mark.parametrize(
+    "last", ["Traceback: boom", "x" * 100, "{}", "[1, 2]", '{"metrics": 1}'],
+    ids=["text", "long text", "empty object", "array", "no run keys"],
+)
+def test_main_names_the_workload_on_a_line_that_is_no_run(
+    check_bench_run, monkeypatch, capsys, last
+):
+    stdin = run_line() + "\n" + last + "\n"
+    assert run_main(check_bench_run, monkeypatch, stdin, ["--workload", "x"] + METRICS) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"x no run line: {last[:80]}\n"

@@ -8,7 +8,9 @@ checks that the tag lexicon exists but never parses it.  Repeated
 resource's parse only while its text is unchanged.
 """
 
+import errno
 import inspect
+import io
 import json
 import os
 import re
@@ -22,7 +24,7 @@ from typing import get_type_hints
 import pytest
 
 import aspectminer
-from aspectminer import cli
+from aspectminer import cli, errors
 from aspectminer.cli import (
     EXIT_ERROR,
     EXIT_MISSING_FILE,
@@ -32,7 +34,7 @@ from aspectminer.cli import (
     build_parser,
     main,
 )
-from aspectminer.errors import read_text
+from aspectminer.errors import AspectMinerError, read_text
 from aspectminer.lexicons import (
     _parse_aspect_dictionary,
     _parse_opinion_lexicon,
@@ -877,6 +879,36 @@ class TestInputOutputErrors:
         code, err = self.run(["summarize", "--corpus", str(bad)], capsys)
         assert code == EXIT_PARSE_ERROR
         assert f"{bad}: line 2: not UTF-8" in err
+
+    @pytest.mark.parametrize("denied", ["corpus", "pos_lex"])
+    def test_file_that_cannot_be_opened(self, sample_paths, denied, monkeypatch, capsys):
+        paths = {
+            "corpus": sample_paths["corpus"],
+            "pos_lex": str(data_dir() / "positive-words.txt"),
+        }
+
+        # chmod cannot deny a file to root, so open itself refuses
+        def refusing_open(path, *args, **kwargs):
+            if str(path) == paths[denied]:
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(errors, "open", refusing_open, raising=False)
+        code, err = self.run(
+            ["summarize", "--corpus", paths["corpus"], "--pos-lex", paths["pos_lex"]], capsys
+        )
+        assert code == EXIT_ERROR
+        assert err == f"error: cannot read {paths[denied]}: {os.strerror(errno.EACCES)}\n"
+
+    def test_file_that_cannot_be_read(self, sample_paths, monkeypatch):
+        class FailingFile(io.BytesIO):
+            def read(self, *args):
+                raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+        monkeypatch.setattr(errors, "open", lambda *a, **k: FailingFile(), raising=False)
+        with pytest.raises(AspectMinerError) as info:
+            read_text(sample_paths["corpus"])
+        assert str(info.value) == f"cannot read {sample_paths['corpus']}: {os.strerror(errno.EIO)}"
 
     def test_pretagged_of_blank_lines(self, tmp_path, capsys):
         blank = tmp_path / "blank.txt"

@@ -5,6 +5,10 @@ Oracles kept here, each the code the current one replaced:
 * ``oracle_parse_annotation``: the annotation parser that read each
   match group by name, compared on random annotations (flags, ASCII and
   non-ASCII digits) for the same annotation or the same error message.
+* ``oracle_gold``: the gold of an annotated prefix built by a generator
+  over its comma-separated parts, compared on one to three random
+  annotations, empty and blank parts among them, for the same gold or
+  the same warning.
 * ``char_tokenize``: the character-by-character ``tokenize``, compared
   with the whole-word tokenizer on arbitrary Unicode text and on
   apostrophe-, digit- and underscore-heavy text.
@@ -15,7 +19,7 @@ No token ``tokenize`` yields holds whitespace.
 import re
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from aspectminer.corpus import (
@@ -122,6 +126,46 @@ class TestAnnotationParsingAgainstOracle:
         assert got == parse_outcome(oracle_parse_annotation, text)
         if got[0] == "ok":
             assert type(got[1].flags) is frozenset
+
+
+def oracle_gold(prefix):
+    """The gold of an annotated line's prefix as a generator over its
+    parts once built it: ``(gold, warning)``."""
+    if not prefix.strip():
+        return (), None
+    try:
+        parts = [p for p in prefix.split(",") if p.strip()]
+        return tuple(oracle_parse_annotation(p) for p in parts), None
+    except ValueError as exc:
+        return (), f"line 1: {exc}; keeping sentence without gold"
+
+
+# one to three annotations joined by commas, empty and blank parts among them
+gold_prefixes = st.lists(
+    st.one_of(annotation_texts, st.sampled_from(["", " ", "\t"])), min_size=1, max_size=3
+).map(",".join)
+
+
+class TestGoldPrefixAgainstOracle:
+    @given(prefix=gold_prefixes)
+    @settings(
+        max_examples=500, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @example(prefix="sound[+2],size[-1]")
+    @example(prefix="sound[+2],,size[-1][u], ")
+    @example(prefix=" , ")
+    @example(prefix="sound[+2],size[+4]")
+    def test_same_gold_or_warning(self, prefix, caplog):
+        # a prefix that would change how the line itself reads is out of scope
+        assume("\n" not in prefix and "#" not in prefix and not prefix.startswith("[t]"))
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            corpus = parse_corpus_file(f"{prefix}##the sound is good .\n", "p")
+        (sentence,) = corpus.sentences
+        gold, warning = oracle_gold(prefix)
+        assert sentence.raw_text == "the sound is good ."
+        assert sentence.gold == gold
+        assert [r.message for r in caplog.records] == ([warning] if warning else [])
 
 
 class TestCorpusParsing:

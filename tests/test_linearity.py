@@ -10,7 +10,8 @@ while machine noise does not.  Extraction is held to a ratio instead:
 patterns that cannot start anywhere in the input must cost next to
 nothing (0.7x with the first-tag index, 8.5x with one scan per pattern).
 Per-word work is held to counts: the dictionary is not probed at a word
-that starts no entry, the tagger's rules and the verb base forms run
+that starts no entry, nor is the nearest-aspect search's window probe
+called there, the tagger's rules and the verb base forms run
 once per distinct word, and evaluation compares each (sentence,
 predicted term, gold term) at most once.  Evaluation's memory is held
 to bytes per corpus sentence: it keeps the predicted terms of the
@@ -29,7 +30,7 @@ import time
 import tracemalloc
 from dataclasses import replace
 
-from aspectminer import cli, errors, evaluation, lexicons, scoring, summary, tagger
+from aspectminer import cli, errors, evaluation, lexicons, patterns, scoring, summary, tagger
 from aspectminer.corpus import parse_corpus_file
 from aspectminer.evaluation import evaluate_extraction_detailed
 from aspectminer.grouping import group_aspects
@@ -240,6 +241,32 @@ def test_longest_entry_at_skips_positions_whose_word_starts_no_entry():
 
     assert hits == [None] * len(words)
     assert entries.gets == 0
+
+
+def test_nearest_aspect_probes_only_words_that_start_an_entry(
+    resources, sample_tagged, minieval_tagged, monkeypatch
+):
+    probed = []
+
+    def counted(words_lower, start, entry, widest):
+        probed.append(words_lower[start])
+        return _longest_entry_at(words_lower, start, entry, widest)
+
+    monkeypatch.setattr(patterns, "_longest_entry_at", counted)
+    # a term the samples never tag as a noun, where the probe must still find it
+    mistagged = TaggedSentence(
+        surfaces=("the", "flash", "is", "great"), tags=("DT", "VB", "VBZ", "JJ"), position=0
+    )
+    sentences = sample_tagged + minieval_tagged + [mistagged]
+    empty = replace(resources, aspect_dictionary=AspectDictionary(entries={}))
+
+    assert extract_corpus(sentences, empty)
+    assert probed == []
+
+    pairs = extract_corpus(sentences, resources)
+    assert ("flash", "great") in {(p.aspect_surface, p.opinion_surface) for p in pairs}
+    assert "flash" in probed
+    assert set(probed) <= resources.aspect_dictionary.widest.keys()
 
 
 class CountingTagger(BaselineTagger):
