@@ -2,9 +2,11 @@
 """Check one ``bench/run.py`` run from the last line of its standard output.
 
 Reads the run's output on standard input, prints one summary line
-(``correct``, ``failed`` and each named metric's value) and exits 1
-unless ``correct`` is true, ``failed`` is 0 and every named metric is
-present and above 0.  A last line that is not a run's JSON object exits
+(``correct``, ``attempted``, ``failed`` and each named metric's value)
+and exits 1 unless ``correct`` is true, ``attempted`` is above 0,
+``failed`` is 0 and every named metric is present and above 0.  A run
+that attempted no op reports ``correct`` true, so ``attempted`` is
+checked on its own.  A last line that is not a run's JSON object exits
 1 with ``WORKLOAD no run line: <its first 80 characters>`` on standard
 error.
 
@@ -22,12 +24,16 @@ def check(line: str, metrics: list[str]) -> tuple[str, bool]:
     """The summary of one run's JSON line and whether it passes."""
     run = json.loads(line)
     values = {name: run["metrics"].get(name, {}).get("value") for name in metrics}
+    attempted = run.get("attempted")
     summary = " ".join(
-        ["correct", str(run["correct"]), "failed", str(run["failed"])]
+        ["correct", str(run["correct"]), "attempted", str(attempted)]
+        + ["failed", str(run["failed"])]
         + [f"{name} {value}" for name, value in values.items()]
     )
     ok = (
         run["correct"] is True
+        and isinstance(attempted, int)
+        and attempted > 0
         and run["failed"] == 0
         and all(value is not None and value > 0 for value in values.values())
     )

@@ -12,11 +12,11 @@ README "File formats")::
 
 ``:A`` marks the aspect position, ``:O`` the opinion position.  Order of
 lines is precedence order.  ``extract_sentences`` is the one extraction
-core: it runs a whole corpus in one loop, resolving the pattern index,
+core: it runs a whole corpus in one loop, binding the pattern index,
 opinion lexicon and dictionary lookups once per call, and states the
 full rule; ``extract_with_options`` is its one-sentence call.
-A :class:`PatternSet` indexes its patterns by first tag; from that
-index each call builds a scan index (:func:`_scan_index`), so extraction
+A :class:`PatternSet` compiles its scan index once, when it is built
+(for the bundled table, when the pattern file loads), so extraction
 scans each sentence's tags once, at one lookup per token, whatever the
 number of patterns.  The nearest-aspect search probes the dictionary's
 windows only at words that start an entry.
@@ -87,31 +87,39 @@ class TagPattern:
             object.__setattr__(self, "name", "-".join(t.lower() for t in self.tags))
 
 
+# One pattern as the scan compares it: (tags, length, rank, opinion offset,
+# aspect offset, name).
+_ScanEntry = tuple[tuple[str, ...], int, int, int, int | None, str]
+
+
 @dataclass(frozen=True)
 class PatternSet:
     """Ordered collection of patterns; earlier patterns take precedence.
 
-    ``by_first_tag`` maps each tag that starts a pattern to the
-    ``(rank, pattern)`` entries of the patterns starting with it, rank
-    being the line order.
+    ``by_tag``, the scan index, is compiled once, here: it maps each tag
+    that starts a pattern, and each tag that may hold an opinion
+    (:data:`OPINION_ROLE_TAGS`), to the rows of the patterns starting
+    with it, in line order, and whether the tag may hold an opinion.
     """
 
     patterns: tuple[TagPattern, ...]
-    by_first_tag: dict[str, tuple[tuple[int, TagPattern], ...]] = field(
+    by_tag: dict[str, tuple[tuple[_ScanEntry, ...], bool]] = field(
         init=False, repr=False, compare=False
     )
 
     def __post_init__(self):
         seen: set[tuple] = set()
-        index: dict[str, list[tuple[int, TagPattern]]] = {}
+        rows: dict[str, list[_ScanEntry]] = {tag: [] for tag in OPINION_ROLE_TAGS}
         for rank, p in enumerate(self.patterns):
             key = (p.tags, p.aspect_offset, p.opinion_offset)
             if key in seen:
                 raise ValueError(f"duplicate pattern {' '.join(p.tags)}")
             seen.add(key)
-            index.setdefault(p.tags[0], []).append((rank, p))
-        by_first_tag = {tag: tuple(entries) for tag, entries in index.items()}
-        object.__setattr__(self, "by_first_tag", by_first_tag)
+            rows.setdefault(p.tags[0], []).append(
+                (p.tags, len(p.tags), rank, p.opinion_offset, p.aspect_offset, p.name)
+            )
+        by_tag = {tag: (tuple(r), tag in OPINION_ROLE_TAGS) for tag, r in rows.items()}
+        object.__setattr__(self, "by_tag", by_tag)
 
 
 def parse_pattern_line(line: str) -> TagPattern:
@@ -129,6 +137,8 @@ def parse_pattern_line(line: str) -> TagPattern:
         if tok.endswith(":A") or tok.endswith(":O"):
             role = tok[-1]
             tok = tok[:-2]
+            if not tok:
+                raise ValueError(f"item {i + 1}: role marker :{role} has no tag")
         tags.append(_PENN_TAG.get(tok, tok))  # TagPattern rejects an unknown one
         if role == "A":
             if aspect_offset is not None:
@@ -221,22 +231,18 @@ def _aspect_at(
 def _longest_entry_at(
     words_lower: list[str],
     start: int,
+    limit: int,
     entry: Callable[[str], str | None],
-    widest: Callable[[str], int | None],
 ) -> tuple[int, str] | None:
     """``(n, canonical)`` of the longest dictionary entry equal to
     ``words_lower[start:start+n]``, given the bound ``get`` of the
-    dictionary's ``entries`` and ``widest``; only windows up to the
-    widest entry starting with the first word are tried.
+    dictionary's ``entries``; only windows up to ``limit`` words, the
+    first word's ``widest`` width, are tried.
 
     The words hold no whitespace (see :class:`~aspectminer.tagger.TaggedSentence`),
     so a window joined by single spaces is already a normalized key.
     """
-    limit = widest(words_lower[start])
-    if not limit:
-        return None
-    limit = min(limit, len(words_lower) - start)
-    for n in range(limit, 0, -1):
+    for n in range(min(limit, len(words_lower) - start), 0, -1):
         canonical = entry(" ".join(words_lower[start : start + n]))
         if canonical is not None:
             return n, canonical
@@ -257,14 +263,15 @@ def _nearest_aspect(
     dictionary term (:func:`_longest_entry_at`) gives the term.  Only a
     word that ``widest`` (the bound ``get`` of the dictionary's
     ``widest``) knows can start one, so the windows are tried at those
-    words alone.
+    words alone, up to the width it gives.
     """
     for steps in (range(opinion_index - 1, -1, -1), range(opinion_index + 1, len(tags))):
         for j in steps:
             if tags[j] in NOUN_TAGS:
                 return _aspect_at(tags, words_lower, j, entry)
-            if widest(words_lower[j]):
-                hit = _longest_entry_at(words_lower, j, entry, widest)
+            limit = widest(words_lower[j])
+            if limit:
+                hit = _longest_entry_at(words_lower, j, limit, entry)
                 if hit is not None:
                     return j, j + hit[0], hit[1]
     return None
@@ -284,29 +291,6 @@ def extract_with_options(
         (sentence,), dictionary, lexicon, pattern_set,
         fallback=fallback, conjunction=conjunction,
     )
-
-
-# One pattern as the scan compares it: (tags, length, rank, opinion offset,
-# aspect offset, name).
-_ScanEntry = tuple[tuple[str, ...], int, int, int, int | None, str]
-
-
-def _scan_index(pattern_set: PatternSet) -> dict[str, tuple[tuple[_ScanEntry, ...], bool]]:
-    """Each tag that starts a pattern or may hold an opinion, to the
-    patterns starting with it, in rank order, and whether it may hold
-    an opinion (:data:`OPINION_ROLE_TAGS`)."""
-    index: dict[str, tuple[tuple[_ScanEntry, ...], bool]] = {
-        tag: ((), True) for tag in OPINION_ROLE_TAGS
-    }
-    for tag, entries in pattern_set.by_first_tag.items():
-        index[tag] = (
-            tuple(
-                (p.tags, len(p.tags), rank, p.opinion_offset, p.aspect_offset, p.name)
-                for rank, p in entries
-            ),
-            tag in OPINION_ROLE_TAGS,
-        )
-    return index
 
 
 def extract_sentences(
@@ -335,23 +319,23 @@ def extract_sentences(
        directly follows its aspect span; copies are not copied again.
        A sentence without a ``CC`` tag skips this pass.
 
-    The tags are scanned once, at one lookup per token in a scan index
-    built once per call (:func:`_scan_index`): it gives the patterns
-    starting with the tag, which alone are compared, and whether the
-    tag may hold an opinion.  Each hit is recorded as ``(rank, start,
-    pattern)``, so sorting the hits gives the order of pass 1; the same
-    scan records the opinion-role positions pass 2 visits.  A sentence
-    with neither hits nor (with ``fallback``) such positions yields no
-    pairs; any other is lowercased once, for the polarity gate, the
-    opinion surfaces and the aspect search.  Pass 1 records the opinion
-    indices it claims, for pass 2 to skip, and a sentence where no pass
-    claims anything ends there.  Each sentence's pairs are ordered by
-    token position.
+    The tags are scanned once, at one lookup per token in the scan index
+    ``pattern_set`` compiled at load (:class:`PatternSet`): it gives the
+    patterns starting with the tag, which alone are compared, and
+    whether the tag may hold an opinion.  Each hit is recorded as
+    ``(rank, start, pattern)``, so sorting the hits gives the order of
+    pass 1; the same scan records the opinion-role positions pass 2
+    visits.  A sentence with neither hits nor (with ``fallback``) such
+    positions yields no pairs; any other is lowercased once, for the
+    polarity gate, the opinion surfaces and the aspect search.  Pass 1
+    records the opinion indices it claims, for pass 2 to skip, and a
+    sentence where no pass claims anything ends there.  Each sentence's
+    pairs are ordered by token position.
 
-    The scan index, the lexicon and the dictionary's lookups are
-    resolved once per call, not once per sentence.
+    The lookups of the scan index, the lexicon and the dictionary are
+    bound once per call, not once per sentence.
     """
-    scan = _scan_index(pattern_set).get
+    scan = pattern_set.by_tag.get
     polarity = lexicon.get
     entry = dictionary.entries.get
     widest = dictionary.widest.get

@@ -1,8 +1,9 @@
 """scripts/check_bench_run.py, the gate each CI bench smoke run goes
 through: on fixed run lines it passes a clean run, fails a run with a
-wrong op, a failed op, or a named metric that is 0 or missing, prefixes
-the summary with ``--workload``, and exits 1 on empty input or on a last
-line that is not a run's JSON, naming the workload."""
+wrong op, a failed op, no op attempted (``attempted`` 0 or missing), or
+a named metric that is 0 or missing, prefixes the summary with
+``--workload``, and exits 1 on empty input or on a last line that is not
+a run's JSON, naming the workload."""
 
 import importlib.util
 import io
@@ -23,32 +24,41 @@ def check_bench_run():
     return module
 
 
-def run_line(correct=True, failed=0, **metrics):
+def run_line(correct=True, attempted=12, failed=0, **metrics):
     values = {"patterns.extract_s": 0.125, "patterns.pairs": 8249, **metrics}
-    return json.dumps(
-        {
-            "correct": correct,
-            "failed": failed,
-            "metrics": {name: {"value": v} for name, v in values.items() if v is not None},
-        }
-    )
+    run = {
+        "correct": correct,
+        "attempted": attempted,
+        "failed": failed,
+        "metrics": {name: {"value": v} for name, v in values.items() if v is not None},
+    }
+    if attempted is None:
+        del run["attempted"]
+    return json.dumps(run)
 
 
 def test_clean_run_passes(check_bench_run):
     summary, ok = check_bench_run.check(run_line(), METRICS)
     assert ok
-    assert summary == "correct True failed 0 patterns.extract_s 0.125 patterns.pairs 8249"
+    assert summary == (
+        "correct True attempted 12 failed 0 patterns.extract_s 0.125 patterns.pairs 8249"
+    )
 
 
 @pytest.mark.parametrize(
     "line",
     [
         run_line(correct=False),
+        run_line(attempted=0),
+        run_line(attempted=None),
         run_line(failed=1),
         run_line(**{"patterns.pairs": 0}),
         run_line(**{"patterns.pairs": None}),
     ],
-    ids=["not correct", "one failed op", "metric at 0", "metric missing"],
+    ids=[
+        "not correct", "no op attempted", "attempted missing", "one failed op",
+        "metric at 0", "metric missing",
+    ],
 )
 def test_faulty_run_fails(check_bench_run, line):
     _, ok = check_bench_run.check(line, METRICS)
@@ -70,7 +80,16 @@ def test_main_reads_the_last_line_and_prefixes_the_workload(
 ):
     stdin = "writing catalog\n" + run_line() + "\n"
     assert run_main(check_bench_run, monkeypatch, stdin, ["--workload", "cli-batch"]) == 0
-    assert capsys.readouterr().out == "cli-batch correct True failed 0\n"
+    assert capsys.readouterr().out == "cli-batch correct True attempted 12 failed 0\n"
+
+
+@pytest.mark.parametrize("attempted", [0, None], ids=["no op attempted", "attempted missing"])
+def test_main_exits_1_on_a_run_that_attempted_no_op(
+    check_bench_run, monkeypatch, capsys, attempted
+):
+    stdin = run_line(attempted=attempted) + "\n"
+    assert run_main(check_bench_run, monkeypatch, stdin, ["--workload", "x"]) == 1
+    assert capsys.readouterr().out == f"x correct True attempted {attempted} failed 0\n"
 
 
 def test_main_exits_1_on_a_faulty_run(check_bench_run, monkeypatch, capsys):

@@ -1140,7 +1140,7 @@ class TestUnchangedResourcesReuseTheirParse:
         assert res.aspect_dictionary.widest == dictionary.widest
         patterns = parse(_parse_pattern_set, "patterns")
         assert res.pattern_set.patterns == patterns.patterns
-        assert res.pattern_set.by_first_tag == patterns.by_first_tag
+        assert res.pattern_set.by_tag == patterns.by_tag
         assert res.tag_lexicon == parse(_parse_tag_lexicon, "tag_lexicon")
         verbs = parse(_parse_verb_categories, "verbs")
         assert res.verb_categories.orientations == verbs.orientations

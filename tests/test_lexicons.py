@@ -145,7 +145,12 @@ def bundled_seed_words():
 
 
 def longest_entry_at(dictionary, words_lower, start):
-    return _longest_entry_at(words_lower, start, dictionary.entries.get, dictionary.widest.get)
+    """``_longest_entry_at`` as the nearest-aspect search calls it: only
+    at a word ``widest`` gives a width, with that width as the limit."""
+    limit = dictionary.widest.get(words_lower[start])
+    if not limit:
+        return None
+    return _longest_entry_at(words_lower, start, limit, dictionary.entries.get)
 
 
 class TestAspectDictionary:

@@ -40,6 +40,7 @@ from aspectminer.patterns import (
     PatternSet,
     TagPattern,
     _longest_entry_at,
+    _nearest_aspect,
     mine_frequent_tag_sets,
 )
 from aspectminer.pipeline import (
@@ -218,10 +219,11 @@ def test_longest_entry_at_never_iterates_the_dictionary():
     )
     d = AspectDictionary(entries=entries)
     words = "the battery life and the sound are great".split()
+    limits = [d.widest.get(word, 0) for word in words]
     entries.iterations = 0
 
     hits = [
-        _longest_entry_at(words, i % len(words), d.entries.get, d.widest.get)
+        _longest_entry_at(words, i % len(words), limits[i % len(words)], d.entries.get)
         for i in range(1_000)
     ]
 
@@ -236,10 +238,10 @@ def test_longest_entry_at_skips_positions_whose_word_starts_no_entry():
     )
     d = AspectDictionary(entries=entries)
     words = "the price is right and the screen is great".split()
+    # no noun, so that the nearest-aspect search walks every word
+    tags = ("DT",) * (len(words) - 1) + ("JJ",)
 
-    hits = [_longest_entry_at(words, i, d.entries.get, d.widest.get) for i in range(len(words))]
-
-    assert hits == [None] * len(words)
+    assert _nearest_aspect(tags, words, len(words) - 1, d.entries.get, d.widest.get) is None
     assert entries.gets == 0
 
 
@@ -248,9 +250,9 @@ def test_nearest_aspect_probes_only_words_that_start_an_entry(
 ):
     probed = []
 
-    def counted(words_lower, start, entry, widest):
-        probed.append(words_lower[start])
-        return _longest_entry_at(words_lower, start, entry, widest)
+    def counted(words_lower, start, limit, entry):
+        probed.append((words_lower[start], limit))
+        return _longest_entry_at(words_lower, start, limit, entry)
 
     monkeypatch.setattr(patterns, "_longest_entry_at", counted)
     # a term the samples never tag as a noun, where the probe must still find it
@@ -265,8 +267,9 @@ def test_nearest_aspect_probes_only_words_that_start_an_entry(
 
     pairs = extract_corpus(sentences, resources)
     assert ("flash", "great") in {(p.aspect_surface, p.opinion_surface) for p in pairs}
-    assert "flash" in probed
-    assert set(probed) <= resources.aspect_dictionary.widest.keys()
+    widest = resources.aspect_dictionary.widest
+    assert ("flash", widest["flash"]) in probed
+    assert all(limit == widest.get(word) for word, limit in probed)
 
 
 class CountingTagger(BaselineTagger):

@@ -25,7 +25,7 @@ from aspectminer.lexicons import (
     load_opinion_lexicon,
     load_verb_categories,
 )
-from aspectminer.patterns import load_pattern_set
+from aspectminer.patterns import OPINION_ROLE_TAGS, load_pattern_set
 from aspectminer.pipeline import data_dir, load_pretagged_file, load_resources, tag_corpus
 from aspectminer.tagger import load_tag_lexicon, render_pretagged
 
@@ -123,14 +123,33 @@ def test_tag_rendering_aligns_with_its_corpus(workdir, tagger, text):
     assert [s.position for s in aligned] == [s.position for s in tagged]
 
 
+def scan_index(patterns):
+    """The scan index ``extract_sentences`` built on every call before
+    ``PatternSet`` compiled it: each tag that starts a pattern or may hold
+    an opinion, to the rows of the patterns starting with it in line
+    order, and whether it may hold an opinion."""
+    first = {}
+    for rank, p in enumerate(patterns):
+        first.setdefault(p.tags[0], []).append((rank, p))
+    index = {tag: ((), True) for tag in OPINION_ROLE_TAGS}
+    for tag, entries in first.items():
+        index[tag] = (
+            tuple(
+                (p.tags, len(p.tags), rank, p.opinion_offset, p.aspect_offset, p.name)
+                for rank, p in entries
+            ),
+            tag in OPINION_ROLE_TAGS,
+        )
+    return index
+
+
 @given(contents)
 @FUZZ
 @example(b"JJ:O NN:A\nVBZ JJ:O\nJJ:O NN\nJJ:O VBG # name=x\n")
 def test_pattern_reader_builds_the_index(workdir, data):
     ps = parse_or_report(load_pattern_set, write(workdir, "patterns.txt", data))
     if ps is not None:
-        entries = [entry for group in ps.by_first_tag.values() for entry in group]
-        assert sorted(entries, key=lambda e: e[0]) == list(enumerate(ps.patterns))
+        assert ps.by_tag == scan_index(ps.patterns)
 
 
 @given(contents, contents)

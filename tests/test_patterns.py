@@ -169,22 +169,35 @@ class TestPatternSet:
         with pytest.raises(ValueError):
             PatternSet(patterns=(a, b))
 
-    def test_index_groups_patterns_by_first_tag_in_line_order(self, resources):
+    def test_index_holds_each_pattern_under_its_first_tag_in_line_order(self, resources):
         ps = resources.pattern_set
-        assert sorted(
-            entry for entries in ps.by_first_tag.values() for entry in entries
-        ) == list(enumerate(ps.patterns))
-        for tag, entries in ps.by_first_tag.items():
-            assert all(p.tags[0] == tag for _, p in entries)
-            assert [rank for rank, _ in entries] == sorted(rank for rank, _ in entries)
+        rows = [row for patterns, _ in ps.by_tag.values() for row in patterns]
+        assert sorted(rows, key=lambda row: row[2]) == [
+            (p.tags, len(p.tags), rank, p.opinion_offset, p.aspect_offset, p.name)
+            for rank, p in enumerate(ps.patterns)
+        ]
+        assert ps.by_tag.keys() >= OPINION_ROLE_TAGS
+        for tag, (patterns, opinion_role) in ps.by_tag.items():
+            assert all(row[0][0] == tag for row in patterns)
+            assert [row[2] for row in patterns] == sorted(row[2] for row in patterns)
+            assert opinion_role == (tag in OPINION_ROLE_TAGS)
 
     def test_equality_and_hash_ignore_the_index(self, resources):
         a = PatternSet(patterns=resources.pattern_set.patterns)
         b = PatternSet(patterns=resources.pattern_set.patterns)
-        object.__setattr__(b, "by_first_tag", {})
+        assert "by_tag" in {f.name for f in fields(PatternSet)}
+        assert b.by_tag
+        object.__setattr__(b, "by_tag", {})
         assert a == b == resources.pattern_set
         assert hash(a) == hash(b) == hash(resources.pattern_set)
-        assert "by_first_tag" not in repr(a)
+        assert "by_tag" not in repr(a)
+
+    def test_extraction_reads_the_index_the_set_holds(self, resources, sample_tagged):
+        ps = PatternSet(patterns=resources.pattern_set.patterns)
+        args = (sample_tagged, resources.aspect_dictionary, resources.opinion_lexicon, ps)
+        assert extract_sentences(*args, fallback=False)
+        object.__setattr__(ps, "by_tag", {})
+        assert extract_sentences(*args, fallback=False) == []
 
     def test_load_bundled_file(self, resources):
         ps = resources.pattern_set
@@ -200,6 +213,20 @@ class TestPatternSet:
         with pytest.raises(ParseError) as exc:
             load_pattern_set(f)
         assert exc.value.line == 2
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            (":A JJ:O", "item 1: role marker :A has no tag"),
+            ("NN:A VBZ :O", "item 3: role marker :O has no tag"),
+        ],
+    )
+    def test_load_names_a_role_marker_without_a_tag(self, tmp_path, line, message):
+        f = tmp_path / "patterns.txt"
+        f.write_text(f"NN:A VBZ JJ:O\n{line}\n", encoding="utf-8")
+        with pytest.raises(ParseError) as exc:
+            load_pattern_set(f)
+        assert str(exc.value) == f"{f}: line 2: {message}"
 
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
