@@ -16,7 +16,9 @@ the three forms (stray preamble text) are skipped with a warning.
 Warnings go to the ``aspectminer.corpus`` logger; ``logging`` is
 imported on the first one, so a run over clean files never loads it.
 Within one parsed file, equal gold terms and equal flag sets are one
-object each.
+object each.  The plain form ``term[+d]``/``term[-d]`` without flags,
+the usual annotation, is read by one ``partition`` and a table lookup;
+every other form goes through the annotation pattern.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ _ANNOT_RE = re.compile(
     r"^(?P<term>[^\[\]]+)\[(?P<sign>[+-])(?P<d>\d+)\](?P<flags>(?:\[[^\[\]]+\])*)$"
 )
 _FLAG_RE = re.compile(r"\[([^\[\]]+)\]")
+# what follows the "[" of a plain annotation, to its strength
+_PLAIN_STRENGTHS = {f"{sign}{d}]": int(f"{sign}{d}") for sign in "+-" for d in "123"}
 
 
 @record
@@ -67,11 +71,18 @@ def _parse_annotation(text: str, shared: dict | None = None) -> GoldAnnotation:
     """Parse one ``term[+d]`` group; raises ValueError when malformed.
 
     The term and the flag set are stored as ``shared``'s object for
-    them, added when new.
+    them, added when new.  A plain ``term[+d]`` with d in 1..3 and no
+    flags is read without the pattern, to the same annotation.
     """
     if shared is None:
         shared = {}
     text = text.strip()
+    term, _, rest = text.partition("[")
+    strength = _PLAIN_STRENGTHS.get(rest)
+    if strength is not None and term and "]" not in term:
+        # the stripped text starts with the term, so the term holds a non-space
+        term = term.strip()
+        return GoldAnnotation(shared.setdefault(term, term), strength)
     m = _ANNOT_RE.match(text)
     if m is None:
         raise ValueError(f"unrecognized annotation {text!r}")
@@ -156,8 +167,9 @@ def tokenize(raw_text: str, words: dict[str, str] | None = None) -> list[str]:
     share = ({} if words is None else words).setdefault
     tokens: list[str] = []
     for chunk in raw_text.split():
-        # a chunk of letters, digits and apostrophes only is one word
-        if chunk.isalnum() or chunk.replace("'", "").isalnum():
+        # a chunk of letters, digits and apostrophes only is one word, and
+        # a chunk of one character is one token, word or not
+        if chunk.isalnum() or len(chunk) == 1 or chunk.replace("'", "").isalnum():
             tokens.append(share(chunk, chunk))
             continue
         word: list[str] = []

@@ -154,10 +154,14 @@ _PENN_ESCAPES = {
 
 def _spells(surfaces: tuple[str, ...], text: str) -> bool:
     """Whether each surface matches the next non-space characters of ``text``,
-    as written or as the character its Penn escape stands for."""
-    rest = "".join(text.split())
-    if "".join(surfaces) == rest:
+    as written or as the character its Penn escape stands for.
+
+    Surfaces hold no whitespace, so a text that is its surfaces joined by
+    single spaces, as aligned lines usually are, is accepted at once.
+    """
+    if " ".join(surfaces) == text:
         return True
+    rest = "".join(text.split())
     at = 0
     for surface in surfaces:
         for form in (surface, _PENN_ESCAPES.get(surface)):

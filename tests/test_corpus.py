@@ -13,6 +13,10 @@ Oracles kept here, each the code the current one replaced:
   with the whole-word tokenizer on arbitrary Unicode text and on
   apostrophe-, digit- and underscore-heavy text.
 
+The plain form ``term[+d]`` is read without the annotation pattern: the
+shipped samples are parsed with the pattern counting its calls, one per
+annotation that is not plain.
+
 No token ``tokenize`` yields holds whitespace.
 """
 
@@ -23,6 +27,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from aspectminer.corpus import (
+    _ANNOT_RE,
     GoldAnnotation,
     _parse_annotation,
     load_corpus,
@@ -121,6 +126,15 @@ class TestAnnotationParsingAgainstOracle:
     @example(" [+2]")
     @example("zoom[+0][u]")
     @example("zoom[-04]")
+    @example("zoom[+1]")
+    @example(" battery life [-3]")
+    @example("a]b[+1]")
+    @example("zoom[+1]]")
+    @example("zoom[+1][u]")
+    @example("zoom[+01]")
+    @example("zoom[+\u0663]")
+    @example("zoom[+4]")
+    @example("[+2]")
     def test_same_annotation_or_message(self, text):
         got = parse_outcome(_parse_annotation, text)
         assert got == parse_outcome(oracle_parse_annotation, text)
@@ -155,6 +169,7 @@ class TestGoldPrefixAgainstOracle:
     @example(prefix="sound[+2],,size[-1][u], ")
     @example(prefix=" , ")
     @example(prefix="sound[+2],size[+4]")
+    @example(prefix="sound[+2],size[-1][u]")
     def test_same_gold_or_warning(self, prefix, caplog):
         # a prefix that would change how the line itself reads is out of scope
         assume("\n" not in prefix and "#" not in prefix and not prefix.startswith("[t]"))
@@ -290,6 +305,32 @@ class TestLoadCorpus:
         with pytest.raises(ParseError) as exc:
             load_corpus(path)
         assert str(exc.value) == f"{path}: line 2: not UTF-8 text (byte 0xff)"
+
+
+class CountingPattern:
+    """A compiled pattern that counts its ``match`` calls."""
+
+    def __init__(self, pattern):
+        self.pattern = pattern
+        self.calls = 0
+
+    def match(self, text):
+        self.calls += 1
+        return self.pattern.match(text)
+
+
+@pytest.mark.parametrize(
+    "name, annotations, matched",
+    [("reviews.txt", 20, 0), ("minieval.txt", 21, 7)],
+)
+def test_only_annotations_that_are_not_plain_reach_the_pattern(
+    sample_dir, monkeypatch, name, annotations, matched
+):
+    counting = CountingPattern(_ANNOT_RE)
+    monkeypatch.setattr("aspectminer.corpus._ANNOT_RE", counting)
+    parsed = load_corpus(sample_dir / name)
+    assert sum(len(s.gold) for s in parsed.sentences) == annotations
+    assert counting.calls == matched
 
 
 class TestSampleCorpus:

@@ -5,7 +5,10 @@ given path.  The tag lexicon is parsed once, by the first ``tagger()``
 call, so a malformed one fails only a run that tags, while a missing
 one fails at load.  A pretagged file aligns with its corpus line by
 line: a reversed file is rejected at line 1, escaped and re-split tokens
-align, and sentences without text take no line.
+align, and sentences without text take no line.  ``_spells``, which
+decides whether a line's tokens spell its sentence, is compared with
+``oracle_spells``, the walk it accepts aligned texts ahead of, on texts
+with single and doubled spaces, tabs and escaped characters.
 """
 
 import os
@@ -13,6 +16,8 @@ import shutil
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from aspectminer import pipeline
 from aspectminer.errors import ParseError
@@ -266,6 +271,68 @@ class TestLoadPretaggedFile:
         with pytest.raises(ParseError) as exc:
             load_pretagged_file(f, corpus)
         assert exc.value.line == 1
+
+
+# Penn Treebank escapes and what they stand for, as in the pipeline
+ORACLE_PENN_ESCAPES = {
+    "-LRB-": "(", "-RRB-": ")", "-LSB-": "[", "-RSB-": "]", "-LCB-": "{", "-RCB-": "}",
+    "``": '"', "''": '"',
+}
+
+
+def oracle_spells(surfaces, text):
+    """``pipeline._spells`` as it was before it accepted a text that is
+    its surfaces joined by single spaces at once; kept as an oracle."""
+    rest = "".join(text.split())
+    if "".join(surfaces) == rest:
+        return True
+    at = 0
+    for surface in surfaces:
+        for form in (surface, ORACLE_PENN_ESCAPES.get(surface)):
+            if form is not None and rest.startswith(form, at):
+                at += len(form)
+                break
+        else:
+            return False
+    return at == len(rest)
+
+
+# whitespace-free surfaces, as parse_pretagged yields them, Penn escapes
+# and the characters they stand for among them
+SURFACES = ["a", "ab", "n't", ".", "(", '"', "''", "``", "-LRB-", "-RRB-", "-LSB-", "[", "}"]
+
+
+@st.composite
+def surfaces_and_texts(draw):
+    """Surfaces and a text built from them: each written as is, as the
+    character its escape stands for, or left out, with single or doubled
+    spaces, tabs or nothing between."""
+    surfaces = draw(st.lists(st.sampled_from(SURFACES), min_size=1, max_size=6))
+    text = ""
+    for surface in surfaces:
+        text += draw(st.sampled_from([surface, ORACLE_PENN_ESCAPES.get(surface, surface), ""]))
+        text += draw(st.sampled_from([" ", " ", "  ", "\t", ""]))
+    return tuple(surfaces), text
+
+
+class TestSpellsAgainstOracle:
+    @given(surfaces_and_texts())
+    @settings(max_examples=500, deadline=None)
+    @example((("a", "-LRB-", "n't", "."), "a -LRB- n't ."))
+    @example((("a", "-LRB-", "``", "."), "a ( \" ."))
+    @example((("a", "ab"), "a  ab"))
+    @example((("a", "ab"), "a\tab "))
+    def test_texts_built_from_the_surfaces(self, case):
+        surfaces, text = case
+        assert pipeline._spells(surfaces, text) == oracle_spells(surfaces, text)
+
+    @given(
+        st.lists(st.sampled_from(SURFACES), min_size=1, max_size=4).map(tuple),
+        st.text(st.sampled_from("a(.'\"`-LRB[ \t"), max_size=12),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_any_text(self, surfaces, text):
+        assert pipeline._spells(surfaces, text) == oracle_spells(surfaces, text)
 
 
 class TestExtractCorpus:
