@@ -251,7 +251,7 @@ def _write_output(text: str, out: str) -> None:
             with open(out, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise AspectMinerError(f"cannot write {out}: {exc.strerror}") from exc
+            raise AspectMinerError(f"cannot write {out or repr(out)}: {exc.strerror}") from exc
 
 
 def _cmd_tag(config: RunConfig, res: Resources, inputs: _Inputs) -> str:
@@ -429,7 +429,7 @@ def main(argv: list[str] | None = None) -> int:
         output = command.run(config, res, _tagged_inputs(config, res))
         _write_output(output, config.out)
     except FileNotFoundError as exc:
-        print(f"error: missing file: {exc.args[0]}", file=sys.stderr)
+        print(f"error: missing file: {exc.args[0] or repr(exc.args[0])}", file=sys.stderr)
         return EXIT_MISSING_FILE
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,14 +12,15 @@ README "File formats")::
 
 ``:A`` marks the aspect position, ``:O`` the opinion position.  Order of
 lines is precedence order.  ``extract_sentences`` is the one extraction
-core: it runs a whole corpus in one loop, binding the pattern index,
+core: it runs a whole corpus in one loop, binding the pattern automaton,
 opinion lexicon and dictionary lookups once per call, and states the
 full rule; ``extract_with_options`` is its one-sentence call.
-A :class:`PatternSet` compiles its scan index once, when it is built
-(for the bundled table, when the pattern file loads), so extraction
-scans each sentence's tags once, at one lookup per token, whatever the
-number of patterns.  The nearest-aspect search probes the dictionary's
-windows only at words that start an entry.
+A :class:`PatternSet` compiles its patterns into a tag automaton once,
+when it is built (for the bundled table, when the pattern file loads),
+so extraction scans each sentence's tags once, at one transition per
+token, whatever the number of patterns and however many share a tag.
+The nearest-aspect search probes the dictionary's windows only at words
+that start an entry.
 """
 
 from __future__ import annotations
@@ -87,39 +88,100 @@ class TagPattern:
             object.__setattr__(self, "name", "-".join(t.lower() for t in self.tags))
 
 
-# One pattern as the scan compares it: (tags, length, rank, opinion offset,
+# One pattern as a scan hit records it: (rank, length, opinion offset,
 # aspect offset, name).
-_ScanEntry = tuple[tuple[str, ...], int, int, int, int | None, str]
+_Row = tuple[int, int, int, int | None, str]
+# One transition of the automaton: (next state, rows of the patterns that
+# end at the token, in line order, whether the token's tag may hold an
+# opinion).
+_Entry = tuple[int, tuple[_Row, ...], bool]
+
+# The transition on a tag that no pattern holds and no opinion may: back to
+# the root, ending no pattern.
+_MISS: _Entry = (0, (), False)
+
+
+def _written(p: TagPattern) -> str:
+    """The pattern's tags with their role markers, as a pattern line has them."""
+    roles = {p.aspect_offset: ":A", p.opinion_offset: ":O"}
+    return " ".join(tag + roles.get(i, "") for i, tag in enumerate(p.tags))
 
 
 @dataclass(frozen=True)
 class PatternSet:
     """Ordered collection of patterns; earlier patterns take precedence.
 
-    ``by_tag``, the scan index, is compiled once, here: it maps each tag
-    that starts a pattern, and each tag that may hold an opinion
-    (:data:`OPINION_ROLE_TAGS`), to the rows of the patterns starting
-    with it, in line order, and whether the tag may hold an opinion.
+    ``automaton``, the scan table, is compiled once, here: the complete
+    Aho-Corasick automaton (Aho & Corasick, "Efficient string matching",
+    CACM 1975) of the patterns' tag sequences.  Its state after a token
+    stands for the longest suffix of the tags read so far that is a
+    prefix of some pattern; the state before the first token is the
+    root, 0.  It is a
+    tuple of per-state dicts, each mapping every tag a pattern holds and
+    every :data:`OPINION_ROLE_TAGS` tag to ``(next state, rows, opinion
+    role)``: the rows of the patterns that end at that token, in line
+    order, and whether the tag may hold an opinion.  Any other tag takes
+    ``_MISS``, back to the root.  One entry tuple serves each (next
+    state, opinion role), so the table holds as many entries as there
+    are of those pairs, however many tags lead to each.
     """
 
     patterns: tuple[TagPattern, ...]
-    by_tag: dict[str, tuple[tuple[_ScanEntry, ...], bool]] = field(
+    automaton: tuple[dict[str, _Entry], ...] = field(
         init=False, repr=False, compare=False
     )
 
     def __post_init__(self):
+        # The trie of the patterns: each state's children, and the rows of
+        # the patterns that the path to it spells.
+        children: list[dict[str, int]] = [{}]
+        rows: list[list[_Row]] = [[]]
         seen: set[tuple] = set()
-        rows: dict[str, list[_ScanEntry]] = {tag: [] for tag in OPINION_ROLE_TAGS}
         for rank, p in enumerate(self.patterns):
             key = (p.tags, p.aspect_offset, p.opinion_offset)
             if key in seen:
-                raise ValueError(f"duplicate pattern {' '.join(p.tags)}")
+                raise ValueError(f"duplicate pattern {_written(p)}")
             seen.add(key)
-            rows.setdefault(p.tags[0], []).append(
-                (p.tags, len(p.tags), rank, p.opinion_offset, p.aspect_offset, p.name)
+            state = 0
+            for tag in p.tags:
+                if tag not in children[state]:
+                    children[state][tag] = len(children)
+                    children.append({})
+                    rows.append([])
+                state = children[state][tag]
+            rows[state].append(
+                (rank, len(p.tags), p.opinion_offset, p.aspect_offset, p.name)
             )
-        by_tag = {tag: (tuple(r), tag in OPINION_ROLE_TAGS) for tag, r in rows.items()}
-        object.__setattr__(self, "by_tag", by_tag)
+        # Breadth first, so that a state's fallback (the state of the
+        # longest proper suffix of its path) is done before the state: a
+        # state ends its fallback's patterns as well as its own, and on
+        # each tag it has no child for it moves as its fallback does.
+        fallbacks = [0] * len(children)
+        order = list(children[0].values())
+        for state in order:  # order grows as it is walked
+            rows[state] = sorted(rows[state] + rows[fallbacks[state]])
+            for tag, child in children[state].items():
+                fallback = fallbacks[state]
+                while fallback and tag not in children[fallback]:
+                    fallback = fallbacks[fallback]
+                fallbacks[child] = children[fallback].get(tag, 0)
+                order.append(child)
+        # entry[tag][target]: the one entry of each (next state, opinion role)
+        ends = list(map(tuple, rows))
+        shared = tuple(
+            [(target, r, flag) for target, r in enumerate(ends)] for flag in (False, True)
+        )
+        shared[False][0] = _MISS
+        alphabet = OPINION_ROLE_TAGS.union(*(p.tags for p in self.patterns))
+        entry = {tag: shared[tag in OPINION_ROLE_TAGS] for tag in alphabet}
+        root = {tag: entry[tag][children[0].get(tag, 0)] for tag in alphabet}
+        automaton = [root] * len(children)  # every other state is set below
+        for state in order:
+            automaton[state] = {
+                **automaton[fallbacks[state]],
+                **{tag: entry[tag][child] for tag, child in children[state].items()},
+            }
+        object.__setattr__(self, "automaton", tuple(automaton))
 
 
 def parse_pattern_line(line: str) -> TagPattern:
@@ -165,15 +227,20 @@ def load_pattern_set(path: str | Path) -> PatternSet:
 def _parse_pattern_set(texts, paths) -> PatternSet:
     (path,) = paths
     patterns = []
+    first_line: dict[tuple, int] = {}  # (tags, aspect, opinion) -> line
     for lineno, line in text_lines(texts[0], comments=True):
         try:
-            patterns.append(parse_pattern_line(line))
+            p = parse_pattern_line(line)
         except ValueError as exc:
             raise ParseError(str(exc), path=path, line=lineno) from exc
-    try:
-        return PatternSet(patterns=tuple(patterns))
-    except ValueError as exc:
-        raise ParseError(str(exc), path=path) from exc
+        first = first_line.setdefault((p.tags, p.aspect_offset, p.opinion_offset), lineno)
+        if first != lineno:
+            raise ParseError(
+                f"duplicate pattern {_written(p)} (first on line {first})",
+                path=path, line=lineno,
+            )
+        patterns.append(p)
+    return PatternSet(patterns=tuple(patterns))
 
 
 @record
@@ -319,10 +386,10 @@ def extract_sentences(
        directly follows its aspect span; copies are not copied again.
        A sentence without a ``CC`` tag skips this pass.
 
-    The tags are scanned once, at one lookup per token in the scan index
-    ``pattern_set`` compiled at load (:class:`PatternSet`): it gives the
-    patterns starting with the tag, which alone are compared, and
-    whether the tag may hold an opinion.  Each hit is recorded as
+    The tags are scanned once, at one transition per token of the
+    automaton ``pattern_set`` compiled at load (:class:`PatternSet`): it
+    gives the patterns that end at the token, so no window is compared,
+    and whether the tag may hold an opinion.  Each hit is recorded as
     ``(rank, start, pattern)``, so sorting the hits gives the order of
     pass 1; the same scan records the opinion-role positions pass 2
     visits.  A sentence with neither hits nor (with ``fallback``) such
@@ -332,28 +399,26 @@ def extract_sentences(
     sentence where no pass claims anything ends there.  Each sentence's
     pairs are ordered by token position.
 
-    The lookups of the scan index, the lexicon and the dictionary are
+    The automaton and the lookups of the lexicon and the dictionary are
     bound once per call, not once per sentence.
     """
-    scan = pattern_set.by_tag.get
+    automaton = pattern_set.automaton
     polarity = lexicon.get
     entry = dictionary.entries.get
     widest = dictionary.widest.get
     pairs: list[AspectOpinionPair] = []
     for sentence in sentences:
         tags = sentence.tags
-        hits: list[tuple[int, int, _ScanEntry]] = []
+        hits: list[tuple[int, int, _Row]] = []
         opinion_positions: list[int] = []
-        for start, tag in enumerate(tags):
-            slot = scan(tag)
-            if slot is None:
-                continue
-            patterns, opinion_role = slot
-            for pattern in patterns:
-                if tags[start : start + pattern[1]] == pattern[0]:
-                    hits.append((pattern[2], start, pattern))
+        state = 0
+        for i, tag in enumerate(tags):
+            state, rows, opinion_role = automaton[state].get(tag, _MISS)
+            if rows:
+                for row in rows:
+                    hits.append((row[0], i - row[1] + 1, row))
             if opinion_role:
-                opinion_positions.append(start)
+                opinion_positions.append(i)
         if not hits and not (fallback and opinion_positions):
             continue
         if len(hits) > 1:
@@ -363,7 +428,7 @@ def extract_sentences(
         found: dict[tuple[int, int], tuple[str, str, int, str]] = {}
         claimed: set[int] = set()  # the opinion indices of found
 
-        for _, start, (_, _, _, opinion_offset, aspect_offset, name) in hits:
+        for _, start, (_, _, opinion_offset, aspect_offset, name) in hits:
             oi = start + opinion_offset
             orientation = polarity(words_lower[oi])
             if orientation is None:

@@ -488,6 +488,32 @@ class TestExitCodes:
         assert main(argv) == EXIT_MISSING_FILE
         assert f"missing file: {tmp_path}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--corpus", "--patterns", "config patterns"])
+    def test_empty_path_is_named(self, sample_paths, tmp_path, capsys, flag):
+        argv = ["extract", "--pretagged", sample_paths["pretagged"]]
+        if flag == "config patterns":
+            config = tmp_path / "run.json"
+            config.write_text('{"patterns": ""}', encoding="utf-8")
+            argv += ["--config", str(config)]
+        else:
+            argv += [flag, ""]
+        assert main(argv) == EXIT_MISSING_FILE
+        assert capsys.readouterr().err == "error: missing file: ''\n"
+
+    def test_empty_output_path_is_named(self, sample_paths, capsys):
+        argv = ["extract", "--pretagged", sample_paths["pretagged"], "--out", ""]
+        assert main(argv) == EXIT_ERROR
+        assert capsys.readouterr().err.startswith("error: cannot write '': ")
+
+    def test_duplicate_pattern_names_both_lines(self, sample_paths, tmp_path, capsys):
+        patterns = tmp_path / "dup.txt"
+        patterns.write_text("NN:A VBZ JJ:O\nNN:A VBZ JJ:O  # name=again\n", encoding="utf-8")
+        argv = ["extract", "--pretagged", sample_paths["pretagged"], "--patterns", str(patterns)]
+        assert main(argv) == EXIT_PARSE_ERROR
+        assert capsys.readouterr().err == (
+            f"error: {patterns}: line 2: duplicate pattern NN:A VBZ JJ:O (first on line 1)\n"
+        )
+
     def test_malformed_pretagged(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text("no tags here\n", encoding="utf-8")
@@ -1140,7 +1166,7 @@ class TestUnchangedResourcesReuseTheirParse:
         assert res.aspect_dictionary.widest == dictionary.widest
         patterns = parse(_parse_pattern_set, "patterns")
         assert res.pattern_set.patterns == patterns.patterns
-        assert res.pattern_set.by_tag == patterns.by_tag
+        assert res.pattern_set.automaton == patterns.automaton
         assert res.tag_lexicon == parse(_parse_tag_lexicon, "tag_lexicon")
         verbs = parse(_parse_verb_categories, "verbs")
         assert res.verb_categories.orientations == verbs.orientations

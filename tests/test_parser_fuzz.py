@@ -25,9 +25,10 @@ from aspectminer.lexicons import (
     load_opinion_lexicon,
     load_verb_categories,
 )
-from aspectminer.patterns import OPINION_ROLE_TAGS, load_pattern_set
+from aspectminer.patterns import load_pattern_set
 from aspectminer.pipeline import data_dir, load_pretagged_file, load_resources, tag_corpus
 from aspectminer.tagger import load_tag_lexicon, render_pretagged
+from test_patterns import automaton_scan, brute_force_scan
 
 FRAGMENTS = [
     # patterns
@@ -123,33 +124,18 @@ def test_tag_rendering_aligns_with_its_corpus(workdir, tagger, text):
     assert [s.position for s in aligned] == [s.position for s in tagged]
 
 
-def scan_index(patterns):
-    """The scan index ``extract_sentences`` built on every call before
-    ``PatternSet`` compiled it: each tag that starts a pattern or may hold
-    an opinion, to the rows of the patterns starting with it in line
-    order, and whether it may hold an opinion."""
-    first = {}
-    for rank, p in enumerate(patterns):
-        first.setdefault(p.tags[0], []).append((rank, p))
-    index = {tag: ((), True) for tag in OPINION_ROLE_TAGS}
-    for tag, entries in first.items():
-        index[tag] = (
-            tuple(
-                (p.tags, len(p.tags), rank, p.opinion_offset, p.aspect_offset, p.name)
-                for rank, p in entries
-            ),
-            tag in OPINION_ROLE_TAGS,
-        )
-    return index
-
-
 @given(contents)
 @FUZZ
 @example(b"JJ:O NN:A\nVBZ JJ:O\nJJ:O NN\nJJ:O VBG # name=x\n")
-def test_pattern_reader_builds_the_index(workdir, data):
+def test_pattern_reader_builds_the_automaton(workdir, data):
+    """The automaton of a loaded set scans each pattern's tags, all of
+    them strung together, and that string reversed, then ``SYM``, then
+    the string again, as the brute-force scan does."""
     ps = parse_or_report(load_pattern_set, write(workdir, "patterns.txt", data))
     if ps is not None:
-        assert ps.by_tag == scan_index(ps.patterns)
+        run = [tag for p in ps.patterns for tag in p.tags]
+        for tags in (*(p.tags for p in ps.patterns), run, [*run[::-1], "SYM", *run]):
+            assert automaton_scan(ps, tags) == brute_force_scan(ps, tags)
 
 
 @given(contents, contents)

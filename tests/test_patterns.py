@@ -15,6 +15,10 @@ Oracles kept here, each the code the current one replaced:
   pairwise, compared with the membership-pruned miner on random tag
   corpora.
 
+``brute_force_scan`` is the scan by its definition, every pattern
+compared at every start; ``TestAutomatonAgainstBruteForce`` holds the
+compiled tag automaton to it on overlapping pattern sets.
+
 ``TestSurfaceContract`` checks that every surface extraction writes is
 lowercase, single-spaced and, under a closed dictionary, its own
 canonical: the form grouping takes as given.
@@ -39,6 +43,7 @@ from aspectminer.patterns import (
     MinedPattern,
     PatternSet,
     TagPattern,
+    _MISS,
     extract_sentences,
     extract_with_options,
     load_pattern_set,
@@ -166,37 +171,43 @@ class TestPatternSet:
         b = TagPattern(
             tags=("NN", "VBZ", "JJ"), opinion_offset=2, aspect_offset=0, name="again"
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^duplicate pattern NN:A VBZ JJ:O$"):
             PatternSet(patterns=(a, b))
 
-    def test_index_holds_each_pattern_under_its_first_tag_in_line_order(self, resources):
+    def test_automaton_ends_each_pattern_at_its_last_tag_in_line_order(self, resources):
         ps = resources.pattern_set
-        rows = [row for patterns, _ in ps.by_tag.values() for row in patterns]
-        assert sorted(rows, key=lambda row: row[2]) == [
-            (p.tags, len(p.tags), rank, p.opinion_offset, p.aspect_offset, p.name)
-            for rank, p in enumerate(ps.patterns)
-        ]
-        assert ps.by_tag.keys() >= OPINION_ROLE_TAGS
-        for tag, (patterns, opinion_role) in ps.by_tag.items():
-            assert all(row[0][0] == tag for row in patterns)
-            assert [row[2] for row in patterns] == sorted(row[2] for row in patterns)
-            assert opinion_role == (tag in OPINION_ROLE_TAGS)
+        alphabet = OPINION_ROLE_TAGS.union(*(p.tags for p in ps.patterns))
+        for table in ps.automaton:
+            assert table.keys() == alphabet
+            for tag, (_, rows, opinion_role) in table.items():
+                assert opinion_role == (tag in OPINION_ROLE_TAGS)
+                assert [row[0] for row in rows] == sorted({row[0] for row in rows})
+        for rank, p in enumerate(ps.patterns):
+            state = 0
+            for tag in p.tags:
+                state, rows, _ = ps.automaton[state][tag]
+            assert (rank, len(p.tags), p.opinion_offset, p.aspect_offset, p.name) in rows
 
-    def test_equality_and_hash_ignore_the_index(self, resources):
+    def test_automaton_shares_one_entry_per_target_and_role(self, resources):
+        entries = [e for table in resources.pattern_set.automaton for e in table.values()]
+        assert len({id(e) for e in entries}) == len({(e[0], e[2]) for e in entries})
+        assert all(e is _MISS for e in entries if (e[0], e[2]) == (0, False))
+
+    def test_equality_and_hash_ignore_the_automaton(self, resources):
         a = PatternSet(patterns=resources.pattern_set.patterns)
         b = PatternSet(patterns=resources.pattern_set.patterns)
-        assert "by_tag" in {f.name for f in fields(PatternSet)}
-        assert b.by_tag
-        object.__setattr__(b, "by_tag", {})
+        assert [f.name for f in fields(PatternSet) if not f.init] == ["automaton"]
+        assert b.automaton
+        object.__setattr__(b, "automaton", ({},))
         assert a == b == resources.pattern_set
         assert hash(a) == hash(b) == hash(resources.pattern_set)
-        assert "by_tag" not in repr(a)
+        assert "automaton" not in repr(a)
 
-    def test_extraction_reads_the_index_the_set_holds(self, resources, sample_tagged):
+    def test_extraction_reads_the_automaton_the_set_holds(self, resources, sample_tagged):
         ps = PatternSet(patterns=resources.pattern_set.patterns)
         args = (sample_tagged, resources.aspect_dictionary, resources.opinion_lexicon, ps)
         assert extract_sentences(*args, fallback=False)
-        object.__setattr__(ps, "by_tag", {})
+        object.__setattr__(ps, "automaton", ({},))
         assert extract_sentences(*args, fallback=False) == []
 
     def test_load_bundled_file(self, resources):
@@ -227,6 +238,19 @@ class TestPatternSet:
         with pytest.raises(ParseError) as exc:
             load_pattern_set(f)
         assert str(exc.value) == f"{f}: line 2: {message}"
+
+    def test_load_names_a_duplicate_and_its_first_line(self, tmp_path):
+        # the role markers tell apart patterns of the same tags
+        f = tmp_path / "patterns.txt"
+        f.write_text(
+            "NN:A NN JJ:O\n# a comment\nNN NN:A JJ:O\nNN:A NN JJ:O  # name=again\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ParseError) as exc:
+            load_pattern_set(f)
+        assert str(exc.value) == (
+            f"{f}: line 4: duplicate pattern NN:A NN JJ:O (first on line 1)"
+        )
 
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -865,7 +889,7 @@ WORDS_FOR_TAG = {
 
 @st.composite
 def shared_first_tag_cases(draw):
-    """A pattern set and a sentence that stress the first-tag index.
+    """A pattern set and a sentence where patterns overlap in the scan.
 
     Most patterns are prefixes of one drawn tag run with their roles at
     any fitting positions, so several share a first tag, two (same tags,
@@ -905,6 +929,113 @@ def shared_first_tag_cases(draw):
     words = [draw(st.sampled_from(WORDS_FOR_TAG.get(tag, DIFF_WORDS))) for tag in tags]
     sentence = TaggedSentence(surfaces=tuple(words), tags=tuple(tags))
     return sentence, PatternSet(patterns=tuple(ordered))
+
+
+def brute_force_scan(pattern_set, tags):
+    """The scan by its definition: each pattern compared at every start.
+
+    Gives the sorted ``(rank, start, row)`` hits, each row as the scan
+    records it, and the positions of the tags that may hold an opinion.
+    """
+    hits = sorted(
+        (rank, start, (rank, len(p.tags), p.opinion_offset, p.aspect_offset, p.name))
+        for rank, p in enumerate(pattern_set.patterns)
+        for start in range(len(tags) - len(p.tags) + 1)
+        if tuple(tags[start : start + len(p.tags)]) == p.tags
+    )
+    return hits, [i for i, tag in enumerate(tags) if tag in OPINION_ROLE_TAGS]
+
+
+def automaton_scan(pattern_set, tags):
+    """The scan as ``extract_sentences`` walks ``pattern_set.automaton``."""
+    hits, opinion_positions, state = [], [], 0
+    for i, tag in enumerate(tags):
+        state, rows, opinion_role = pattern_set.automaton[state].get(tag, _MISS)
+        hits.extend((row[0], i - row[1] + 1, row) for row in rows)
+        if opinion_role:
+            opinion_positions.append(i)
+    return sorted(hits), opinion_positions
+
+
+# Tags the overlapping patterns are drawn from, and tags none of them holds.
+SCAN_TAGS = ["NN", "NN", "NNS", "JJ", "JJ", "RB", "VBZ", "CC"]
+OUTSIDE_TAGS = ["IN", "DT", "PRP", "VBG"]
+
+
+@st.composite
+def overlapping_pattern_sets(draw):
+    """A pattern set whose patterns overlap, and tags that string them together.
+
+    The patterns are windows of one drawn run of tags, so one can be a
+    prefix, suffix or infix of another, and runs of one tag (``NN NN``);
+    each tag sequence takes one or two role placements, so patterns with
+    the same tags and other roles occur.  The scanned tags join windows
+    of the run with tags of the run and tags outside every pattern.
+    """
+    run = draw(st.lists(st.sampled_from(SCAN_TAGS), min_size=4, max_size=10))
+    run[draw(st.integers(0, len(run) - 1))] = draw(st.sampled_from(["JJ", "RB"]))
+    sequences = draw(st.lists(
+        st.one_of(
+            st.tuples(st.integers(0, len(run) - 2), st.integers(MIN_PATTERN_LEN, MAX_PATTERN_LEN))
+            .map(lambda w: tuple(run[w[0] : w[0] + w[1]]))
+            .filter(lambda tags: len(tags) >= MIN_PATTERN_LEN),
+            st.tuples(st.sampled_from(SCAN_TAGS), st.integers(MIN_PATTERN_LEN, 4))
+            .map(lambda t: (t[0],) * t[1]),
+        ),
+        min_size=1, max_size=8,
+    ))
+    patterns = {}
+    for tags in sequences:
+        opinions = [i for i, tag in enumerate(tags) if tag in OPINION_ROLE_TAGS]
+        if not opinions:
+            continue
+        for _ in range(draw(st.integers(1, 2))):
+            opinion = draw(st.sampled_from(opinions))
+            nouns = [i for i, tag in enumerate(tags) if tag in NOUN_TAGS and i != opinion]
+            aspect = draw(st.one_of(st.none(), *map(st.just, nouns)))
+            patterns.setdefault(
+                (tags, opinion, aspect),
+                TagPattern(tags=tags, opinion_offset=opinion, aspect_offset=aspect),
+            )
+    pieces = draw(st.lists(
+        st.one_of(
+            st.sampled_from([p.tags for p in patterns.values()] or sequences).map(list),
+            st.lists(st.sampled_from(SCAN_TAGS + OUTSIDE_TAGS), max_size=3),
+        ),
+        min_size=1, max_size=6,
+    ))
+    tags = [tag for piece in pieces for tag in piece]
+    tags.insert(draw(st.integers(0, len(tags))), draw(st.sampled_from(OUTSIDE_TAGS)))
+    ordered = draw(st.permutations(list(patterns.values())))
+    return PatternSet(patterns=tuple(ordered)), tags
+
+
+class TestAutomatonAgainstBruteForce:
+    @given(overlapping_pattern_sets())
+    @settings(max_examples=500, deadline=None)
+    # JJ NN is a suffix and JJ JJ a prefix of JJ JJ NN, which has two role
+    # placements; JJ JJ is an infix of RB JJ JJ NN; runs of JJ and of NN
+    # make states that fall back onto states of the same tag.
+    @example((
+        PatternSet(patterns=(
+            TagPattern(tags=("RB", "JJ", "JJ", "NN"), opinion_offset=1, aspect_offset=3),
+            TagPattern(tags=("JJ", "JJ", "NN"), opinion_offset=1, aspect_offset=2),
+            TagPattern(tags=("JJ", "NN"), opinion_offset=0, aspect_offset=1),
+            TagPattern(tags=("JJ", "JJ", "NN"), opinion_offset=0, aspect_offset=2),
+            TagPattern(tags=("JJ", "JJ"), opinion_offset=0),
+            TagPattern(tags=("NN", "NN", "JJ"), opinion_offset=2, aspect_offset=0),
+        )),
+        ["JJ", "JJ", "JJ", "NN", "IN", "NN", "NN", "NN", "JJ", "RB", "JJ", "JJ", "NN"],
+    ))
+    def test_hits_and_opinion_positions_equal_brute_force(self, case):
+        pattern_set, tags = case
+        assert automaton_scan(pattern_set, tags) == brute_force_scan(pattern_set, tags)
+
+    def test_bundled_table_on_the_samples(self, resources, sample_tagged, minieval_tagged):
+        for sentence in sample_tagged + minieval_tagged:
+            assert automaton_scan(resources.pattern_set, sentence.tags) == brute_force_scan(
+                resources.pattern_set, sentence.tags
+            )
 
 
 def pair_rows(pairs):
