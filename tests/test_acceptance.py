@@ -29,10 +29,12 @@ from aspectminer.evaluation import (
     f_measure,
     paired_t_test,
 )
-from aspectminer.patterns import extract_with_options, mine_frequent_tag_sets
+from aspectminer.patterns import MAX_PATTERN_LEN, extract_sentences, mine_frequent_tag_sets
 from aspectminer.pipeline import extract_corpus
 from aspectminer.scoring import weight_sentence
 from aspectminer.tagger import TaggedSentence, parse_pretagged
+from test_evaluation import quadratic_breakdown
+from test_patterns import brute_force_supports
 
 
 def _ok(criterion: int, message: str) -> None:
@@ -66,8 +68,8 @@ def test_criterion_01_pattern_fixture_suite(resources):
     passed = 0
     for pretagged, aspect, opinion, orientation in PATTERN_FIXTURES:
         sentence = parse_pretagged(pretagged)
-        pairs = extract_with_options(
-            sentence, resources.aspect_dictionary,
+        pairs = extract_sentences(
+            (sentence,), resources.aspect_dictionary,
             resources.opinion_lexicon, resources.pattern_set,
             fallback=False, conjunction=False,
         )
@@ -131,18 +133,6 @@ def test_criterion_03b_stated_aspect_f_within_tolerance():
 # --- 4. mining equals brute force on random corpora ---------------------
 
 
-def _brute_force_supports(sentences, min_support, max_len=6):
-    counts = {}
-    for tags in sentences:
-        grams = set()
-        for n in range(2, max_len + 1):
-            for start in range(len(tags) - n + 1):
-                grams.add(tuple(tags[start : start + n]))
-        for gram in grams:
-            counts[gram] = counts.get(gram, 0) + 1
-    return {g: c for g, c in counts.items() if c >= min_support}
-
-
 def test_criterion_04_mining_oracle_equivalence():
     alphabet = ["NN", "NNS", "JJ", "RB", "VBZ", "VBP", "DT", "IN"]
     rng = random.Random(424242)
@@ -160,52 +150,13 @@ def test_criterion_04_mining_oracle_equivalence():
             )
             for pos, tags in enumerate(sentences)
         ]
-        mined = {m.tags: m.support for m in mine_frequent_tag_sets(corpus, min_support)}
-        assert mined == _brute_force_supports(sentences, min_support), (
-            f"trial {trial}, min_support {min_support}"
-        )
+        assert mine_frequent_tag_sets(corpus, min_support) == brute_force_supports(
+            sentences, min_support, MAX_PATTERN_LEN
+        ), f"trial {trial}, min_support {min_support}"
     _ok(4, "50/50 random corpora: levelwise mining == exhaustive enumeration")
 
 
-# --- 5. evaluation equals an independent matcher on the mini corpus -----
-
-
-def _independent_fractions(pairs, corpus):
-    def subset_match(a, b):
-        wa, wb = set(a.split()), set(b.split())
-        return wa <= wb or wb <= wa
-
-    def normal(term):
-        return " ".join(term.lower().split())
-
-    predicted, gold = set(), set()
-    for pair in pairs:
-        predicted.add((id(pair.sentence.source), normal(pair.aspect_surface), pair.orientation))
-    for sentence in corpus.sentences:
-        for ann in sentence.gold:
-            sign = "positive" if ann.strength > 0 else "negative"
-            gold.add((id(sentence), normal(ann.aspect_term), sign))
-
-    def hit(item, pool, with_sign):
-        key, term, sign = item
-        return any(
-            key == k and subset_match(term, t) and (not with_sign or sign == s)
-            for k, t, s in pool
-        )
-
-    aspect_pred = {(k, t) for k, t, _ in predicted}
-    aspect_gold = {(k, t) for k, t, _ in gold}
-
-    def aspect_hit(item, pool):
-        key, term = item
-        return any(key == k and subset_match(term, t) for k, t in pool)
-
-    return (
-        sum(aspect_hit(p, aspect_gold) for p in aspect_pred) / len(aspect_pred),
-        sum(aspect_hit(g, aspect_pred) for g in aspect_gold) / len(aspect_gold),
-        sum(hit(p, gold, True) for p in predicted) / len(predicted),
-        sum(hit(g, predicted, True) for g in gold) / len(gold),
-    )
+# --- 5. evaluation equals the all-pairs matcher on the mini corpus -------
 
 
 def test_criterion_05_evaluation_oracle_equivalence(
@@ -213,10 +164,8 @@ def test_criterion_05_evaluation_oracle_equivalence(
 ):
     pairs = extract_corpus(minieval_tagged, resources)
     b = evaluate_extraction_detailed(pairs, minieval_corpus)
-    ours = (b.aspect_p, b.aspect_r, b.opinion_p, b.opinion_r)
-    oracle = _independent_fractions(pairs, minieval_corpus)
-    assert ours == oracle
-    _ok(5, "all four fractions equal the independent matcher exactly")
+    assert b == quadratic_breakdown(pairs, minieval_corpus)
+    _ok(5, "all twelve breakdown fields equal the all-pairs matcher exactly")
 
 
 # --- 6. paired t-test reference value ------------------------------------

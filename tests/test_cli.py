@@ -334,15 +334,15 @@ class TestSummarizeCommand:
         second = capsys.readouterr().out
         assert first == second
 
-    def test_out_writes_file(self, sample_paths, tmp_path, capsys):
+    @pytest.mark.parametrize("fmt", ["text", "machine", "histogram"])
+    def test_out_writes_file(self, sample_paths, tmp_path, capsys, fmt):
+        argv = ["summarize", "--pretagged", sample_paths["pretagged"], "--format", fmt]
+        assert main(argv) == EXIT_OK
+        stdout = capsys.readouterr().out
         target = tmp_path / "summary.txt"
-        code = main(
-            ["summarize", "--pretagged", sample_paths["pretagged"],
-             "--out", str(target)]
-        )
-        assert code == EXIT_OK
+        assert main([*argv, "--out", str(target)]) == EXIT_OK
         assert capsys.readouterr().out == ""
-        assert target.read_text(encoding="utf-8").startswith("pros and cons:")
+        assert target.read_bytes() == stdout.encode("utf-8")
 
 
 class TestEvaluateCommand:

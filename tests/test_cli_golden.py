@@ -5,7 +5,10 @@ of the bundled sample files, and compares its exit code, stdout and
 stderr with ``tests/golden/cli/<case>.txt``.  ``evaluate-baseline``
 compares against ``tests/golden/cli/baseline-report.tsv``, the machine
 report of the pretagged sample.  ``tests/golden/cli/help.txt`` is the
-``--help`` text at an 80-column terminal.
+``--help`` text at an 80-column terminal.  The stdout of each
+``summarize-pretagged-*`` case is also what the library renders for the
+pretagged sample in that format, and what the same run writes to
+``--out`` in process.
 
 Regenerate (only after an intentional behavior change) with:
 
@@ -26,7 +29,8 @@ import pytest
 
 import aspectminer
 from aspectminer.cli import EXIT_OK, main
-from aspectminer.pipeline import DATA_ENV_VAR, data_dir
+from aspectminer.pipeline import DATA_ENV_VAR, data_dir, summarize_corpus
+from aspectminer.summary import render
 
 GOLDEN_DIR = Path(__file__).parent / "golden" / "cli"
 BASELINE = "baseline-report.tsv"
@@ -131,6 +135,36 @@ def test_cli_run_matches_golden(case, workdir):
     assert record(CASES[case], workdir) == golden
 
 
+SUMMARY_CASES = [
+    "summarize-pretagged-text", "summarize-pretagged-machine", "summarize-pretagged-histogram",
+]
+
+
+def golden_stdout(case: str) -> str:
+    """The stdout section of the case's golden record."""
+    golden = (GOLDEN_DIR / f"{case}.txt").read_text(encoding="utf-8")
+    return golden.split("\n--- stdout\n", 1)[1].split("--- stderr\n", 1)[0]
+
+
+@pytest.mark.parametrize("case", SUMMARY_CASES)
+def test_library_render_matches_golden_stdout(case, resources, sample_tagged):
+    argv = CASES[case]
+    fmt = argv[argv.index("--format") + 1] if "--format" in argv else "text"
+    product = argv[argv.index("--product") + 1] if "--product" in argv else Path(RP).stem
+    summary, _groups, _scores = summarize_corpus(sample_tagged, resources, product_name=product)
+    assert render(summary, fmt) == golden_stdout(case)
+
+
+@pytest.mark.parametrize("case", SUMMARY_CASES)
+def test_cli_output_matches_golden(case, workdir, tmp_path, monkeypatch):
+    """In process, the case's run with ``--out`` writes the golden stdout."""
+    monkeypatch.chdir(workdir)
+    monkeypatch.delenv(DATA_ENV_VAR, raising=False)
+    out = tmp_path / "summary.out"
+    assert main([*CASES[case], "--out", str(out)]) == EXIT_OK
+    assert out.read_bytes() == golden_stdout(case).encode("utf-8")
+
+
 def test_help_matches_golden(monkeypatch, capsys):
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal width
     with pytest.raises(SystemExit) as exc:
@@ -138,6 +172,14 @@ def test_help_matches_golden(monkeypatch, capsys):
     assert exc.value.code == EXIT_OK
     golden = (GOLDEN_DIR / "help.txt").read_text(encoding="utf-8")
     assert capsys.readouterr().out == golden
+
+
+def test_golden_files_are_nonempty_and_newline_terminated():
+    for path in sorted(GOLDEN_DIR.iterdir()):
+        data = path.read_bytes()
+        assert data, path.name
+        assert data.endswith(b"\n"), path.name
+        assert b"\r" not in data, path.name
 
 
 def test_every_golden_file_has_a_case():

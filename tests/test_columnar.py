@@ -3,8 +3,9 @@
 A TaggedSentence holds its surfaces and tags as two parallel tuples.
 The parser, tagger and scorer below are the row versions it replaced,
 kept as oracles: the parser and tagger built a tuple of
-``Token(surface, tag)`` rows, and the scorer read them.  The columns must equal those rows, with the
-same errors, and the scores must be equal.
+``Token(surface, tag)`` rows, and the scorer read them, looking verbs up
+through ``test_lexicons.candidate_loop``.  The columns must equal those
+rows, with the same errors, and the scores must be equal.
 """
 
 from dataclasses import FrozenInstanceError
@@ -20,9 +21,9 @@ from aspectminer.tagger import (
     VERB_TAGS,
     TaggedSentence,
     Token,
-    base_form_candidates,
     parse_pretagged,
 )
+from test_lexicons import candidate_loop
 
 
 def oracle_parse_pretagged(line):
@@ -55,15 +56,9 @@ ORACLE_TAG_WEIGHTS = {"JJ": 1, "JJR": 2, "JJS": 3, "RB": 1, "RBR": 2, "RBS": 3}
 def oracle_weight(tokens, verbs):
     """The row scorer: ``weight_sentence``'s two sums before the columns."""
     adj_points = sum(ORACLE_TAG_WEIGHTS.get(token.tag, 0) for token in tokens)
-    verb_points = 0
-    for token in tokens:
-        if token.tag not in VERB_TAGS:
-            continue
-        for base in base_form_candidates(token.surface):
-            orientation = verbs.orientations.get(base, 0)
-            if orientation != 0:
-                verb_points += orientation
-                break
+    verb_points = sum(
+        candidate_loop(verbs, token.surface) for token in tokens if token.tag in VERB_TAGS
+    )
     return adj_points, verb_points
 
 

@@ -1,6 +1,6 @@
 """Review corpus parsing: annotations, title and malformed lines, tokenizer.
 
-Oracles kept here, each the code the current one replaced:
+References kept here, one per rule:
 
 * ``oracle_parse_annotation``: the annotation parser that read each
   match group by name, compared on random annotations (flags, ASCII and
@@ -11,7 +11,8 @@ Oracles kept here, each the code the current one replaced:
   the same warning.
 * ``char_tokenize``: the character-by-character ``tokenize``, compared
   with the whole-word tokenizer on arbitrary Unicode text and on
-  apostrophe-, digit- and underscore-heavy text.
+  apostrophe-, digit- and underscore-heavy text; ``test_shared_strings``
+  imports it.
 
 The plain form ``term[+d]`` is read without the annotation pattern: the
 shipped samples are parsed with the pattern counting its calls, one per

@@ -4,12 +4,14 @@ Numeric expectations marked [DERIVED] were computed with an independent
 statistics library (scipy.stats / scipy.special) and frozen here; the
 implementation under test shares no code with that oracle.
 
-Oracles kept here, each the code the current one replaced:
+References kept here, one per rule:
 
-* ``quadratic_breakdown``, the all-pairs matcher, and
-  ``bucketed_breakdown``, the per-sentence four-pass matcher, compared
-  with ``evaluate_extraction_detailed`` on random predictions and gold,
-  on corpora whose sentence keys repeat, and on corpora that list one
+* ``quadratic_breakdown``: the matching rule by its definition, every
+  predicted item against every gold item of its sentence, subset and
+  exact; the one evaluation reference, which ``test_acceptance``
+  imports for criterion 5.  It is compared with
+  ``evaluate_extraction_detailed`` on random predictions and gold, on
+  corpora whose sentence keys repeat, and on corpora that list one
   sentence object several times and hold sentences without gold, with
   pairs from outside the corpus inserted after the first valid one (the
   ``ValueError`` must name the first such pair).
@@ -259,8 +261,9 @@ def breakdown(resources, minieval_corpus, minieval_tagged):
 class TestEvaluationOnBundledFixture:
     """End-to-end scoring of the bundled evaluation corpus.
 
-    Expected fractions are [DERIVED]: the matching was recomputed by the
-    brute-force oracle below, independent of the set-based implementation.
+    Expected fractions are [DERIVED]: the matching was recomputed by
+    ``quadratic_breakdown``, independent of the implementation; acceptance
+    criterion 5 holds every field to it on this fixture.
     """
 
     def test_headline_metrics(self, breakdown, minieval_corpus):
@@ -283,58 +286,6 @@ class TestEvaluationOnBundledFixture:
         assert b.n_gold_aspects == 21
         assert b.n_predicted_opinions == 18
         assert b.n_gold_opinions == 21
-
-    def test_matches_brute_force_matcher(self, breakdown, minieval_corpus):
-        b, predicted = breakdown
-
-        def subset(a, b_):
-            ta, tb = set(a.split()), set(b_.split())
-            return ta <= tb or tb <= ta
-
-        pred_aspects = set()
-        pred_opinions = set()
-        for pair in predicted:
-            key = id(pair.sentence.source)
-            pred_aspects.add((key, normal_form(pair.aspect_surface)))
-            pred_opinions.add((key, normal_form(pair.aspect_surface), pair.orientation))
-        gold_aspects = set()
-        gold_opinions = set()
-        for s in minieval_corpus.sentences:
-            for ann in s.gold:
-                key = id(s)
-                sign = "positive" if ann.strength > 0 else "negative"
-                gold_aspects.add((key, normal_form(ann.aspect_term)))
-                gold_opinions.add((key, normal_form(ann.aspect_term), sign))
-
-        ap = sum(
-            1
-            for k, a in pred_aspects
-            if any(k == gk and subset(a, ga) for gk, ga in gold_aspects)
-        )
-        ar = sum(
-            1
-            for gk, ga in gold_aspects
-            if any(k == gk and subset(a, ga) for k, a in pred_aspects)
-        )
-        op = sum(
-            1
-            for k, a, o in pred_opinions
-            if any(
-                k == gk and subset(a, ga) and o == go
-                for gk, ga, go in gold_opinions
-            )
-        )
-        og = sum(
-            1
-            for gk, ga, go in gold_opinions
-            if any(
-                k == gk and subset(a, ga) and o == go for k, a, o in pred_opinions
-            )
-        )
-        assert b.aspect_p == pytest.approx(ap / len(pred_aspects), abs=TOL)
-        assert b.aspect_r == pytest.approx(ar / len(gold_aspects), abs=TOL)
-        assert b.opinion_p == pytest.approx(op / len(pred_opinions), abs=TOL)
-        assert b.opinion_r == pytest.approx(og / len(gold_opinions), abs=TOL)
 
     def test_evaluate_corpus_wrapper(self, resources, minieval_corpus, minieval_tagged):
         pairs = extract_corpus(minieval_tagged, resources)
@@ -723,12 +674,7 @@ class TestCompareToBaseline:
 
 
 def quadratic_breakdown(predicted, gold):
-    """Reference matcher: every predicted item against every gold item.
-
-    This is the all-pairs scoring that ``evaluate_extraction_detailed``
-    used before it bucketed items by sentence; it is kept here only to
-    check that the bucketed matcher gives the same breakdown.
-    """
+    """Reference matcher: every predicted item against every gold item."""
     pred_aspects = set()
     pred_opinions = set()
     for pair in predicted:
@@ -892,87 +838,6 @@ def predicted_gold_and_outside_pairs(draw):
     return predicted, mixed, gold
 
 
-def bucketed_breakdown(predicted, gold):
-    """Reference matcher: per sentence, four two-way passes.
-
-    This is how ``evaluate_extraction_detailed`` counted before it
-    compared each sentence's items once: each side's distinct items in a
-    list per sentence, and one pass per count, each item tried against
-    every item of the other side's bucket.  It is kept here only to check
-    that the one-comparison matcher gives the same breakdown.
-    """
-    def add(buckets, key, item):
-        bucket = buckets.setdefault(key, [])
-        if item not in bucket:
-            bucket.append(item)
-
-    def size(buckets):
-        return sum(len(bucket) for bucket in buckets.values())
-
-    def subset(a, b):
-        if a == b:
-            return True
-        ta, tb = set(a.split()), set(b.split())
-        return ta <= tb or tb <= ta
-
-    def opinion_hit(match):
-        return lambda p, g: match(p[0], g[0]) and p[1] == g[1]
-
-    def count_matched(pred, gold_, hit):
-        matched_pred = sum(
-            any(hit(p, g) for g in gold_.get(key, ()))
-            for key, bucket in pred.items()
-            for p in bucket
-        )
-        matched_gold = sum(
-            any(hit(p, g) for p in pred.get(key, ()))
-            for key, bucket in gold_.items()
-            for g in bucket
-        )
-        return matched_pred, matched_gold
-
-    def equal(a, b):
-        return a == b
-
-    pred_aspects, pred_opinions = {}, {}
-    for pair in predicted:
-        key = id(pair.sentence.source)
-        aspect = normal_form(pair.aspect_surface)
-        add(pred_aspects, key, aspect)
-        add(pred_opinions, key, (aspect, pair.orientation))
-    gold_aspects, gold_opinions = {}, {}
-    for sentence in gold.sentences:
-        key = id(sentence)
-        for ann in sentence.gold:
-            term = normal_form(ann.aspect_term)
-            add(gold_aspects, key, term)
-            add(gold_opinions, key, (term, "positive" if ann.strength > 0 else "negative"))
-
-    def ratio(matched, total):
-        return matched / total if total else 0.0
-
-    n_pa, n_ga = size(pred_aspects), size(gold_aspects)
-    n_po, n_go = size(pred_opinions), size(gold_opinions)
-    ap, ag = count_matched(pred_aspects, gold_aspects, subset)
-    op, og = count_matched(pred_opinions, gold_opinions, opinion_hit(subset))
-    ap_x, ag_x = count_matched(pred_aspects, gold_aspects, equal)
-    op_x, og_x = count_matched(pred_opinions, gold_opinions, opinion_hit(equal))
-    return ExtractionBreakdown(
-        aspect_p=ratio(ap, n_pa),
-        aspect_r=ratio(ag, n_ga),
-        opinion_p=ratio(op, n_po),
-        opinion_r=ratio(og, n_go),
-        aspect_p_exact=ratio(ap_x, n_pa),
-        aspect_r_exact=ratio(ag_x, n_ga),
-        opinion_p_exact=ratio(op_x, n_po),
-        opinion_r_exact=ratio(og_x, n_go),
-        n_predicted_aspects=n_pa,
-        n_gold_aspects=n_ga,
-        n_predicted_opinions=n_po,
-        n_gold_opinions=n_go,
-    )
-
-
 class TestBucketedMatchingAgainstQuadraticOracle:
     @given(predicted_and_gold() | predicted_and_gold_with_repeated_keys())
     @settings(max_examples=500, deadline=None)
@@ -980,7 +845,6 @@ class TestBucketedMatchingAgainstQuadraticOracle:
         predicted, gold = case
         expected = quadratic_breakdown(predicted, gold)
         assert evaluate_extraction_detailed(predicted, gold) == expected
-        assert bucketed_breakdown(predicted, gold) == expected
 
     @given(predicted_gold_and_outside_pairs())
     @settings(max_examples=500, deadline=None)
@@ -988,7 +852,6 @@ class TestBucketedMatchingAgainstQuadraticOracle:
         predicted, mixed, gold = case
         expected = quadratic_breakdown(predicted, gold)
         assert evaluate_extraction_detailed(predicted, gold) == expected
-        assert bucketed_breakdown(predicted, gold) == expected
         outside = [
             p for p in mixed if all(p.sentence.source is not s for s in gold.sentences)
         ]
@@ -1002,11 +865,6 @@ class TestBucketedMatchingAgainstQuadraticOracle:
             "a sentence outside the gold corpus"
         )
 
-    def test_oracle_agrees_on_bundled_fixture(self, breakdown, minieval_corpus):
-        b, predicted = breakdown
-        assert b == quadratic_breakdown(predicted, minieval_corpus)
-        assert b == bucketed_breakdown(predicted, minieval_corpus)
-
     def test_terms_sharing_a_word_without_containment_do_not_match(self):
         gold = gold_corpus("battery life[+2],sound quality[-1]##text .")
         s = gold.sentences[0]
@@ -1019,7 +877,7 @@ class TestBucketedMatchingAgainstQuadraticOracle:
         # match both ways, but not an exact one
         assert (b.aspect_p, b.aspect_r, b.opinion_p, b.opinion_r) == (0.5, 0.5, 0.5, 0.5)
         assert (b.aspect_p_exact, b.aspect_r_exact) == (0.0, 0.0)
-        assert b == bucketed_breakdown(preds, gold)
+        assert b == quadratic_breakdown(preds, gold)
 
     def test_repeated_gold_keys_merge(self):
         items = (GoldAnnotation("sound", 2), GoldAnnotation("Sound", 1), GoldAnnotation("lens", -1))
@@ -1029,7 +887,7 @@ class TestBucketedMatchingAgainstQuadraticOracle:
         b = evaluate_extraction_detailed(preds, gold)
         assert (b.n_gold_aspects, b.n_gold_opinions) == (2, 2)
         assert (b.aspect_p, b.aspect_r, b.opinion_p, b.opinion_r) == (1.0, 1.0, 1.0, 1.0)
-        assert b == bucketed_breakdown(preds, gold)
+        assert b == quadratic_breakdown(preds, gold)
 
     def test_an_orientation_no_gold_item_has_is_an_opinion_that_never_matches(self):
         gold = gold_corpus("sound[+2]##the sound is great .")
@@ -1038,7 +896,7 @@ class TestBucketedMatchingAgainstQuadraticOracle:
         b = evaluate_extraction_detailed(preds, gold)
         assert (b.n_predicted_aspects, b.n_predicted_opinions) == (1, 2)
         assert (b.opinion_p, b.opinion_r, b.opinion_p_exact) == (0.5, 1.0, 0.5)
-        assert b == bucketed_breakdown(preds, gold)
+        assert b == quadratic_breakdown(preds, gold)
 
     def test_error_names_the_first_pair_outside_the_corpus(self):
         gold = gold_corpus("sound[+2]##the sound is great .")

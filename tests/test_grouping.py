@@ -5,6 +5,8 @@ each group by scanning all pairs and joined head keys by union-find,
 compared with the one-pass partition on random surfaces drawn as
 extraction writes them (lowercase, canonical under a closed dictionary)
 and on the pairs of both shipped samples, pretagged and baseline-tagged.
+``closed_entries`` builds a dictionary as the loader does; ``test_patterns``
+imports it.
 """
 
 import pytest

@@ -1,16 +1,18 @@
 """Tests for opinion lexicons, the aspect dictionary and verb categories,
 and for the memo every resource loader parses through.
 
-Oracles kept here, each the code the current one replaced:
+References kept here, one per rule:
 
 * ``scanned_match``: the longest-entry scan over every width, from
   before the first-word index (``AspectDictionary.widest``), compared
   with ``_longest_entry_at`` at every start on random dictionaries whose
-  entries share first words.
+  entries share first words; ``test_patterns``' staged extraction oracle
+  imports it.
 * ``candidate_loop``: the verb lookup through ``base_form_candidates``
   from before the per-surface memo, compared with
   ``orientation_of_surface`` on every ``-s``/``-ed``/``-ing`` form of
-  every bundled verb and on random words.
+  every bundled verb and on random words; ``test_columnar``'s row scorer
+  imports it.
 
 The bundled verb map is checked against a scan of the file's
 categories, and the bundled opinion lexicon against its seed lists: one
@@ -36,7 +38,7 @@ from aspectminer.lexicons import (
 from aspectminer.patterns import (
     PatternSet,
     _longest_entry_at,
-    extract_with_options,
+    extract_sentences,
     load_pattern_set,
 )
 from aspectminer.pipeline import DEFAULT_FILES, data_dir, load_resources
@@ -51,7 +53,7 @@ def write(path, text):
 def polarity(lex, word):
     """The orientation extraction gives ``word`` as an opinion, or None."""
     sentence = parse_pretagged(f"screen/NN is/VBZ {word}/JJ")
-    pairs = extract_with_options(sentence, AspectDictionary(), lex, PatternSet(patterns=()))
+    pairs = extract_sentences((sentence,), AspectDictionary(), lex, PatternSet(patterns=()))
     return pairs[0].orientation if pairs else None
 
 

@@ -89,7 +89,9 @@ def test_pretagged_reader_alone_and_aligned(workdir, data, corpus_data):
         if aligned is not None:
             # corpus sentences without text take no line and stay empty
             with_text = [s for s in aligned if s.source.raw_text]
-            assert [s.tokens for s in with_text] == [s.tokens for s in tagged]
+            assert [(s.surfaces, s.tags) for s in with_text] == [
+                (s.surfaces, s.tags) for s in tagged
+            ]
             assert not any(s.surfaces for s in aligned if not s.source.raw_text)
 
 
@@ -120,7 +122,7 @@ def test_tag_rendering_aligns_with_its_corpus(workdir, tagger, text):
     rendered = "".join(render_pretagged(s) + "\n" for s in tagged)
     path = write(workdir, "tagged.txt", rendered.encode("utf-8"))
     aligned = load_pretagged_file(path, corpus, start=7)
-    assert [s.tokens for s in aligned] == [s.tokens for s in tagged]
+    assert [(s.surfaces, s.tags) for s in aligned] == [(s.surfaces, s.tags) for s in tagged]
     assert [s.position for s in aligned] == [s.position for s in tagged]
 
 

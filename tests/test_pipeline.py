@@ -139,7 +139,7 @@ class TestTagCorpus:
         corpus = parse_corpus_file("##\n##real text here .\n", "p")
         tagged = tag_corpus(corpus, resources.tagger())
         assert len(tagged) == 2
-        assert len(tagged[0].tokens) == 0
+        assert (tagged[0].surfaces, tagged[0].tags) == ((), ())
         assert tagged[0].source is corpus.sentences[0]
 
 

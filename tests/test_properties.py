@@ -23,8 +23,9 @@ from aspectminer.lexicons import (
     VerbCategoryLexicon,
 )
 from aspectminer.patterns import (
+    MAX_PATTERN_LEN,
     AspectOpinionPair,
-    extract_with_options,
+    extract_sentences,
     mine_frequent_tag_sets,
 )
 from aspectminer.scoring import TAG_WEIGHTS, weight_sentence
@@ -34,6 +35,7 @@ from aspectminer.tagger import (
     parse_pretagged,
     render_pretagged,
 )
+from test_patterns import brute_force_supports, oracle_polarity
 
 WORD_POOL = [
     "player", "sound", "battery", "screen", "price", "size", "weight",
@@ -64,18 +66,13 @@ lexicon_strategy = st.builds(
 )
 
 
-def oracle_polarity(lexicon, word):
-    """The orientation the lexicon maps ``word`` to in any case, or None."""
-    return lexicon.get(word.lower())
-
-
 class TestExtractionProperties:
     @given(tokens_strategy, lexicon_strategy)
     @settings(max_examples=200)
     def test_orientation_always_matches_lexicon(self, resources, token_pairs, lexicon):
         sentence = build_sentence(token_pairs)
-        pairs = extract_with_options(
-            sentence, resources.aspect_dictionary, lexicon, resources.pattern_set
+        pairs = extract_sentences(
+            (sentence,), resources.aspect_dictionary, lexicon, resources.pattern_set
         )
         for pair in pairs:
             assert pair.orientation in ("positive", "negative")
@@ -85,8 +82,8 @@ class TestExtractionProperties:
     @settings(max_examples=200)
     def test_indices_are_valid_and_unique(self, resources, token_pairs, lexicon):
         sentence = build_sentence(token_pairs)
-        pairs = extract_with_options(
-            sentence, resources.aspect_dictionary, lexicon, resources.pattern_set
+        pairs = extract_sentences(
+            (sentence,), resources.aspect_dictionary, lexicon, resources.pattern_set
         )
         seen = set()
         for pair in pairs:
@@ -103,8 +100,8 @@ class TestExtractionProperties:
         sentence = build_sentence(token_pairs)
 
         def run(**kw):
-            return extract_with_options(
-                sentence, resources.aspect_dictionary, lexicon,
+            return extract_sentences(
+                (sentence,), resources.aspect_dictionary, lexicon,
                 resources.pattern_set, **kw
             )
 
@@ -204,17 +201,8 @@ class TestMiningProperties:
     def test_matches_exhaustive_counting(self, tag_lists, min_support):
         corpus = [build_sentence([("w", t) for t in tags], i)
                   for i, tags in enumerate(tag_lists)]
-        expected = {}
-        for tags in tag_lists:
-            grams = set()
-            for n in range(2, 7):
-                for start in range(len(tags) - n + 1):
-                    grams.add(tuple(tags[start : start + n]))
-            for g in grams:
-                expected[g] = expected.get(g, 0) + 1
-        expected = {g: s for g, s in expected.items() if s >= min_support}
-        mined = mine_frequent_tag_sets(corpus, min_support=min_support)
-        assert {m.tags: m.support for m in mined} == expected
+        expected = brute_force_supports(tag_lists, min_support, MAX_PATTERN_LEN)
+        assert mine_frequent_tag_sets(corpus, min_support=min_support) == expected
 
     @given(corpora, st.integers(min_value=1, max_value=3))
     @settings(max_examples=100)

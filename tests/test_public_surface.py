@@ -11,9 +11,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-# Test-only wrappers still awaiting deletion: only ``tests/`` and
-# ``bench/tests/`` call ``patterns.extract_with_options``, and its removal
-# has to change ``bench/tests/`` too.
+# Test-only wrappers still awaiting deletion: only ``bench/tests/`` calls
+# ``patterns.extract_with_options``, so its removal changes ``bench/tests/``.
 TEST_ONLY = ["extract_with_options"]
 
 

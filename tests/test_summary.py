@@ -1,6 +1,6 @@
 """Tests for summary assembly and the three output formats.
 
-Oracles kept here, each the code the current one replaced:
+References kept here, one per rule:
 
 * ``ranked_summary``: ``generate_summary`` when every pros/cons list went
   through ranking, compared on random groups and weights with the one
