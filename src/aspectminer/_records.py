@@ -13,7 +13,11 @@ A slot setter skips the frozen ``__setattr__`` as the generated
 looking the name up, so a record built positionally costs about half
 as much.  The parameters, their defaults and annotations, and the
 qualname are the generated ``__init__``'s, so the signature and the
-``TypeError`` of a bad call are unchanged.
+``TypeError`` of a bad call are unchanged.  It takes each field as a
+positional parameter with a plain default, so a field with a
+``default_factory``, ``init=False`` or ``kw_only`` is refused with a
+``TypeError`` when the class is decorated, and so is a default before a
+required field, with ``dataclass``'s own message.
 
 ``dataclass(slots=True)`` builds a new class, but the frozen
 ``__setattr__`` and ``__delattr__`` it generates name the first one,
@@ -26,7 +30,7 @@ deletion raises ``FrozenInstanceError``.
 from __future__ import annotations
 
 import inspect
-from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
+from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields, make_dataclass
 
 
 def record(cls: type) -> type:
@@ -39,6 +43,18 @@ def record(cls: type) -> type:
         cls.__doc__ = cls.__name__
     cls = dataclass(frozen=True, slots=True, init=False)(cls)
     declared = fields(cls)
+    for f in declared:
+        if f.default_factory is not MISSING or not f.init or f.kw_only:
+            raise TypeError(
+                f"{cls.__qualname__}.{f.name}: @record takes no default_factory, "
+                "init=False or kw_only field"
+            )
+    required = [f.default is MISSING for f in declared]
+    if required != sorted(required, reverse=True):  # a default before a required field
+        # dataclass raises its own message, which differs between Python versions
+        make_dataclass(
+            cls.__name__, [(f.name, f.type, field(default=f.default)) for f in declared]
+        )
     names = [f.name for f in declared]
     namespace = {f"_set_{name}": cls.__dict__[name].__set__ for name in names}
     body = "".join(f"    _set_{name}(self, {name})\n" for name in names)

@@ -12,15 +12,12 @@ README "File formats")::
 
 ``:A`` marks the aspect position, ``:O`` the opinion position.  Order of
 lines is precedence order.  ``extract_sentences`` is the one extraction
-core: it runs a whole corpus in one loop, binding the pattern automaton,
-opinion lexicon and dictionary lookups once per call, and states the
-full rule; ``extract_with_options`` is its one-sentence call.
-A :class:`PatternSet` compiles its patterns into a tag automaton once,
-when it is built (for the bundled table, when the pattern file loads),
-so extraction scans each sentence's tags once, at one transition per
-token, whatever the number of patterns and however many share a tag.
-The nearest-aspect search probes the dictionary's windows only at words
-that start an entry.
+core: it runs a whole corpus in one loop and states the full rule;
+``extract_with_options`` is its one-sentence call.  It reads each
+sentence's tags once, one move per token of the tag automaton that a
+:class:`PatternSet` builds when it is made, however many patterns there
+are.  The nearest-aspect search probes the dictionary's windows only at
+words that start an entry.
 """
 
 from __future__ import annotations
@@ -111,19 +108,18 @@ def _written(p: TagPattern) -> str:
 class PatternSet:
     """Ordered collection of patterns; earlier patterns take precedence.
 
-    ``automaton``, the scan table, is compiled once, here: the complete
-    Aho-Corasick automaton (Aho & Corasick, "Efficient string matching",
-    CACM 1975) of the patterns' tag sequences.  Its state after a token
-    stands for the longest suffix of the tags read so far that is a
-    prefix of some pattern; the state before the first token is the
-    root, 0.  It is a
-    tuple of per-state dicts, each mapping every tag a pattern holds and
-    every :data:`OPINION_ROLE_TAGS` tag to ``(next state, rows, opinion
-    role)``: the rows of the patterns that end at that token, in line
-    order, and whether the tag may hold an opinion.  Any other tag takes
-    ``_MISS``, back to the root.  One entry tuple serves each (next
-    state, opinion role), so the table holds as many entries as there
-    are of those pairs, however many tags lead to each.
+    ``automaton``, the scan table, is built once, here.  Its states are
+    the prefixes of the patterns' tag sequences: the root, 0, is the
+    empty one, and the rest are numbered by length, then by tags.  On a
+    tag, a state moves to the longest suffix of its tags and that tag
+    that is a prefix, so the state after a token is the longest suffix
+    of the tags read so far that is one; and the move ends the patterns
+    whose tags are a suffix of the state it reaches, in line order.  The
+    table is a tuple of per-state dicts, each mapping every tag a
+    pattern holds and every :data:`OPINION_ROLE_TAGS` tag to ``(next
+    state, rows, opinion role)``: those patterns' rows and whether the
+    tag may hold an opinion.  Any other tag takes ``_MISS``, back to the
+    root.  One entry tuple serves each (next state, opinion role).
     """
 
     patterns: tuple[TagPattern, ...]
@@ -132,55 +128,39 @@ class PatternSet:
     )
 
     def __post_init__(self):
-        # The trie of the patterns: each state's children, and the rows of
-        # the patterns that the path to it spells.
-        children: list[dict[str, int]] = [{}]
-        rows: list[list[_Row]] = [[]]
+        ends: dict[tuple[str, ...], list[_Row]] = {}  # tags -> their rows, in line order
         seen: set[tuple] = set()
         for rank, p in enumerate(self.patterns):
             key = (p.tags, p.aspect_offset, p.opinion_offset)
             if key in seen:
                 raise ValueError(f"duplicate pattern {_written(p)}")
             seen.add(key)
-            state = 0
-            for tag in p.tags:
-                if tag not in children[state]:
-                    children[state][tag] = len(children)
-                    children.append({})
-                    rows.append([])
-                state = children[state][tag]
-            rows[state].append(
-                (rank, len(p.tags), p.opinion_offset, p.aspect_offset, p.name)
-            )
-        # Breadth first, so that a state's fallback (the state of the
-        # longest proper suffix of its path) is done before the state: a
-        # state ends its fallback's patterns as well as its own, and on
-        # each tag it has no child for it moves as its fallback does.
-        fallbacks = [0] * len(children)
-        order = list(children[0].values())
-        for state in order:  # order grows as it is walked
-            rows[state] = sorted(rows[state] + rows[fallbacks[state]])
-            for tag, child in children[state].items():
-                fallback = fallbacks[state]
-                while fallback and tag not in children[fallback]:
-                    fallback = fallbacks[fallback]
-                fallbacks[child] = children[fallback].get(tag, 0)
-                order.append(child)
+            row = (rank, len(p.tags), p.opinion_offset, p.aspect_offset, p.name)
+            ends.setdefault(p.tags, []).append(row)
+        prefixes = {(), *(tags[:n] for tags in ends for n in range(1, len(tags) + 1))}
+        prefixes = sorted(prefixes, key=lambda s: (len(s), s))
+        # the rows of the patterns each state ends: one lookup per suffix
+        rows = [tuple(sorted(r for n in range(len(s)) for r in ends.get(s[n:], ())))
+                for s in prefixes]
         # entry[tag][target]: the one entry of each (next state, opinion role)
-        ends = list(map(tuple, rows))
-        shared = tuple(
-            [(target, r, flag) for target, r in enumerate(ends)] for flag in (False, True)
-        )
+        shared = tuple([(s, r, flag) for s, r in enumerate(rows)] for flag in (False, True))
         shared[False][0] = _MISS
-        alphabet = OPINION_ROLE_TAGS.union(*(p.tags for p in self.patterns))
+        alphabet = OPINION_ROLE_TAGS.union(*ends)
         entry = {tag: shared[tag in OPINION_ROLE_TAGS] for tag in alphabet}
-        root = {tag: entry[tag][children[0].get(tag, 0)] for tag in alphabet}
-        automaton = [root] * len(children)  # every other state is set below
-        for state in order:
-            automaton[state] = {
-                **automaton[fallbacks[state]],
-                **{tag: entry[tag][child] for tag, child in children[state].items()},
-            }
+        # prefix -> {tag: the entry into prefix + (tag,)}, where that is a prefix
+        grown: dict[tuple[str, ...], dict[str, _Entry]] = {}
+        for state, prefix in enumerate(prefixes[1:], 1):
+            grown.setdefault(prefix[:-1], {})[prefix[-1]] = entry[prefix[-1]][state]
+        # The longest suffix of s + (tag,) that is a prefix is, less its tag, a
+        # suffix of s: so each state takes the moves of its suffixes, shortest
+        # first, a longer one's overriding; any other tag goes back to the root.
+        to_root = {tag: entry[tag][0] for tag in alphabet}
+        automaton = []
+        for s in prefixes:
+            moves = dict(to_root)
+            for n in range(len(s), -1, -1):
+                moves.update(grown.get(s[n:], {}))
+            automaton.append(moves)
         object.__setattr__(self, "automaton", tuple(automaton))
 
 
@@ -386,10 +366,10 @@ def extract_sentences(
        directly follows its aspect span; copies are not copied again.
        A sentence without a ``CC`` tag skips this pass.
 
-    The tags are scanned once, at one transition per token of the
-    automaton ``pattern_set`` compiled at load (:class:`PatternSet`): it
-    gives the patterns that end at the token, so no window is compared,
-    and whether the tag may hold an opinion.  Each hit is recorded as
+    The tags are scanned once, one move per token of
+    ``pattern_set.automaton`` (:class:`PatternSet`), which gives the
+    patterns that end at the token and whether its tag may hold an
+    opinion.  Each hit is recorded as
     ``(rank, start, pattern)``, so sorting the hits gives the order of
     pass 1; the same scan records the opinion-role positions pass 2
     visits.  A sentence with neither hits nor (with ``fallback``) such

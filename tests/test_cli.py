@@ -153,15 +153,6 @@ class TestRunConfig:
 
 
 class TestTagCommand:
-    def test_tags_whole_corpus(self, sample_paths, capsys):
-        code = main(["tag", "--corpus", sample_paths["corpus"]])
-        assert code == EXIT_OK
-        lines = capsys.readouterr().out.splitlines()
-        assert len(lines) == 30
-        for line in lines:
-            if line:  # empty sentences render as empty lines
-                assert all("/" in item for item in line.split())
-
     def test_prints_the_pretagged_file_aligned_with_its_corpus(self, sample_paths, capsys):
         code = main(
             ["tag", "--corpus", sample_paths["corpus"], "--pretagged", sample_paths["pretagged"]]
@@ -194,12 +185,6 @@ class TestInputRequired:
 
 
 class TestMineCommand:
-    def test_text_output(self, sample_paths, capsys):
-        code = main(["mine", "--pretagged", sample_paths["pretagged"]])
-        assert code == EXIT_OK
-        out = capsys.readouterr().out
-        assert "support=" in out
-
     def test_machine_output_sorted(self, sample_paths, capsys):
         code = main(
             ["mine", "--pretagged", sample_paths["pretagged"], "--format", "machine"]
@@ -228,23 +213,6 @@ class TestMineCommand:
 
 
 class TestExtractCommand:
-    def test_machine_census(self, sample_paths, capsys):
-        code = main(
-            ["extract", "--pretagged", sample_paths["pretagged"], "--format", "machine"]
-        )
-        assert code == EXIT_OK
-        lines = capsys.readouterr().out.splitlines()
-        assert lines[0] == "# sentence_id\taspect\topinion\tpolarity\tpattern"
-        assert len(lines) == 1 + 23
-        first = lines[1].split("\t")
-        assert first == ["0", "player", "great", "positive", "nearest-aspect"]
-
-    def test_text_output(self, sample_paths, capsys):
-        code = main(["extract", "--pretagged", sample_paths["pretagged"]])
-        assert code == EXIT_OK
-        out = capsys.readouterr().out
-        assert "[1] sound: wonderful (positive, noun-is-adj)" in out
-
     def test_no_fallback_drops_nearest_pairs(self, sample_paths, capsys):
         main(["extract", "--pretagged", sample_paths["pretagged"],
               "--format", "machine", "--no-fallback"])
@@ -291,12 +259,6 @@ class TestSummarizeCommand:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "summary\tmp3 player\t23\t74\t26"
         assert lines[1].startswith("group\tsound\t3\t1")
-
-    def test_product_defaults_to_file_stem(self, sample_paths, capsys):
-        main(["summarize", "--pretagged", sample_paths["pretagged"],
-              "--format", "machine"])
-        first = capsys.readouterr().out.splitlines()[0]
-        assert first.split("\t")[1] == "reviews-pretagged"
 
     def test_machine_rows_write_each_whitespace_run_as_one_space(self, tmp_path, capsys):
         corpus = tmp_path / "reviews.txt"
@@ -357,19 +319,6 @@ class TestEvaluateCommand:
         assert "average" in out
         assert "exact-match" in out
         assert "0.944" in out  # aspect precision 17/18
-
-    def test_machine_report(self, sample_paths, capsys):
-        code = main(
-            ["evaluate", "--corpus", sample_paths["eval_corpus"],
-             "--pretagged", sample_paths["eval_pretagged"],
-             "--format", "machine"]
-        )
-        assert code == EXIT_OK
-        lines = capsys.readouterr().out.splitlines()
-        assert lines[0].startswith("# product\t")
-        row = lines[1].split("\t")
-        assert row[0] == "minieval"
-        assert row[1] == f"{17 / 18:.6f}"
 
     def test_rows_are_named_by_corpus_stem_whatever_product_says(self, sample_paths, capsys):
         code = main(

@@ -197,6 +197,25 @@ class TestPatternSet:
         assert len({id(e) for e in entries}) == len({(e[0], e[2]) for e in entries})
         assert all(e is _MISS for e in entries if (e[0], e[2]) == (0, False))
 
+    def test_empty_set_is_the_root_alone(self):
+        ps = PatternSet(patterns=())
+        assert len(ps.automaton) == 1
+        shared = ps.automaton[0]["JJ"]
+        assert shared == (0, (), True)
+        assert all(e is _MISS or e is shared for e in ps.automaton[0].values())
+        pairs = extract_sentences(
+            (sent("the/DT camera/NN is/VBZ great/JJ ./."),), AspectDictionary(),
+            SPAN_LEXICON, ps, fallback=True,
+        )
+        assert [(p.aspect_surface, p.opinion_surface, p.pattern_name) for p in pairs] == [
+            ("camera", "great", FALLBACK_PATTERN_NAME)
+        ]
+
+    def test_bundled_table_has_one_state_per_prefix(self, resources):
+        patterns = resources.pattern_set.patterns
+        prefixes = {p.tags[:n] for p in patterns for n in range(len(p.tags) + 1)}
+        assert len(resources.pattern_set.automaton) == len(prefixes) == 29
+
     def test_equality_and_hash_ignore_the_automaton(self, resources):
         a = PatternSet(patterns=resources.pattern_set.patterns)
         b = PatternSet(patterns=resources.pattern_set.patterns)

@@ -18,13 +18,22 @@ from __future__ import annotations
 import copy
 import inspect
 import pickle
-from dataclasses import MISSING, FrozenInstanceError, astuple, dataclass, fields, replace
+from dataclasses import (
+    MISSING,
+    FrozenInstanceError,
+    astuple,
+    dataclass,
+    field,
+    fields,
+    replace,
+)
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aspectminer import corpus, grouping, patterns, scoring, summary, tagger
+from aspectminer._records import record
 
 
 @dataclass(frozen=True, slots=True)
@@ -255,3 +264,32 @@ def test_record_without_docstring_is_documented_by_its_signature(record_cls):
     # @record hands dataclass a placeholder doc, so dataclass builds none,
     # and writes the doc from the signature of the __init__ it installs
     assert record_cls.__doc__ == TWINS[record_cls].__doc__
+
+
+# Declarations the compiled __init__ would get wrong, each as (annotations,
+# class attributes): it takes every field as a positional parameter with a
+# plain default, so the first built __init__(self, a, b=0), taking R(5) as
+# R(a=5, b=0), and the others made `a` a required or an __init__ parameter.
+BAD_DECLARATIONS = {
+    "default-before-required": ({"a": "int", "b": "int"}, lambda: {"a": 0}),
+    "default-factory": ({"a": "list"}, lambda: {"a": field(default_factory=list)}),
+    "init-false": ({"a": "int"}, lambda: {"a": field(init=False, default=3)}),
+    "kw-only": ({"a": "int"}, lambda: {"a": field(kw_only=True)}),
+}
+
+
+@pytest.mark.parametrize("case", BAD_DECLARATIONS)
+def test_declaration_the_compiled_init_gets_wrong_is_refused(case):
+    annotations, attributes = BAD_DECLARATIONS[case]
+
+    def declare(decorator):
+        return decorator(type("R", (), {"__annotations__": annotations, **attributes()}))
+
+    try:  # a plain dataclass refuses the first with its own message
+        declare(dataclass(frozen=True, slots=True))
+        want = "R.a: @record takes no default_factory, init=False or kw_only field"
+    except TypeError as exc:
+        want = str(exc)
+    with pytest.raises(TypeError) as refused:
+        declare(record)
+    assert str(refused.value) == want
